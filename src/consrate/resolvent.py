@@ -15,13 +15,9 @@ from typing import Union
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
 
 from .errors import InfeasibleProblem
 from .gaussian import (
-    _cov_shape,
-    _int_decay_shape,
-    _var_h_shape,
     envelope_rate,
     extend_with_envelope,
     fk_kernel_weight,
@@ -31,6 +27,7 @@ from .gaussian import (
 )
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, Vasicek, diffusion, drift, state_rate
+from .simulate import _euler_paths, _exact_paths
 
 
 @dataclass(frozen=True)
@@ -52,12 +49,7 @@ class Quadrature:
 class FiniteDifference:
     """Central-difference boundary-value solve of the resolvent ODE."""
 
-    boundary: str = "auto"
     tolerance: float = 1e-6
-
-    def __post_init__(self):
-        if self.boundary != "auto":
-            raise ValueError("only the 'auto' boundary rule is implemented")
 
 
 @dataclass(frozen=True)
@@ -271,12 +263,6 @@ class TridiagSystem:
         ab[2, :-1] = self.sub[1:]
         return scipy.linalg.solve_banded((1, 1), ab, rhs)
 
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        out = self.diag * u
-        out[:-1] += self.sup[:-1] * u[1:]
-        out[1:] += self.sub[1:] * u[:-1]
-        return out
-
 
 def fd_system(
     spec: ProblemSpec,
@@ -423,27 +409,17 @@ def solve_linear_fk_ode(
 # Monte Carlo
 
 
-def _unit_noise_chol(b: float, dt: float) -> np.ndarray:
-    """Cholesky factor of the unit-volatility (X, Y) increment covariance."""
-    x = b * dt
-    var_x = -np.expm1(-2.0 * x) / (2.0 * b)
-    var_y = float(_var_h_shape(x)) / b**3
-    cov = float(_cov_shape(x)) / b**2
-    cov_mat = np.array([[var_x, cov], [cov, var_y]])
-    return np.linalg.cholesky(cov_mat)
-
-
 def resolvent_mc(
     spec: ProblemSpec, psi: GridFunction, lam: float, backend: MonteCarlo
 ) -> tuple[GridFunction, GridFunction]:
     """Monte Carlo resolvent with per-node standard errors.
 
-    Vasicek paths share one (X_t, Y_t) noise stream per path across all grid
-    nodes (the OU map from the initial rate is affine, so common random
-    numbers are exact and make node-to-node noise smooth); other models step
-    all nodes with a common Euler shock. Path k draws from seed + k.
-    lambda + gamma must be large enough that the discarded tail beyond t_max
-    is below the intended tolerance.
+    Vasicek paths share one exact path from r = 0 per sample, moved onto every
+    grid node by the affine OU map r + node e^{-bt}, h + node (1 - e^{-bt})/b
+    (so common random numbers are exact and make node-to-node noise smooth);
+    other models step all nodes as one Euler batch with a common shock. Path k
+    draws from seed + k. lambda + gamma must be large enough that the
+    discarded tail beyond t_max is below the intended tolerance.
     """
     _check_mc_applicable(spec)
     s = lam + spec.gamma
@@ -458,13 +434,18 @@ def resolvent_mc(
     trap_t[-1] *= 0.5
     disc = np.exp(-s * times)
 
-    if isinstance(spec.model, Vasicek):
+    vasicek = isinstance(spec.model, Vasicek)
+    if vasicek:
         ext_rate = envelope_rate(spec)
+        b = spec.model.b
+        r_shift = nodes[None, :] * np.exp(-b * times)[:, None]
+        h_shift = nodes[None, :] * (-np.expm1(-b * times) / b)[:, None]
 
         def psi_at(r):
             return extend_with_envelope(psi, ext_rate, r)
 
     else:
+        r_start = state_rate(spec.model, nodes)
 
         def psi_at(r):
             return psi(r)
@@ -473,10 +454,12 @@ def resolvent_mc(
     total_sq = np.zeros(nodes.size)
     for k in range(backend.paths):
         rng = np.random.default_rng(backend.seed + k)
-        if isinstance(spec.model, Vasicek):
-            r_mat, h_mat = _vasicek_node_paths(spec.model, nodes, dt, n_steps, rng)
+        if vasicek:
+            r, h = _exact_paths(spec.model, 0.0, dt, rng.standard_normal((1, n_steps, 2)))
+            r_mat, h_mat = r[0][:, None] + r_shift, h[0][:, None] + h_shift
         else:
-            r_mat, h_mat = _euler_node_paths(spec.model, nodes, dt, n_steps, rng)
+            r, h, _ = _euler_paths(spec.model, r_start, dt, rng.standard_normal((1, n_steps)))
+            r_mat, h_mat = np.ascontiguousarray(r.T), np.ascontiguousarray(h.T)
         g = psi_at(r_mat) * np.exp(spec.alpha * h_mat) * disc[:, None]
         path_integral = trap_t @ g
         total += path_integral
@@ -486,54 +469,6 @@ def resolvent_mc(
     var = np.maximum(total_sq / n - mean**2, 0.0) * n / (n - 1)
     se = np.sqrt(var / n)
     return psi.with_values(mean), psi.with_values(se)
-
-
-def _vasicek_node_paths(
-    model: Vasicek, nodes: np.ndarray, dt: float, n_steps: int, rng
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (r, h) paths from every node under one shared noise stream.
-
-    Returns arrays of shape (n_steps + 1, n_nodes)."""
-    a, b, sig = model.a, model.b, model.sigma
-    chol = _unit_noise_chol(b, dt)
-    z = rng.standard_normal((n_steps, 2)) @ chol.T
-    phi = math.exp(-b * dt)
-    x = scipy.signal.lfilter([1.0], [1.0, -phi], z[:, 0])
-    x_prev = np.concatenate(([0.0], x[:-1]))
-    y = np.cumsum(x_prev * (-math.expm1(-b * dt)) / b + z[:, 1])
-    x = np.concatenate(([0.0], x))
-    y = np.concatenate(([0.0], y))
-    t = dt * np.arange(0, n_steps + 1)
-    e1 = np.exp(-b * t)
-    one_m = -np.expm1(-b * t)
-    r_mat = nodes[None, :] * e1[:, None] + (a / b) * one_m[:, None] + sig * x[:, None]
-    h_det = nodes[None, :] * (one_m / b)[:, None] + (a / b**2) * _int_decay_shape(b * t)[:, None]
-    h_mat = h_det + sig * y[:, None]
-    return r_mat, h_mat
-
-
-def _euler_node_paths(
-    model, nodes: np.ndarray, dt: float, n_steps: int, rng
-) -> tuple[np.ndarray, np.ndarray]:
-    """Euler (r, h) paths from every node sharing one shock stream."""
-    from .models import domain, state_rate
-
-    dom = domain(model)
-    z = rng.standard_normal(n_steps)
-    r = np.empty((n_steps + 1, nodes.size))
-    h = np.empty_like(r)
-    r[0] = state_rate(model, nodes)
-    h[0] = 0.0
-    sqdt = math.sqrt(dt)
-    clamp = isinstance(model, InvariantInterval)
-    for i in range(n_steps):
-        cur = r[i]
-        nxt = cur + drift(model, cur) * dt + diffusion(model, cur) * sqdt * z[i]
-        if clamp:
-            nxt = np.clip(nxt, dom.lo + 1e-12, dom.hi - 1e-12)
-        r[i + 1] = nxt
-        h[i + 1] = h[i] + 0.5 * (cur + nxt) * dt
-    return r, h
 
 
 def _check_mc_applicable(spec: ProblemSpec) -> None:

@@ -8,18 +8,17 @@ so any parallel split over paths would match the serial result.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .errors import DivergenceError, HorizonError, InfeasibleProblem
 from .feasibility import Feasibility, classify
-from .gaussian import _int_decay_shape, ou_moments
+from .gaussian import _cov_shape, _int_decay_shape, _var_h_shape, ou_moments
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, ShortRateModel, Vasicek, diffusion, domain, drift
-from .resolvent import _unit_noise_chol
 
 
 @dataclass(frozen=True)
@@ -72,39 +71,74 @@ class KLEstimate:
     truncated_weight: float
 
 
+def _unit_noise_chol(b: float, dt: float) -> np.ndarray:
+    """Cholesky factor of the unit-volatility (X, Y) increment covariance."""
+    x = b * dt
+    var_x = -np.expm1(-2.0 * x) / (2.0 * b)
+    var_y = float(_var_h_shape(x)) / b**3
+    cov = float(_cov_shape(x)) / b**2
+    cov_mat = np.array([[var_x, cov], [cov, var_y]])
+    return np.linalg.cholesky(cov_mat)
+
+
+# cached: the K_L estimator and the MC resolvent call the engine once per
+# chunk or path with the same (model, dt), and this costs about 0.15 ms
+@functools.lru_cache(maxsize=32)
 def _exact_step_params(model: Vasicek, dt: float):
     phi = math.exp(-model.b * dt)
     m_r = (model.a / model.b) * -math.expm1(-model.b * dt)
     c_h = -math.expm1(-model.b * dt) / model.b
     m_h = (model.a / model.b**2) * float(_int_decay_shape(model.b * dt))
     chol = model.sigma * _unit_noise_chol(model.b, dt)
+    chol.setflags(write=False)
     return phi, m_r, c_h, m_h, chol
 
 
-def _exact_batch(model: Vasicek, r0: float, dt: float, n_steps: int, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (r, h) paths, shape (batch, n_steps + 1), one rng per path."""
+def _exact_paths(model: Vasicek, r0, dt: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (r, h) paths, shape (batch, n_steps + 1), from start rates r0 (a
+    scalar or one per path) driven by standard normals z of shape
+    (batch, n_steps, 2); h starts at 0. Every Vasicek sampler goes through here."""
+    # imported here rather than at module level: only path sampling needs it,
+    # and it made `import consrate.cli` take 1.75 s instead of 0.55 s (2-core VM)
+    import scipy.signal
+
     phi, m_r, c_h, m_h, chol = _exact_step_params(model, dt)
-    batch = len(rngs)
-    noise = np.empty((batch, n_steps, 2))
-    for i, rng in enumerate(rngs):
-        noise[i] = rng.standard_normal((n_steps, 2))
-    noise = noise @ chol.T
+    batch = z.shape[0]
+    noise = z @ chol.T
+    # every caller passes z inline, so dropping it here frees the normals
+    # before the filter runs: one (batch, n_steps, 2) array less at peak
+    del z
+    r_start = np.empty((batch, 1))
+    r_start[:, 0] = r0
     x = m_r + noise[:, :, 0]
-    zi = np.full((batch, 1), phi * r0)
-    r_tail, _ = scipy.signal.lfilter([1.0], [1.0, -phi], x, axis=1, zi=zi)
-    r = np.concatenate([np.full((batch, 1), float(r0)), r_tail], axis=1)
+    r_tail, _ = scipy.signal.lfilter([1.0], [1.0, -phi], x, axis=1, zi=phi * r_start)
+    r = np.concatenate([r_start, r_tail], axis=1)
     dh = c_h * r[:, :-1] + m_h + noise[:, :, 1]
     h = np.concatenate([np.zeros((batch, 1)), np.cumsum(dh, axis=1)], axis=1)
     return r, h
 
 
-def _euler_batch(model: ShortRateModel, r0: float, dt: float, n_steps: int, rngs):
-    """Euler (r, h) paths with trapezoid h; interval paths are clamped just
-    inside (a, b) if a step exits, with a clamp counter kept."""
-    batch = len(rngs)
-    z = np.empty((batch, n_steps))
+def _normals(rngs, shape: tuple) -> np.ndarray:
+    """Standard normals of the given shape from each rng, stacked on a new first axis."""
+    z = np.empty((len(rngs), *shape))
     for i, rng in enumerate(rngs):
-        z[i] = rng.standard_normal(n_steps)
+        z[i] = rng.standard_normal(shape)
+    return z
+
+
+def _exact_batch(model: Vasicek, r0: float, dt: float, n_steps: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (r, h) paths, shape (batch, n_steps + 1), one rng per path."""
+    return _exact_paths(model, r0, dt, _normals(rngs, (n_steps, 2)))
+
+
+def _euler_paths(model: ShortRateModel, r0: np.ndarray, dt: float, z: np.ndarray):
+    """Euler (r, h) paths, shape (batch, n_steps + 1), with trapezoid h, from
+    start rates r0 of shape (batch,) driven by standard normals z of shape
+    (batch, n_steps), or (1, n_steps) for one shock stream shared by the batch.
+    Interval paths are clamped just inside (a, b) if a step exits, with a
+    per-path clamp counter kept."""
+    batch = r0.size
+    n_steps = z.shape[1]
     r = np.empty((batch, n_steps + 1))
     r[:, 0] = r0
     clamp = isinstance(model, InvariantInterval)
@@ -123,6 +157,21 @@ def _euler_batch(model: ShortRateModel, r0: float, dt: float, n_steps: int, rngs
     dh = 0.5 * (r[:, 1:] + r[:, :-1]) * dt
     h = np.concatenate([np.zeros((batch, 1)), np.cumsum(dh, axis=1)], axis=1)
     return r, h, clamp_counts
+
+
+def _euler_batch(model: ShortRateModel, r0: float, dt: float, n_steps: int, rngs):
+    """Euler (r, h, clamp counts) paths from r0, one rng per path."""
+    return _euler_paths(model, np.full(len(rngs), float(r0)), dt, _normals(rngs, (n_steps,)))
+
+
+def _scheme_batch(model: ShortRateModel, r0: float, cfg: PathConfig, n_steps: int, rngs):
+    """(r, h, clamp counts) for one block of paths under cfg.scheme."""
+    if cfg.scheme == "euler":
+        return _euler_batch(model, r0, cfg.dt, n_steps, rngs)
+    if not isinstance(model, Vasicek):
+        raise ValueError("the exact scheme applies to the Vasicek model only")
+    r, h = _exact_batch(model, r0, cfg.dt, n_steps, rngs)
+    return r, h, np.zeros(len(rngs), dtype=int)
 
 
 def _path_rngs(seed: int, start: int, count: int):
@@ -148,16 +197,8 @@ def sample_path(model: ShortRateModel, r0: float, cfg: PathConfig) -> Trajectory
         raise ValueError("r0 outside the model domain")
     n_steps = int(round(cfg.t_max / cfg.dt))
     times = cfg.dt * np.arange(n_steps + 1)
-    rngs = _path_rngs(cfg.seed, 0, 1)
-    if cfg.scheme == "exact":
-        if not isinstance(model, Vasicek):
-            raise ValueError("the exact scheme applies to the Vasicek model only")
-        r, h = _exact_batch(model, r0, cfg.dt, n_steps, rngs)
-        clamps = 0
-    else:
-        r, h, counts = _euler_batch(model, r0, cfg.dt, n_steps, rngs)
-        clamps = int(counts[0])
-    return Trajectory(times=times, r=r[0], h=h[0], clamp_count=clamps)
+    r, h, clamps = _scheme_batch(model, r0, cfg, n_steps, _path_rngs(cfg.seed, 0, 1))
+    return Trajectory(times=times, r=r[0], h=h[0], clamp_count=int(clamps[0]))
 
 
 def wealth_trajectory(path: Trajectory, policy_c: GridFunction, v: float) -> Trajectory:
@@ -217,13 +258,7 @@ def estimate_J(
     done = 0
     while done < cfg.n_paths:
         nb = min(batch, cfg.n_paths - done)
-        rngs = _path_rngs(cfg.seed, done, nb)
-        if cfg.scheme == "exact":
-            if not isinstance(spec.model, Vasicek):
-                raise ValueError("the exact scheme applies to the Vasicek model only")
-            r, h = _exact_batch(spec.model, r0, cfg.dt, n_steps, rngs)
-        else:
-            r, h, _ = _euler_batch(spec.model, r0, cfg.dt, n_steps, rngs)
+        r, h, _ = _scheme_batch(spec.model, r0, cfg, n_steps, _path_rngs(cfg.seed, done, nb))
         c = np.maximum(policy_c(r), 0.0)
         dc = 0.5 * (c[:, 1:] + c[:, :-1]) * cfg.dt
         int_c = np.concatenate([np.zeros((nb, 1)), np.cumsum(dc, axis=1)], axis=1)
@@ -253,9 +288,14 @@ def estimate_KL_mc(spec: ProblemSpec, r0: float, cfg: PathConfig, *, chunk: int 
     """Monte Carlo hitting functional E^r e^{-gamma tau_0 + alpha h_{tau_0}}.
 
     Simulates exact Vasicek paths until the first sign change of the rate
-    (crossing time by linear interpolation); paths still alive at t_max
-    contribute zero plus a truncation diagnostic. Fails if fewer than 99% of
-    paths are absorbed.
+    (crossing time by linear interpolation). A crossing between two grid
+    times with both rates positive is not seen on the grid, so each such step
+    is absorbed with its Brownian-bridge crossing probability
+    exp(-2 r_i r_{i+1} / (sigma^2 dt)) at mid-step time and h, and the path
+    carries on with the conditional survival product; this removes the
+    discrete-monitoring bias without extra draws. Survival left at t_max
+    contributes zero plus a truncation diagnostic. Fails if the mean survival
+    at t_max exceeds 1%.
     """
     if not isinstance(spec.model, Vasicek):
         raise ValueError("estimate_KL_mc is implemented for the Vasicek model")
@@ -264,44 +304,47 @@ def estimate_KL_mc(spec: ProblemSpec, r0: float, cfg: PathConfig, *, chunk: int 
     gate = classify(ProblemSpec(spec.model, spec.alpha, spec.gamma, "A"))
     if gate.verdict is not Feasibility.FINITE:
         raise InfeasibleProblem(f"feasibility verdict is {gate.verdict.name}")
-    al, g = spec.alpha, spec.gamma
-    phi, m_r, c_h, m_h, chol = _exact_step_params(spec.model, cfg.dt)
-    max_steps = int(round(cfg.t_max / cfg.dt))
+    al, g, dt = spec.alpha, spec.gamma, cfg.dt
+    bridge = 2.0 / (spec.model.sigma**2 * dt)
+    max_steps = int(round(cfg.t_max / dt))
     total = 0.0
     total_sq = 0.0
-    absorbed = 0
+    survival_total = 0.0
     truncated_weight = 0.0
     for k in range(cfg.n_paths):
         rng = np.random.default_rng(cfg.seed + k)
-        r_last, h_last, t_last = float(r0), 0.0, 0.0
-        steps_left = max_steps
+        r_last, h_last, survival = float(r0), 0.0, 1.0
+        done = 0
         w = 0.0
-        while steps_left > 0:
-            n_steps = min(chunk, steps_left)
-            noise = rng.standard_normal((n_steps, 2)) @ chol.T
-            x = m_r + noise[:, 0]
-            r_tail, _ = scipy.signal.lfilter([1.0], [1.0, -phi], x, zi=np.array([phi * r_last]))
-            r_path = np.concatenate(([r_last], r_tail))
-            dh = c_h * r_path[:-1] + m_h + noise[:, 1]
-            h_path = h_last + np.concatenate(([0.0], np.cumsum(dh)))
+        while done < max_steps:
+            n_steps = min(chunk, max_steps - done)
+            r_path, h_path = _exact_paths(spec.model, r_last, dt, rng.standard_normal((1, n_steps, 2)))
+            r_path, h_path = r_path[0], h_last + h_path[0]
             below = r_path[1:] <= 0.0
-            if below.any():
-                i = int(np.argmax(below)) + 1
-                frac = r_path[i - 1] / (r_path[i - 1] - r_path[i])
-                tau = t_last + (i - 1 + frac) * cfg.dt
-                h_tau = h_path[i - 1] + frac * (h_path[i] - h_path[i - 1])
-                w = math.exp(-g * tau + al * h_tau)
-                absorbed += 1
+            n_live = int(np.argmax(below)) if below.any() else n_steps
+            p = np.exp(-bridge * r_path[:n_live] * r_path[1 : n_live + 1])
+            alive = survival * np.concatenate(([1.0], np.cumprod(1.0 - p)))
+            t_mid = (done + 0.5 + np.arange(n_live)) * dt
+            h_mid = 0.5 * (h_path[:n_live] + h_path[1 : n_live + 1])
+            w += float(np.sum(alive[:-1] * p * np.exp(-g * t_mid + al * h_mid)))
+            survival = float(alive[-1])
+            if n_live < n_steps:
+                j = n_live
+                frac = r_path[j] / (r_path[j] - r_path[j + 1])
+                tau = (done + j + frac) * dt
+                h_tau = h_path[j] + frac * (h_path[j + 1] - h_path[j])
+                w += survival * math.exp(-g * tau + al * h_tau)
+                survival = 0.0
                 break
             r_last, h_last = float(r_path[-1]), float(h_path[-1])
-            t_last += n_steps * cfg.dt
-            steps_left -= n_steps
+            done += n_steps
         else:
-            truncated_weight += math.exp(-g * cfg.t_max + al * h_last)
+            truncated_weight += survival * math.exp(-g * cfg.t_max + al * h_last)
+        survival_total += survival
         total += w
         total_sq += w * w
     n = cfg.n_paths
-    frac_absorbed = absorbed / n
+    frac_absorbed = 1.0 - survival_total / n
     if frac_absorbed < 0.99:
         raise HorizonError(
             f"only {100 * frac_absorbed:.1f}% of paths hit zero by t_max={cfg.t_max}; widen the horizon"
@@ -332,20 +375,14 @@ def joint_moment_sample(
     This is a test oracle, not a path API; it uses one stream for speed.
     """
     dt = t / n_steps
-    phi, m_r, c_h, m_h, chol = _exact_step_params(model, dt)
     rng = np.random.default_rng(seed)
     s = np.zeros(2)
     ss = np.zeros(3)  # sum r^2, sum h^2, sum r h
     done = 0
     while done < n_paths:
         nb = min(block, n_paths - done)
-        noise = rng.standard_normal((nb, n_steps, 2)) @ chol.T
-        x = m_r + noise[:, :, 0]
-        zi = np.full((nb, 1), phi * r0)
-        r_tail, _ = scipy.signal.lfilter([1.0], [1.0, -phi], x, axis=1, zi=zi)
-        r_prev = np.concatenate([np.full((nb, 1), float(r0)), r_tail[:, :-1]], axis=1)
-        h_end = np.sum(c_h * r_prev + m_h + noise[:, :, 1], axis=1)
-        r_end = r_tail[:, -1]
+        r, h = _exact_paths(model, r0, dt, rng.standard_normal((nb, n_steps, 2)))
+        r_end, h_end = r[:, -1], h[:, -1]
         s += [r_end.sum(), h_end.sum()]
         ss += [np.sum(r_end**2), np.sum(h_end**2), np.sum(r_end * h_end)]
         done += nb

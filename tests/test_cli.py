@@ -231,3 +231,11 @@ def test_determinism_across_threads(tmp_path):
     t2 = read_csv(tmp_path / "d2" / "trace.csv")
     for col in ("m", "n", "sup_increment", "min_increment", "max_bound_violation"):
         assert np.array_equal(t1[col], t2[col])
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    # scipy.signal is most of the CLI's import time; only path sampling needs it
+    code = "import sys, consrate.cli; print('scipy.signal' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
