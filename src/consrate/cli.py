@@ -271,12 +271,8 @@ def _emit_solution(out: Path, cfg: dict, sol: hjb.Solution, emit_plots: bool) ->
         ["r", "K", "N_pow", "c_hat"],
         [grid.nodes, grid.values, n_pow, sol.policy_c.values],
     )
-    rows = sol.trace.rows()
-    write_csv(
-        out / "trace.csv",
-        ["m", "n", "sup_increment", "min_increment", "max_bound_violation", "seconds"],
-        [np.array([r[i] for r in rows]) for i in range(6)] if rows else [np.empty(0)] * 6,
-    )
+    cols = ["m", "n", "lam", "sup_increment", "min_increment", "max_bound_violation", "seconds"]
+    write_csv(out / "trace.csv", cols, [np.array([getattr(step, c) for step in sol.trace.steps]) for c in cols])
     if emit_plots:
         panel = Panel(title="value profile iterates", xlabel="r", ylabel="K")
         shown = sol.iterates

@@ -16,9 +16,6 @@ from .errors import InfeasibleProblem
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, Vasicek
 
-SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
 @dataclass(frozen=True)
 class JointMoments:
     """First and second moments of (r_t, h_t) started at r, h_0 = 0."""
@@ -102,13 +99,18 @@ def fk_kernel_weight(spec: ProblemSpec, t, r, y):
     if not np.all(np.asarray(t) > 0):
         raise ValueError("the kernel requires t > 0")
     mom = ou_moments(spec.model, r, t)
-    y = np.asarray(y, dtype=float)
-    dev = y - mom.mean_r
+    al = spec.alpha
     beta = mom.cov_rh / mom.var_r
-    mu_cond = mom.mean_h + beta * dev
     var_cond = np.maximum(mom.var_h - mom.cov_rh**2 / mom.var_r, 0.0)
-    density = np.exp(-0.5 * dev**2 / mom.var_r) / np.sqrt(mom.var_r) / SQRT_TWO_PI
-    return density * np.exp(spec.alpha * mu_cond + 0.5 * spec.alpha**2 * var_cond)
+    # log of density * exp(alpha mu_cond + alpha^2 var_cond / 2), with
+    # mu_cond = mean_h + beta dev; only dev has the full broadcast shape
+    base = al * mom.mean_h + 0.5 * al**2 * var_cond - 0.5 * np.log(2.0 * math.pi * mom.var_r)
+    dev = np.asarray(y, dtype=float) - mom.mean_r
+    expo = dev * (-0.5 / mom.var_r)
+    expo += al * beta
+    expo *= dev
+    expo += base
+    return np.exp(expo, out=expo) if np.ndim(expo) else np.exp(expo)
 
 
 def envelope_rate(spec: ProblemSpec) -> float:

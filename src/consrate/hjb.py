@@ -69,6 +69,7 @@ class TraceStep:
     min_increment: float
     max_bound_violation: float
     seconds: float
+    lam: float = float("nan")  # the clamp level's lambda; NaN where not recorded
 
 
 @dataclass
@@ -175,13 +176,13 @@ def _upper_profile(spec: ProblemSpec, nodes: np.ndarray, force: bool):
 class _Resolver:
     """Per-backend factory of resolvent applications on a fixed node set."""
 
-    def __init__(self, spec: ProblemSpec, nodes: np.ndarray, backend: ResolventBackend):
+    def __init__(self, spec: ProblemSpec, nodes: np.ndarray, backend: ResolventBackend, lams: list[float]):
         self.spec = spec
         self.nodes = nodes
         self.backend = backend
         self._grid = GridFunction(nodes[0], nodes[-1], np.zeros(nodes.size))
         if isinstance(backend, Quadrature):
-            self._op = QuadratureOperator(spec, self._grid, backend)
+            self._op = QuadratureOperator(spec, self._grid, backend, lams)
         elif isinstance(backend, FiniteDifference):
             self._op = None
             self._cache: tuple[float, object] | None = None
@@ -242,7 +243,7 @@ def _iterate(
             if lower is not None:
                 viol = max(viol, float(np.max(lower[window] - k_new[window])))
             viol = max(viol, 0.0)
-            trace.append(TraceStep(m, n, sup_inc, min_inc, viol, dt_step))
+            trace.append(TraceStep(m, n, sup_inc, min_inc, viol, dt_step, lam=lam))
             if min_inc < -10.0 * tol_backend:
                 raise MonotonicityError(
                     f"iterate decreased by {-min_inc:.3g} at m={m}, n={n} "
@@ -282,7 +283,8 @@ def solve_problem_a(spec: ProblemSpec, config: SolverConfig, *, force: bool = Fa
     nodes, i0, i1 = _extended_nodes(spec, config.grid, config.pad)
     window = slice(i0, i1 + 1)
     upper = _upper_profile(spec, nodes, force)
-    resolver = _Resolver(spec, nodes, config.backend)
+    lams = [lambda_schedule(spec, config, m) for m in range(1, config.m_max + 1)]
+    resolver = _Resolver(spec, nodes, config.backend, lams)
     k, trace, snaps = _iterate(
         spec, config, resolver.apply, np.zeros(nodes.size), window, upper, None
     )

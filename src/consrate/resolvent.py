@@ -115,25 +115,31 @@ def _cell_weights(s: float, h: float) -> tuple[float, float]:
     return a, b
 
 
+# the kernel of one broadcast call holds about this many floats, and one GEMM
+# accumulates this many kernel calls' worth of time cells
+_KERNEL_FLOATS = 3e5
+_CALLS_PER_GEMM = 8
+
+
 class QuadratureOperator:
-    """Precomputed kernel propagators on a grid, reusable across lambdas.
+    """Resolvent matrices R(lambda) on a grid for a fixed set of lambdas.
 
     The time integral uses exponentially weighted trapezoid coefficients
     (exact integration of e^{-(lambda+gamma)t} against the piecewise-linear
     interpolant of P_t psi) plus the analytic frozen-state correction on the
-    singular first cell [0, dt].
+    singular first cell [0, dt]. All R(lambda) are built in one pass over the
+    time cells: each cell's kernel is evaluated once and added into every
+    lambda's accumulator by one GEMM per block of cells.
     """
 
-    def __init__(
-        self,
-        spec: ProblemSpec,
-        grid: GridFunction,
-        backend: Quadrature,
-        *,
-        max_cache_floats: float = 8e7,
-    ):
+    def __init__(self, spec: ProblemSpec, grid: GridFunction, backend: Quadrature, lams):
         if not isinstance(spec.model, Vasicek):
             raise ValueError("the quadrature resolvent requires the Vasicek model")
+        lams = [float(lam) for lam in lams]
+        if not lams:
+            raise ValueError("the quadrature operator needs at least one lambda")
+        for lam in lams:
+            _check_laplace_convergence(spec, lam)
         self.spec = spec
         self.backend = backend
         self.nodes = grid.nodes
@@ -157,42 +163,43 @@ class QuadratureOperator:
         y_hi = max(grid.r_max, long_mean) + hw
         n_y = int(math.ceil((y_hi - y_lo) / backend.dy)) + 1
         self.y = np.linspace(y_lo, y_hi, n_y)
-        dy = self.y[1] - self.y[0]
-        self._trap_y = np.full(n_y, dy)
-        self._trap_y[0] *= 0.5
-        self._trap_y[-1] *= 0.5
+        trap_y = np.full(n_y, self.y[1] - self.y[0])
+        trap_y[0] *= 0.5
+        trap_y[-1] *= 0.5
 
         # extension of a grid function onto the y mesh: linear interpolation
         # inside the window, frozen edge value times the envelope outside
         rate = envelope_rate(spec)
         n_r = self.nodes.size
         ext = np.zeros((n_y, n_r))
-        h = grid.step
-        for k, yk in enumerate(self.y):
-            if yk < grid.r_min:
-                ext[k, 0] = math.exp(rate * (abs(yk) - abs(grid.r_min)))
-            elif yk > grid.r_max:
-                ext[k, -1] = math.exp(rate * (abs(yk) - abs(grid.r_max)))
-            else:
-                pos = (yk - grid.r_min) / h
-                i = min(int(pos), n_r - 2)
-                frac = pos - i
-                ext[k, i] = 1.0 - frac
-                ext[k, i + 1] = frac
-        self._ext = ext
+        below, above = self.y < grid.r_min, self.y > grid.r_max
+        ext[below, 0] = np.exp(rate * (np.abs(self.y[below]) - abs(grid.r_min)))
+        ext[above, -1] = np.exp(rate * (np.abs(self.y[above]) - abs(grid.r_max)))
+        inside = np.flatnonzero(~(below | above))
+        pos = (self.y[inside] - grid.r_min) / grid.step
+        i = np.minimum(pos.astype(int), n_r - 2)
+        ext[inside, i] = 1.0 - (pos - i)
+        ext[inside, i + 1] = pos - i
 
-        self._stack = None
-        if n_steps * n_r * n_r <= max_cache_floats:
-            stack = np.empty((n_steps, n_r, n_r))
-            for j, t in enumerate(self.times):
-                stack[j] = self._propagator(t) @ ext
-            self._stack = stack
-        self._cached = (None, None, None)
-
-    def _propagator(self, t: float) -> np.ndarray:
-        """Kernel matrix (n_r, n_y) including the y trapezoid weights."""
-        w = fk_kernel_weight(self.spec, t, self.nodes[:, None], self.y[None, :])
-        return w * self._trap_y[None, :]
+        coef = np.array([self._coefficients(lam) for lam in lams])
+        acc = np.zeros((len(lams), n_r * n_y))
+        per_call = max(1, int(_KERNEL_FLOATS // (n_r * n_y)))
+        per_gemm = _CALLS_PER_GEMM * per_call
+        buf = np.empty((per_gemm, n_r, n_y))
+        r, y = self.nodes[None, :, None], self.y[None, None, :]
+        for start in range(0, n_steps, per_gemm):
+            stop = min(start + per_gemm, n_steps)
+            for j in range(start, stop, per_call):
+                k = min(j + per_call, stop)
+                buf[j - start : k - start] = fk_kernel_weight(spec, self.times[j:k, None, None], r, y)
+            cells = buf[: stop - start].reshape(stop - start, n_r * n_y)
+            # acc += coef[:, start:stop] @ cells without a temporary the size of acc
+            scipy.linalg.blas.dgemm(1.0, cells.T, coef[:, start:stop].T, beta=1.0, c=acc.T, overwrite_c=True)
+        del buf
+        acc = acc.reshape(len(lams) * n_r, n_y)
+        acc *= trap_y
+        self._mats = (acc @ ext).reshape(len(lams), n_r, n_r)
+        self._level = {lam: i for i, lam in enumerate(lams)}
 
     def _coefficients(self, lam: float) -> np.ndarray:
         s = lam + self.spec.gamma
@@ -206,21 +213,12 @@ class QuadratureOperator:
 
     def resolvent_matrix(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """(R, d) with u = R @ psi + d * psi."""
-        _check_laplace_convergence(self.spec, lam)
-        if self._cached[0] == lam:
-            return self._cached[1], self._cached[2]
-        c = self._coefficients(lam)
-        if self._stack is not None:
-            mat = np.tensordot(c, self._stack, axes=(0, 0))
-        else:
-            mat = np.zeros((self.nodes.size, self.nodes.size))
-            for j, t in enumerate(self.times):
-                if c[j] == 0.0:
-                    continue
-                mat += c[j] * (self._propagator(t) @ self._ext)
-        d = _frozen_cell(self.spec, lam, self.nodes, self.backend.dt)
-        self._cached = (lam, mat, d)
-        return mat, d
+        if lam not in self._level:
+            raise ValueError(
+                f"lambda = {lam:.17g} is not one of the {len(self._level)} levels "
+                "this quadrature operator was built for"
+            )
+        return self._mats[self._level[lam]], _frozen_cell(self.spec, lam, self.nodes, self.backend.dt)
 
     def apply(self, lam: float, psi_values: np.ndarray) -> np.ndarray:
         mat, d = self.resolvent_matrix(lam)
@@ -231,7 +229,7 @@ def resolvent_quadrature(
     spec: ProblemSpec, psi: GridFunction, lam: float, backend: Quadrature
 ) -> GridFunction:
     """Quadrature evaluation of u = (lambda + gamma - A)^{-1} psi (Vasicek)."""
-    op = QuadratureOperator(spec, psi, backend)
+    op = QuadratureOperator(spec, psi, backend, (lam,))
     return psi.with_values(op.apply(lam, psi.values))
 
 
@@ -450,8 +448,11 @@ def resolvent_mc(
         def psi_at(r):
             return psi(r)
 
+    # the variance is taken about the mean of the kept path integrals: a
+    # one-pass total_sq / n - mean^2 cancels to rounding noise once they are
+    # nearly equal
     total = np.zeros(nodes.size)
-    total_sq = np.zeros(nodes.size)
+    integrals = np.empty((backend.paths, nodes.size))
     for k in range(backend.paths):
         rng = np.random.default_rng(backend.seed + k)
         if vasicek:
@@ -461,13 +462,11 @@ def resolvent_mc(
             r, h, _ = _euler_paths(spec.model, r_start, dt, rng.standard_normal((1, n_steps)))
             r_mat, h_mat = np.ascontiguousarray(r.T), np.ascontiguousarray(h.T)
         g = psi_at(r_mat) * np.exp(spec.alpha * h_mat) * disc[:, None]
-        path_integral = trap_t @ g
-        total += path_integral
-        total_sq += path_integral**2
+        integrals[k] = trap_t @ g
+        total += integrals[k]
     n = backend.paths
     mean = total / n
-    var = np.maximum(total_sq / n - mean**2, 0.0) * n / (n - 1)
-    se = np.sqrt(var / n)
+    se = np.sqrt(integrals.var(axis=0, ddof=1) / n)
     return psi.with_values(mean), psi.with_values(se)
 
 

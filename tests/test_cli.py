@@ -239,3 +239,13 @@ def test_cli_import_does_not_load_scipy_signal():
     r = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+
+
+def test_trace_csv_records_lambda(tmp_path):
+    r = run_cli("--output", "o", *FAST_SOLVE, "solve", cwd=tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    header = (tmp_path / "o" / "trace.csv").read_text().splitlines()[0].split(",")
+    assert header[:3] == ["m", "n", "lam"]
+    trace = read_csv(tmp_path / "o" / "trace.csv")
+    # desk schedule: lambda_m = alpha m + eps2 with alpha = 0.5, eps2 = 1e-5
+    assert np.allclose(trace["lam"], 0.5 * trace["m"] + 1e-5, rtol=1e-12, atol=0.0)

@@ -21,6 +21,8 @@ from consrate import (
     solve_problem_b,
     supersolution_N,
 )
+from consrate import hjb, resolvent
+from consrate.gaussian import fk_kernel_weight
 from consrate.hjb import IterationTrace, TraceStep, _iterate, central_window
 
 VAS = Vasicek(0.03, 0.5, 0.02)
@@ -261,3 +263,31 @@ def test_central_window():
     c = central_window(g)
     assert c.r_min == pytest.approx(0.04)
     assert c.r_max == pytest.approx(0.11)
+
+
+def test_kernel_evaluated_once_per_time_cell(monkeypatch):
+    points, ops = [], []
+
+    def counting_kernel(*args):
+        w = fk_kernel_weight(*args)
+        points.append(w.size)
+        return w
+
+    class RecordedOperator(resolvent.QuadratureOperator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            ops.append(self)
+
+    monkeypatch.setattr(resolvent, "fk_kernel_weight", counting_kernel)
+    monkeypatch.setattr(hjb, "QuadratureOperator", RecordedOperator)
+    cfg = SolverConfig(grid=GridFunction.zeros(0.0, 0.15, 31), backend=small_quad())
+    sol = solve_problem_a(PAPER_A, cfg)
+    assert len({s.m for s in sol.trace.steps}) >= 2
+    (op,) = ops
+    assert sum(points) == op.n_steps * op.nodes.size * op.y.size
+
+
+def test_trace_records_lambda_of_each_step():
+    cfg = SolverConfig(grid=GridFunction.zeros(0.0, 0.15, 31), backend=FiniteDifference())
+    sol = solve_problem_a(PAPER_A, cfg)
+    assert [s.lam for s in sol.trace.steps] == [lambda_schedule(PAPER_A, cfg, s.m) for s in sol.trace.steps]

@@ -18,8 +18,9 @@ from consrate import (
     solve_linear_fk_ode,
     supersolution_N,
 )
-from consrate.gaussian import exp_h_moment
+from consrate.gaussian import exp_h_moment, fk_kernel_weight
 from consrate.models import state_rate
+from consrate.resolvent import QuadratureOperator
 
 VAS = Vasicek(0.03, 0.5, 0.02)
 PAPER = ProblemSpec(VAS, 0.5, 1.5304, "A")
@@ -246,3 +247,61 @@ def test_window_halving_doubling_stability():
     c = central(psi.nodes)
     for other in (half, double):
         assert np.max(np.abs(other.values[c] - base.values[c]) / base.values[c]) < 1e-3
+
+
+def reference_resolvent_matrix(op, grid, lam):
+    """Sum over time cells of c_j(lambda) (w(t_j) * trap_y) @ ext, one cell at a
+    time, with the extension built by an explicit loop over the y mesh."""
+    y = op.y
+    trap_y = np.full(y.size, y[1] - y[0])
+    trap_y[[0, -1]] *= 0.5
+    rate = PAPER.alpha / VAS.b
+    ext = np.zeros((y.size, grid.n_nodes))
+    for k, yk in enumerate(y):
+        if yk < grid.r_min:
+            ext[k, 0] = np.exp(rate * (abs(yk) - abs(grid.r_min)))
+        elif yk > grid.r_max:
+            ext[k, -1] = np.exp(rate * (abs(yk) - abs(grid.r_max)))
+        else:
+            pos = (yk - grid.r_min) / grid.step
+            i = min(int(pos), grid.n_nodes - 2)
+            ext[k, i] = 1.0 - (pos - i)
+            ext[k, i + 1] = pos - i
+    mat = np.zeros((grid.n_nodes, grid.n_nodes))
+    for c, t in zip(op._coefficients(lam), op.times):
+        w = fk_kernel_weight(PAPER, t, grid.nodes[:, None], y[None, :])
+        mat += c * ((w * trap_y) @ ext)
+    return mat
+
+
+def test_quadrature_one_pass_matches_per_lambda_reference():
+    # 500 time cells on 61 nodes: several kernel calls per block and a partial last block
+    grid = grid_unit(61)
+    lams = (LAM1, 1.5, 4.0)
+    op = QuadratureOperator(PAPER, grid, quad_backend(), lams)
+    for lam in lams:
+        mat, _ = op.resolvent_matrix(lam)
+        ref = reference_resolvent_matrix(op, grid, lam)
+        assert np.max(np.abs(mat - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_quadrature_rejects_unbuilt_lambda():
+    op = QuadratureOperator(PAPER, grid_unit(21), quad_backend(t_max=2.0), (LAM1, 1.0))
+    op.resolvent_matrix(1.0)
+    with pytest.raises(ValueError, match="not one of"):
+        op.resolvent_matrix(0.7)
+    with pytest.raises(ValueError, match="not one of"):
+        op.apply(LAM1 + 1e-9, np.ones(21))
+
+
+def test_mc_se_resolves_near_deterministic_paths():
+    # the path integrals agree to ~1e-8 relative; SE is proportional to alpha here
+    psi = grid_unit(21)
+    backend = MonteCarlo(paths=200, dt=0.01, t_max=12.0, seed=6)
+    se = {}
+    for alpha in (1e-6, 2e-6):
+        _, s = resolvent_mc(ProblemSpec(VAS, alpha, 1.5304, "A"), psi, 0.5, backend)
+        se[alpha] = s.values
+    assert np.all(se[1e-6] > 0) and np.all(se[2e-6] > 0)
+    ratio = se[1e-6] / se[2e-6]
+    assert np.all((ratio >= 0.49) & (ratio <= 0.51))
