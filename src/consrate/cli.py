@@ -396,12 +396,19 @@ def cmd_estimate(args) -> int:
     z = (est.mean - pde_value) / est.se if est.se > 0 else 0.0
     print(
         f"J_estimate={fmt(est.mean)} SE={fmt(est.se)} pde_value={fmt(pde_value)} "
-        f"z={fmt(z)} tail_bound={fmt(est.tail_bound)}"
+        f"z={fmt(z)} tail_bound={fmt(est.tail_bound)} horizon={fmt(est.horizon)}"
     )
     write_record(
         out / "estimate.txt",
         cfg,
-        {"J": fmt(est.mean), "SE": fmt(est.se), "pde_value": fmt(pde_value), "z": fmt(z)},
+        {
+            "J": fmt(est.mean),
+            "SE": fmt(est.se),
+            "pde_value": fmt(pde_value),
+            "z": fmt(z),
+            "horizon": fmt(est.horizon),
+            "tail_bound": fmt(est.tail_bound),
+        },
     )
     return 0 if abs(z) <= 3.0 else 1
 

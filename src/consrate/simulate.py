@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DivergenceError, HorizonError, InfeasibleProblem
 from .feasibility import Feasibility, classify
-from .gaussian import _cov_shape, _int_decay_shape, _var_h_shape, ou_moments
+from .gaussian import _cov_shape, _int_decay_shape, _var_h_shape, exp_h_moment, ou_moments
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, ShortRateModel, Vasicek, diffusion, domain, drift
 
@@ -56,11 +56,13 @@ class Trajectory:
 @dataclass(frozen=True)
 class JEstimate:
     """Monte Carlo estimate of the performance functional with a crude
-    geometric bound on the truncated tail as a bias diagnostic."""
+    geometric bound on the truncated tail as a bias diagnostic, and the
+    horizon the paths were run to (at most the configured t_max)."""
 
     mean: float
     se: float
     tail_bound: float
+    horizon: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ def _normals(rngs, shape: tuple) -> np.ndarray:
     """Standard normals of the given shape from each rng, stacked on a new first axis."""
     z = np.empty((len(rngs), *shape))
     for i, rng in enumerate(rngs):
-        z[i] = rng.standard_normal(shape)
+        rng.standard_normal(out=z[i])
     return z
 
 
@@ -225,6 +227,37 @@ def wealth_trajectory(path: Trajectory, policy_c: GridFunction, v: float) -> Tra
     )
 
 
+def _horizon_steps(spec: ProblemSpec, policy_c: GridFunction, r0: float, cfg: PathConfig) -> int:
+    """Number of dt steps estimate_J runs: all of cfg's grid up to t_max,
+    unless a closed-form bound shows that the rest cannot move J.
+
+    For exact Vasicek paths E e^{alpha h_t} = exp_h_moment(spec, r0, t), and
+    every sampled c_t lies in [c_lo, c_hi], the range of the (nonnegative)
+    policy values, since np.interp clamps; so the trapezoid of c lies in
+    [c_lo t, c_hi t].
+    The expected integrand is then at most
+    B(t) = c_hi^alpha e^{-(gamma + alpha c_lo) t} E e^{alpha h_t}, and J is at
+    least J_lo, the trapezoid of c_lo^alpha e^{-(gamma + alpha c_hi) t} E e^{alpha h_t}.
+    The horizon is the first grid index j whose expected dropped mass
+    dt (B_j / 2 + sum_{k>j} B_k) is at most 2^-53 J_lo, J's rounding unit.
+    With c_lo = 0, the Euler scheme or another model no bound applies.
+    """
+    n_steps = int(round(cfg.t_max / cfg.dt))
+    c_lo, c_hi = float(policy_c.values.min()), float(policy_c.values.max())
+    if cfg.scheme != "exact" or not isinstance(spec.model, Vasicek) or c_lo <= 0.0:
+        return n_steps
+    al, g = spec.alpha, spec.gamma
+    times = cfg.dt * np.arange(n_steps + 1)
+    moment = exp_h_moment(spec, r0, times)
+    upper = c_hi**al * np.exp(-(g + al * c_lo) * times) * moment
+    j_lo = float(np.trapezoid(c_lo**al * np.exp(-(g + al * c_hi) * times) * moment, dx=cfg.dt))
+    upper_after = np.append(np.cumsum(upper[:0:-1])[::-1], 0.0)  # sum over k > j, smallest terms first
+    ok = cfg.dt * (0.5 * upper + upper_after) <= 2.0**-53 * j_lo
+    if not math.isfinite(j_lo) or not ok.any():
+        return n_steps
+    return int(np.argmax(ok))
+
+
 def estimate_J(
     spec: ProblemSpec,
     policy_c: GridFunction,
@@ -235,7 +268,11 @@ def estimate_J(
     batch: int = 256,
 ) -> JEstimate:
     """Monte Carlo value of a proportional policy:
-    J = v^alpha E int_0^t_max e^{-gamma t} c_t^alpha e^{alpha int (r - c)} dt.
+    J = v^alpha E int_0^T e^{-gamma t} c_t^alpha e^{alpha int (r - c)} dt.
+
+    T is cfg.t_max, cut short on exact Vasicek paths where the closed-form
+    bound of _horizon_steps shows that the rest of the integral is below J's
+    rounding unit; JEstimate.horizon reports it.
 
     Provably infinite problems are rejected outright; Unknown verdicts are
     allowed through (the estimator is how one probes them) and rely on the
@@ -250,22 +287,33 @@ def estimate_J(
     if v <= 0:
         raise ValueError("initial wealth must be positive")
     al, g = spec.alpha, spec.gamma
-    n_steps = int(round(cfg.t_max / cfg.dt))
+    n_steps = _horizon_steps(spec, policy_c, r0, cfg)
     times = cfg.dt * np.arange(n_steps + 1)
     sums = 0.0
-    sums_sq = 0.0
+    j_all = np.empty(cfg.n_paths)
     mean_profile = np.zeros(n_steps + 1)
     done = 0
     while done < cfg.n_paths:
         nb = min(batch, cfg.n_paths - done)
         r, h, _ = _scheme_batch(spec.model, r0, cfg, n_steps, _path_rngs(cfg.seed, done, nb))
-        c = np.maximum(policy_c(r), 0.0)
-        dc = 0.5 * (c[:, 1:] + c[:, :-1]) * cfg.dt
-        int_c = np.concatenate([np.zeros((nb, 1)), np.cumsum(dc, axis=1)], axis=1)
-        integrand = np.exp(-g * times[None, :] + al * (h - int_c)) * np.power(c, al)
+        c = policy_c(r)
+        np.maximum(c, 0.0, out=c)
+        # integrand = exp(-g t + al (h - int c)) c^al with int c the trapezoid
+        # of c, computed in place: the same operations in the same order
+        dc = c[:, 1:] + c[:, :-1]
+        dc *= 0.5
+        dc *= cfg.dt
+        integrand = np.zeros_like(c)
+        np.cumsum(dc, axis=1, out=integrand[:, 1:])
+        del dc
+        np.subtract(h, integrand, out=integrand)
+        integrand *= al
+        integrand += -g * times
+        np.exp(integrand, out=integrand)
+        integrand *= np.power(c, al, out=c)
         j_paths = np.trapezoid(integrand, dx=cfg.dt, axis=1)
         sums += float(np.sum(j_paths))
-        sums_sq += float(np.sum(j_paths**2))
+        j_all[done : done + nb] = j_paths
         mean_profile += integrand.sum(axis=0)
         done += nb
     mean_profile /= cfg.n_paths
@@ -278,10 +326,23 @@ def estimate_J(
         )
     n = cfg.n_paths
     mean = sums / n
-    var = max(sums_sq / n - mean**2, 0.0) * (n / max(n - 1, 1))
     scale = v**al
     tail = mean_profile[-1] / max(g, 1e-9)
-    return JEstimate(mean=scale * mean, se=scale * math.sqrt(var / n), tail_bound=scale * tail)
+    return JEstimate(
+        mean=scale * mean,
+        se=scale * _standard_error(j_all),
+        tail_bound=float(scale * tail),
+        horizon=float(times[-1]),
+    )
+
+
+def _standard_error(samples: np.ndarray) -> float:
+    """Standard error of the sample mean, from the two-pass variance about the
+    mean (a one-pass sum of squares cancels to rounding noise when the samples
+    nearly agree); 0 for a single sample."""
+    if samples.size < 2:
+        return 0.0
+    return math.sqrt(samples.var(ddof=1) / samples.size)
 
 
 def estimate_KL_mc(spec: ProblemSpec, r0: float, cfg: PathConfig, *, chunk: int = 4096) -> KLEstimate:
@@ -308,7 +369,7 @@ def estimate_KL_mc(spec: ProblemSpec, r0: float, cfg: PathConfig, *, chunk: int 
     bridge = 2.0 / (spec.model.sigma**2 * dt)
     max_steps = int(round(cfg.t_max / dt))
     total = 0.0
-    total_sq = 0.0
+    weights = np.empty(cfg.n_paths)
     survival_total = 0.0
     truncated_weight = 0.0
     for k in range(cfg.n_paths):
@@ -342,18 +403,16 @@ def estimate_KL_mc(spec: ProblemSpec, r0: float, cfg: PathConfig, *, chunk: int 
             truncated_weight += survival * math.exp(-g * cfg.t_max + al * h_last)
         survival_total += survival
         total += w
-        total_sq += w * w
+        weights[k] = w
     n = cfg.n_paths
     frac_absorbed = 1.0 - survival_total / n
     if frac_absorbed < 0.99:
         raise HorizonError(
             f"only {100 * frac_absorbed:.1f}% of paths hit zero by t_max={cfg.t_max}; widen the horizon"
         )
-    mean = total / n
-    var = max(total_sq / n - mean**2, 0.0) * (n / max(n - 1, 1))
     return KLEstimate(
-        mean=mean,
-        se=math.sqrt(var / n),
+        mean=total / n,
+        se=_standard_error(weights),
         absorbed_fraction=frac_absorbed,
         truncated_weight=truncated_weight / n,
     )

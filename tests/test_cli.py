@@ -143,6 +143,22 @@ def test_estimate_z_gate(tmp_path):
     assert "z=" in r.stdout
 
 
+def test_estimate_records_horizon(tmp_path):
+    assert run_cli("--output", "o", *FAST_SOLVE, "solve", cwd=tmp_path).returncode == 0
+    r = run_cli(
+        "--output", "o",
+        "--set", "paths.dt=0.01", "--set", "paths.t_max=30", "--set", "paths.n_paths=200",
+        "estimate",
+        cwd=tmp_path,
+    )
+    assert "horizon=" in r.stdout, r.stdout
+    record = dict(
+        line.split("=", 1) for line in (tmp_path / "o" / "estimate.txt").read_text().splitlines()
+    )
+    assert 0.0 < float(record["horizon"]) <= float(record["paths.t_max"])
+    assert float(record["tail_bound"]) >= 0.0
+
+
 def test_residual_command(tmp_path):
     assert run_cli("--output", "o", *FAST_SOLVE, "solve", cwd=tmp_path).returncode == 0
     r = run_cli("--output", "o", "residual", cwd=tmp_path)

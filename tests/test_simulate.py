@@ -13,6 +13,7 @@ from consrate import (
     InvariantInterval,
     PathConfig,
     ProblemSpec,
+    Quadrature,
     SolverConfig,
     Vasicek,
     compute_KL,
@@ -21,8 +22,10 @@ from consrate import (
     estimate_KL_mc,
     ou_moments,
     sample_path,
+    solve_problem_a,
     wealth_trajectory,
 )
+from consrate.simulate import _exact_batch, _horizon_steps, _normals, _path_rngs
 
 VAS = Vasicek(0.03, 0.5, 0.02)
 PAPER_A = ProblemSpec(VAS, 0.5, 1.5304, "A")
@@ -180,6 +183,65 @@ def test_estimate_j_se_scaling():
     e2 = estimate_J(PAPER_A, pol, 0.05, 1.0, cfg2)
     ratio = e2.se / e1.se
     assert abs(ratio - 1.0 / math.sqrt(2.0)) <= 0.2 / math.sqrt(2.0)
+
+
+def test_estimate_j_se_resolves_near_deterministic_paths():
+    # the path values agree to ~1e-8 relative, so a one-pass sum of squares
+    # minus mean^2 cancels to rounding noise (it gave SE = 0 at alpha = 1e-6);
+    # the SE is proportional to alpha here
+    cfg = PathConfig(dt=0.01, t_max=12.0, n_paths=200, seed=6)
+    se = {}
+    for alpha in (1e-6, 2e-6):
+        se[alpha] = estimate_J(ProblemSpec(VAS, alpha, 1.5304, "A"), flat_policy(0.5), 0.05, 1.0, cfg).se
+    assert se[1e-6] > 0 and se[2e-6] > 0
+    assert 0.49 <= se[1e-6] / se[2e-6] <= 0.51
+
+
+def test_normals_fill_each_path_from_its_own_stream():
+    z = _normals(_path_rngs(3, 0, 4), (50, 2))
+    ref = np.stack([np.random.default_rng(3 + k).standard_normal((50, 2)) for k in range(4)])
+    assert np.array_equal(z, ref)
+
+
+@pytest.fixture(scope="module")
+def desk_policy():
+    cfg = SolverConfig(
+        grid=GridFunction.zeros(0.0, 0.15, 76), backend=Quadrature(dt=0.01, t_max=12.0, dy=0.002), m_max=16, n_max=10
+    )
+    return solve_problem_a(PAPER_A, cfg).policy_c
+
+
+def test_estimate_j_horizon_cut_keeps_j(desk_policy):
+    # the bound stops the desk paths near t = 12.4; the integral past it is
+    # below J's rounding unit, so J matches the full horizon t_max = 40
+    cfg = PathConfig(dt=0.0025, t_max=40.0, n_paths=200, seed=17)
+    est = estimate_J(PAPER_A, desk_policy, 0.05, 3.0, cfg)
+    assert est.horizon < 20.0
+    n_steps = int(round(cfg.t_max / cfg.dt))
+    r, h = _exact_batch(VAS, 0.05, cfg.dt, n_steps, _path_rngs(cfg.seed, 0, cfg.n_paths))
+    times = cfg.dt * np.arange(n_steps + 1)
+    c = np.maximum(desk_policy(r), 0.0)
+    dc = 0.5 * (c[:, 1:] + c[:, :-1]) * cfg.dt
+    int_c = np.concatenate([np.zeros((cfg.n_paths, 1)), np.cumsum(dc, axis=1)], axis=1)
+    al = PAPER_A.alpha
+    integrand = np.exp(-PAPER_A.gamma * times + al * (h - int_c)) * np.power(c, al)
+    full = 3.0**al * float(np.mean(np.trapezoid(integrand, dx=cfg.dt, axis=1)))
+    assert est.mean == pytest.approx(full, rel=1e-13)
+
+
+def test_estimate_j_full_horizon_without_a_bound():
+    cfg = PathConfig(dt=0.05, t_max=30.0, n_paths=20, seed=19)
+    exact = estimate_J(PAPER_A, flat_policy(3.0), 0.05, 1.0, cfg)
+    assert exact.horizon < cfg.t_max
+    # the same problem on Euler paths, whose h has no closed-form law
+    euler = PathConfig(dt=0.05, t_max=30.0, n_paths=20, seed=19, scheme="euler")
+    assert estimate_J(PAPER_A, flat_policy(3.0), 0.05, 1.0, euler).horizon == cfg.t_max
+    # a policy reaching zero consumption gives no decay rate to bound with
+    zero = estimate_J(PAPER_A, flat_policy(0.0), 0.05, 1.0, cfg)
+    assert zero.horizon == cfg.t_max and zero.mean == 0.0
+    # the divergence-guard case: the bound grows, so nothing is cut
+    guard = PathConfig(dt=0.01, t_max=500.0, n_paths=20, seed=19)
+    assert _horizon_steps(ProblemSpec(VAS, 0.5, 0.02, "A"), flat_policy(1e-9), 0.05, guard) == 50_000
 
 
 def test_kl_mc_near_boundary_absorbs_to_one():
