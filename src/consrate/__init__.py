@@ -25,7 +25,6 @@ from .gaussian import (
     rho_decay,
     semigroup_apply,
     supersolution_N,
-    supersolution_N_grid,
     theta_growth,
 )
 from .grids import GridFunction

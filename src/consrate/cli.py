@@ -21,7 +21,7 @@ from .errors import DivergenceError, InfeasibleProblem, MonotonicityError
 from .gaussian import supersolution_N
 from .grids import GridFunction
 from .models import Constant, DriftedBM, GeometricBM, InvariantInterval, ProblemSpec, Vasicek
-from .resolvent import FiniteDifference, MonteCarlo, Quadrature
+from .resolvent import FiniteDifference, Quadrature
 from .svgfig import Panel, write_figure
 
 DEFAULTS: dict = {
@@ -50,9 +50,6 @@ DEFAULTS: dict = {
     "quad.t_max": 12.0,
     "quad.dy": 0.002,
     "quad.y_halfwidth": "",
-    "mc.paths": 2000,
-    "mc.dt": 0.01,
-    "mc.t_max": 8.0,
     "paths.scheme": "exact",
     "paths.dt": 0.0025,
     "paths.t_max": 40.0,
@@ -160,8 +157,6 @@ def build_backend(cfg: dict):
         )
     if name == "fd":
         return FiniteDifference()
-    if name == "mc":
-        return MonteCarlo(paths=cfg["mc.paths"], dt=cfg["mc.dt"], t_max=cfg["mc.t_max"], seed=cfg["seed"])
     raise ValueError(f"unknown backend {name!r}")
 
 

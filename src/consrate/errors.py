@@ -6,7 +6,7 @@ class InfeasibleProblem(ValueError):
 
 
 class MonotonicityError(RuntimeError):
-    """The monotone iteration violated its ordering beyond backend tolerance.
+    """The monotone iteration violated its ordering beyond resolvent tolerance.
 
     Signals a resolvent or lambda-schedule misconfiguration. Carries the
     iteration trace recorded up to the abort.

@@ -270,8 +270,3 @@ def supersolution_N(spec: ProblemSpec, r, *, dt: float = 1e-3, cutoff: float = 1
             break
     out = total
     return float(out[0]) if np.ndim(r) == 0 else out
-
-
-def supersolution_N_grid(spec: ProblemSpec, grid: GridFunction, **kwargs) -> GridFunction:
-    """N sampled on an existing grid."""
-    return grid.with_values(supersolution_N(spec, grid.nodes, **kwargs))

@@ -59,25 +59,3 @@ class GridFunction:
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.r_min, self.r_max, self.values.copy())
-
-    def node_index(self, r: float) -> int:
-        """Index of the node equal to r; raises if r is off-grid."""
-        i = int(round((r - self.r_min) / self.step))
-        if i < 0 or i >= self.n_nodes or abs(self.nodes[i] - r) > 1e-9 * max(1.0, abs(r)):
-            raise ValueError(f"r={r} is not a grid node")
-        return i
-
-    def restrict(self, r_min: float, r_max: float) -> "GridFunction":
-        """Restriction to a node-aligned subwindow."""
-        i0 = self.node_index(r_min)
-        i1 = self.node_index(r_max)
-        if i1 - i0 < 2:
-            raise ValueError("restriction must keep at least 3 nodes")
-        return GridFunction(self.nodes[i0], self.nodes[i1], self.values[i0 : i1 + 1].copy())
-
-    def interior(self) -> "GridFunction":
-        """Drop the two boundary nodes."""
-        if self.n_nodes < 5:
-            raise ValueError("too few nodes to take an interior")
-        n = self.nodes
-        return GridFunction(n[1], n[-2], self.values[1:-1].copy())

@@ -19,16 +19,18 @@ from .gaussian import supersolution_N
 from .grids import GridFunction
 from .models import Constant, ProblemSpec, Vasicek, domain, generator_apply, state_rate
 from .resolvent import (
+    FDOperator,
     FiniteDifference,
-    MonteCarlo,
     Quadrature,
     QuadratureOperator,
     ResolventBackend,
-    _auto_bcs,
     fd_system,
-    resolvent_mc,
     robin_rate,
 )
+
+# accuracy of one resolvent step; the monotonicity guard aborts a run whose
+# iterate falls, or escapes its bracket, by more than ten times this
+_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,8 @@ class SolverConfig:
     pad: float = 0.05
 
     def __post_init__(self):
+        if not isinstance(self.backend, (Quadrature, FiniteDifference)):
+            raise ValueError(f"unknown backend {self.backend!r}")
         if self.m_max < 1 or self.n_max < 1:
             raise ValueError("m_max and n_max must be at least 1")
         if self.tol_n <= 0 or self.tol_m <= 0:
@@ -173,41 +177,6 @@ def _upper_profile(spec: ProblemSpec, nodes: np.ndarray, force: bool):
     return np.power(n_vals, 1.0 - spec.alpha)
 
 
-class _Resolver:
-    """Per-backend factory of resolvent applications on a fixed node set."""
-
-    def __init__(self, spec: ProblemSpec, nodes: np.ndarray, backend: ResolventBackend, lams: list[float]):
-        self.spec = spec
-        self.nodes = nodes
-        self.backend = backend
-        self._grid = GridFunction(nodes[0], nodes[-1], np.zeros(nodes.size))
-        if isinstance(backend, Quadrature):
-            self._op = QuadratureOperator(spec, self._grid, backend, lams)
-        elif isinstance(backend, FiniteDifference):
-            self._op = None
-            self._cache: tuple[float, object] | None = None
-        elif isinstance(backend, MonteCarlo):
-            self._op = None
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
-
-    def apply(self, lam: float, psi_values: np.ndarray) -> np.ndarray:
-        if isinstance(self.backend, Quadrature):
-            return self._op.apply(lam, psi_values)
-        if isinstance(self.backend, FiniteDifference):
-            if self._cache is None or self._cache[0] != lam:
-                c0 = lam + self.spec.gamma - self.spec.alpha * state_rate(self.spec.model, self.nodes)
-                if np.any(c0 <= 0):
-                    raise ValueError(
-                        "lambda + gamma - alpha r must stay positive on the window"
-                    )
-                left, right = _auto_bcs(self.spec, self.nodes)
-                self._cache = (lam, fd_system(self.spec, self.nodes, c0, left, right))
-            return self._cache[1].solve(psi_values)
-        u, _ = resolvent_mc(self.spec, self._grid.with_values(psi_values), lam, self.backend)
-        return u.values
-
-
 def _iterate(
     spec: ProblemSpec,
     config: SolverConfig,
@@ -222,7 +191,6 @@ def _iterate(
     the reporting window slice."""
     trace = IterationTrace()
     snapshots: list[np.ndarray] = []
-    tol_backend = config.backend.tolerance
     k = k0.copy()
     for m in range(1, config.m_max + 1):
         lam = lambda_schedule(spec, config, m)
@@ -244,14 +212,14 @@ def _iterate(
                 viol = max(viol, float(np.max(lower[window] - k_new[window])))
             viol = max(viol, 0.0)
             trace.append(TraceStep(m, n, sup_inc, min_inc, viol, dt_step, lam=lam))
-            if min_inc < -10.0 * tol_backend:
+            if min_inc < -10.0 * _TOLERANCE:
                 raise MonotonicityError(
                     f"iterate decreased by {-min_inc:.3g} at m={m}, n={n} "
-                    f"(beyond 10x backend tolerance {tol_backend:.1g}); "
+                    f"(beyond 10x resolvent tolerance {_TOLERANCE:.1g}); "
                     "check the resolvent configuration and lambda schedule",
                     trace=trace,
                 )
-            if viol > 10.0 * tol_backend:
+            if viol > 10.0 * _TOLERANCE:
                 raise MonotonicityError(
                     f"iterate escaped its bracketing profile by {viol:.3g} at m={m}, n={n}",
                     trace=trace,
@@ -271,7 +239,7 @@ def solve_problem_a(spec: ProblemSpec, config: SolverConfig, *, force: bool = Fa
 
     The m loop warm-starts from the previous clamp level (a valid subsolution
     since the clamps increase with m), so monotonicity in both indices holds
-    and is asserted against the backend tolerance.
+    and is asserted against the resolvent tolerance.
     """
     if spec.variant != "A":
         raise ValueError("solve_problem_a requires a variant-A spec")
@@ -283,11 +251,13 @@ def solve_problem_a(spec: ProblemSpec, config: SolverConfig, *, force: bool = Fa
     nodes, i0, i1 = _extended_nodes(spec, config.grid, config.pad)
     window = slice(i0, i1 + 1)
     upper = _upper_profile(spec, nodes, force)
-    lams = [lambda_schedule(spec, config, m) for m in range(1, config.m_max + 1)]
-    resolver = _Resolver(spec, nodes, config.backend, lams)
-    k, trace, snaps = _iterate(
-        spec, config, resolver.apply, np.zeros(nodes.size), window, upper, None
-    )
+    if isinstance(config.backend, Quadrature):
+        lams = [lambda_schedule(spec, config, m) for m in range(1, config.m_max + 1)]
+        grid = GridFunction(nodes[0], nodes[-1], np.zeros(nodes.size))
+        op = QuadratureOperator(spec, grid, config.backend, lams)
+    else:
+        op = FDOperator(spec, nodes)
+    k, trace, snaps = _iterate(spec, config, op.apply, np.zeros(nodes.size), window, upper, None)
     return _package(spec, config, nodes, window, k, upper, trace, snaps)
 
 
@@ -374,27 +344,13 @@ def solve_problem_b(spec: ProblemSpec, config: SolverConfig, *, force: bool = Fa
 
     grid = config.grid
     window = slice(0, grid.n_nodes)
-    systems: dict[float, object] = {}
-
-    def apply_b(lam: float, psi_values: np.ndarray) -> np.ndarray:
-        if lam not in systems:
-            systems[lam] = fd_system(
-                spec,
-                nodes,
-                lam + spec.gamma - spec.alpha * nodes,
-                ("dirichlet", 1.0),
-                ("robin", rate),
-            )
-        return systems[lam].solve(psi_values)
+    op = FDOperator(spec, nodes, (("dirichlet", 1.0), ("robin", rate)))
 
     def pin(k_new: np.ndarray) -> None:
         k_new[0] = 1.0
 
-    k, trace, snaps = _iterate(spec, config, apply_b, kl.copy(), window, upper, kl, post_step=pin)
-    sol = _package(spec, config, nodes, window, k, upper, trace, snaps)
-    sol.K.values[0] = 1.0
-    sol.policy_c.values[0] = 1.0
-    return sol
+    k, trace, snaps = _iterate(spec, config, op.apply, kl.copy(), window, upper, kl, post_step=pin)
+    return _package(spec, config, nodes, window, k, upper, trace, snaps)
 
 
 # ---------------------------------------------------------------------------

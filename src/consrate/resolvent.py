@@ -1,10 +1,11 @@
-"""One resolvent step u = (lambda + gamma - A)^{-1} psi, three ways.
+"""One resolvent step u = (lambda + gamma - A)^{-1} psi.
 
-A is the weighted generator Q + alpha r. The quadrature backend integrates the
-closed-form Gaussian kernel in time and rate (the primary method), the
-finite-difference backend solves the equivalent linear ODE on the window, and
-the Monte Carlo backend averages the probabilistic representation. The three
-routes cross-validate each other.
+A is the weighted generator Q + alpha r. The solver has two backends, each an
+operator with ``apply(lam, psi_values)``: QuadratureOperator integrates the
+closed-form Gaussian kernel in time and rate (the primary method, Vasicek
+only), and FDOperator solves the equivalent linear ODE on the window. The
+Monte Carlo resolvent averages the probabilistic representation; it is a
+cross-check of the two, not a solver backend.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class Quadrature:
     t_max: float = 12.0
     dy: float = 0.002
     y_halfwidth: float | None = None
-    tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_max < self.dt or self.dy <= 0:
@@ -49,18 +49,17 @@ class Quadrature:
 class FiniteDifference:
     """Central-difference boundary-value solve of the resolvent ODE."""
 
-    tolerance: float = 1e-6
-
 
 @dataclass(frozen=True)
 class MonteCarlo:
-    """Path average of int e^{-(lambda+gamma)t} psi(r_t) e^{alpha h_t} dt."""
+    """Settings of resolvent_mc, the path average of
+    int e^{-(lambda+gamma)t} psi(r_t) e^{alpha h_t} dt (a cross-check, not a
+    solver backend)."""
 
     paths: int
     dt: float
     t_max: float
     seed: int
-    tolerance: float = 1e-2
 
     def __post_init__(self):
         if self.paths < 100:
@@ -69,7 +68,7 @@ class MonteCarlo:
             raise ValueError("Monte Carlo step and horizon must be positive")
 
 
-ResolventBackend = Union[Quadrature, FiniteDifference, MonteCarlo]
+ResolventBackend = Union[Quadrature, FiniteDifference]
 
 
 def robin_rate(spec: ProblemSpec) -> float:
@@ -354,21 +353,38 @@ def _auto_bcs(spec: ProblemSpec, nodes: np.ndarray) -> tuple[tuple, tuple]:
     raise ValueError(f"no truncation boundary rule for {type(model).__name__}")
 
 
+class FDOperator:
+    """Finite-difference resolvent (lambda + gamma - A)^{-1} on a fixed node set.
+
+    ``bcs`` is the (left, right) boundary-rule pair of fd_system, by default
+    the model's truncation rules. The tridiagonal system is assembled once per
+    lambda and reused for every psi.
+    """
+
+    def __init__(self, spec: ProblemSpec, nodes: np.ndarray, bcs: tuple[tuple, tuple] | None = None):
+        self.spec = spec
+        self.nodes = nodes
+        self.bcs = _auto_bcs(spec, nodes) if bcs is None else bcs
+        self._systems: dict[float, TridiagSystem] = {}
+
+    def apply(self, lam: float, psi_values: np.ndarray) -> np.ndarray:
+        if lam not in self._systems:
+            c0 = lam + self.spec.gamma - self.spec.alpha * state_rate(self.spec.model, self.nodes)
+            if np.any(c0 <= 0):
+                raise ValueError(
+                    "lambda + gamma - alpha r must stay positive on the window; "
+                    "increase lambda or shrink the window"
+                )
+            self._systems[lam] = fd_system(self.spec, self.nodes, c0, *self.bcs)
+        return self._systems[lam].solve(psi_values)
+
+
 def resolvent_fd(
     spec: ProblemSpec, psi: GridFunction, lam: float, backend: FiniteDifference
 ) -> GridFunction:
     """Finite-difference solve of (lambda + gamma - A) u = psi on the grid."""
     del backend
-    nodes = psi.nodes
-    c0 = lam + spec.gamma - spec.alpha * state_rate(spec.model, nodes)
-    if np.any(c0 <= 0):
-        raise ValueError(
-            "lambda + gamma - alpha r must stay positive on the window; "
-            "increase lambda or shrink the window"
-        )
-    left, right = _auto_bcs(spec, nodes)
-    sys = fd_system(spec, nodes, c0, left, right)
-    return psi.with_values(sys.solve(psi.values))
+    return psi.with_values(FDOperator(spec, psi.nodes).apply(lam, psi.values))
 
 
 def solve_linear_fk_ode(

@@ -225,6 +225,13 @@ def test_unknown_key_rejected(tmp_path):
     assert "unknown configuration key 'nope'" in r.stdout
 
 
+def test_mc_solver_backend_rejected(tmp_path):
+    r = run_cli("--output", "o", "--set", "solver.backend=mc", "solve", cwd=tmp_path)
+    assert r.returncode == 2
+    assert "unknown backend 'mc'" in r.stdout
+    assert not (tmp_path / "o" / "solution.csv").exists()
+
+
 def test_determinism_across_threads(tmp_path):
     for out, threads in (("d1", "1"), ("d2", "4")):
         assert (

@@ -74,6 +74,13 @@ def test_lambda_schedule():
     assert lambda_schedule(PAPER_A, cfg3, 1) == pytest.approx(0.5)
 
 
+def test_solver_config_rejects_monte_carlo_backend():
+    # the Monte Carlo resolvent is a cross-check only; the solver refuses it up front
+    mc = resolvent.MonteCarlo(paths=100, dt=0.01, t_max=1.0, seed=0)
+    with pytest.raises(ValueError, match="unknown backend"):
+        SolverConfig(grid=GridFunction.zeros(0.0, 0.15, 11), backend=mc)
+
+
 def constant_config(**kw):
     args = dict(
         grid=GridFunction.zeros(0.0, 0.15, 31),
