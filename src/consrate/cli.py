@@ -10,6 +10,7 @@ simulate/estimate/residual 5 when no solution file is present; estimate 0 when
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 from pathlib import Path
 
@@ -313,6 +314,8 @@ def cmd_solve(args, variant: str) -> int:
             beta_mid=fmt(pol.beta), eta_mid=fmt(pol.eta), upsilon=fmt(pol.upsilon), varsigma=fmt(pol.varsigma)
         )
         print(f"upsilon={fmt(pol.upsilon)} beta(mid)={fmt(pol.beta)} eta(mid)={fmt(pol.eta)}")
+    extra.update({f"operator.{k}": v for k, v in sol.operator.items()})
+    extra["peak_rss_mb"] = f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}"
     write_record(out / "run_record.txt", cfg, extra)
     print(f"solution written to {out / 'solution.csv'} ({sol.K.n_nodes} nodes)")
     return 0
@@ -432,7 +435,7 @@ def _add_common(parser, suppress: bool) -> None:
     parser.add_argument("--set", action="append", default=d(None), metavar="KEY=VALUE", help="override one configuration key")
     parser.add_argument("--profile", choices=sorted(PROFILES), default=d("desk"))
     parser.add_argument("--seed", type=int, default=d(None))
-    parser.add_argument("--threads", type=int, default=d(None), help="cap worker parallelism (runs are deterministic regardless)")
+    parser.add_argument("--threads", type=int, default=d(None), help="accepted and recorded in the run records, but has no effect")
     parser.add_argument("--output", default=d("out"), help="artifact directory")
     parser.add_argument("--force", action="store_true", default=d(False), help="solve despite a non-finite feasibility verdict")
 

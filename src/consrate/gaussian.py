@@ -58,21 +58,9 @@ def ou_moments(model: Vasicek, r, t) -> JointMoments:
     follows from the Ito isometry of the two stochastic integrals and is
     cross-validated against a path-simulation oracle in the test suite.
     """
-    if not isinstance(model, Vasicek):
-        raise ValueError("ou_moments requires the Vasicek model")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
-    r = np.asarray(r, dtype=float)
-    a, b, sig = model.a, model.b, model.sigma
-    x = b * t
-    e1 = np.exp(-x)
-    one_m_e1 = -np.expm1(-x)
-    mean_r = r * e1 + (a / b) * one_m_e1
-    var_r = sig**2 * -np.expm1(-2.0 * x) / (2.0 * b)
-    mean_h = r * one_m_e1 / b + (a / b**2) * _int_decay_shape(x)
-    var_h = (sig**2 / b**3) * _var_h_shape(x)
-    cov_rh = (sig**2 / b**2) * _cov_shape(x)
+    t = _checked_times(model, t)
+    mean_r, mean_h = _means(model, np.asarray(r, dtype=float), t)
+    var_r, var_h, cov_rh = _variances(model, t)
     return JointMoments(
         mean_r=mean_r,
         var_r=var_r * np.ones_like(mean_r),
@@ -82,35 +70,89 @@ def ou_moments(model: Vasicek, r, t) -> JointMoments:
     )
 
 
+def _checked_times(model, t) -> np.ndarray:
+    if not isinstance(model, Vasicek):
+        raise ValueError("ou_moments requires the Vasicek model")
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("t must be nonnegative")
+    return t
+
+
+def _means(model: Vasicek, r: np.ndarray, t: np.ndarray):
+    """(mean_r, mean_h) at the broadcast shape of r and t."""
+    a, b = model.a, model.b
+    x = b * t
+    e1 = np.exp(-x)
+    one_m_e1 = -np.expm1(-x)
+    mean_r = r * e1 + (a / b) * one_m_e1
+    mean_h = r * one_m_e1 / b + (a / b**2) * _int_decay_shape(x)
+    return mean_r, mean_h
+
+
+def _variances(model: Vasicek, t: np.ndarray):
+    """(var_r, var_h, cov_rh), which depend on t only, at the shape of t."""
+    b, sig = model.b, model.sigma
+    x = b * t
+    var_r = sig**2 * -np.expm1(-2.0 * x) / (2.0 * b)
+    var_h = (sig**2 / b**3) * _var_h_shape(x)
+    cov_rh = (sig**2 / b**2) * _cov_shape(x)
+    return var_r, var_h, cov_rh
+
+
 def exp_h_moment(spec: ProblemSpec, r, t):
     """E^r e^{alpha h_t} = exp(alpha mean_h + alpha^2 var_h / 2)."""
     mom = ou_moments(spec.model, r, t)
     return np.exp(spec.alpha * mom.mean_h + 0.5 * spec.alpha**2 * mom.var_h)
 
 
-def fk_kernel_weight(spec: ProblemSpec, t, r, y):
+def fk_kernel_weight(spec: ProblemSpec, t, r, y, out=None):
     """Weighted transition kernel w(t, r, y).
 
     w is the Gaussian transition density of r_t times the conditional
     exponential moment of h_t given r_t = y, so that
     int phi(y) w(t, r, y) dy = E^r[phi(r_t) e^{alpha h_t}].
-    The kernel is singular at t = 0 and rejects t <= 0.
+    The kernel is singular at t = 0 and rejects t <= 0. ``out``, an array of
+    the broadcast shape, receives the values instead of a new array.
+
+    When t runs along the leading axis only, as in a (cells, nodes, y) block,
+    the kernel is filled one time value at a time: the factors that depend on
+    t alone are then scalars, and the temporaries stay the size of one cell.
     """
-    if not np.all(np.asarray(t) > 0):
+    t = _checked_times(spec.model, t)
+    if not np.all(t > 0):
         raise ValueError("the kernel requires t > 0")
-    mom = ou_moments(spec.model, r, t)
     al = spec.alpha
-    beta = mom.cov_rh / mom.var_r
-    var_cond = np.maximum(mom.var_h - mom.cov_rh**2 / mom.var_r, 0.0)
+    mean_r, mean_h = _means(spec.model, np.asarray(r, dtype=float), t)
+    var_r, var_h, cov_rh = _variances(spec.model, t)
+    beta = cov_rh / var_r
+    var_cond = np.maximum(var_h - cov_rh**2 / var_r, 0.0)
     # log of density * exp(alpha mu_cond + alpha^2 var_cond / 2), with
-    # mu_cond = mean_h + beta dev; only dev has the full broadcast shape
-    base = al * mom.mean_h + 0.5 * al**2 * var_cond - 0.5 * np.log(2.0 * math.pi * mom.var_r)
-    dev = np.asarray(y, dtype=float) - mom.mean_r
-    expo = dev * (-0.5 / mom.var_r)
-    expo += al * beta
-    expo *= dev
-    expo += base
-    return np.exp(expo, out=expo) if np.ndim(expo) else np.exp(expo)
+    # mu_cond = mean_h + beta dev; only dev = y - mean_r and base vary with
+    # both r and y
+    base = al * mean_h + 0.5 * al**2 * var_cond - 0.5 * np.log(2.0 * math.pi * var_r)
+    scale, shift = -0.5 / var_r, al * beta
+    y = np.asarray(y, dtype=float)
+    shape = np.broadcast_shapes(y.shape, mean_r.shape)
+    expo = np.empty(shape) if out is None else out
+    if expo.ndim and t.ndim == expo.ndim and t.size == expo.shape[0] > 1:
+        y = np.broadcast_to(y, shape)
+        dev = np.empty(shape[1:])
+        for j, (s, h) in enumerate(zip(scale.ravel().tolist(), shift.ravel().tolist())):
+            _fill_kernel(expo[j], dev, y[j], mean_r[j], s, h, base[j])
+    else:
+        _fill_kernel(expo, np.empty(shape), y, mean_r, scale, shift, base)
+    return expo if expo.ndim else expo[()]
+
+
+def _fill_kernel(out, dev, y, mean_r, scale, shift, base) -> None:
+    """out = exp((dev scale + shift) dev + base) with dev = y - mean_r."""
+    np.subtract(y, mean_r, out=dev)
+    np.multiply(dev, scale, out=out)
+    out += shift
+    out *= dev
+    out += base
+    np.exp(out, out=out)
 
 
 def envelope_rate(spec: ProblemSpec) -> float:

@@ -104,7 +104,9 @@ class Solution:
 
     ``iterates`` holds the profile after every resolvent step (the rising fan
     of curves under the supersolution); for problem B, ``N_pow`` carries the
-    upper bracket K_L + Ntilde^{1-alpha} instead of N^{1-alpha}."""
+    upper bracket K_L + Ntilde^{1-alpha} instead of N^{1-alpha}.
+    ``operator`` holds the quadrature operator's telemetry, empty for the
+    other backends."""
 
     K: GridFunction
     N_pow: GridFunction | None
@@ -112,6 +114,7 @@ class Solution:
     trace: IterationTrace
     spec: ProblemSpec
     iterates: list[GridFunction]
+    operator: dict = field(default_factory=dict)
 
 
 def clamp_F(m: float, alpha: float, x):
@@ -258,7 +261,10 @@ def solve_problem_a(spec: ProblemSpec, config: SolverConfig, *, force: bool = Fa
     else:
         op = FDOperator(spec, nodes)
     k, trace, snaps = _iterate(spec, config, op.apply, np.zeros(nodes.size), window, upper, None)
-    return _package(spec, config, nodes, window, k, upper, trace, snaps)
+    sol = _package(spec, config, nodes, window, k, upper, trace, snaps)
+    if isinstance(op, QuadratureOperator):
+        sol.operator = op.telemetry()
+    return sol
 
 
 def _package(spec, config, nodes, window, k, upper, trace, snaps) -> Solution:

@@ -11,6 +11,7 @@ cross-check of the two, not a solver backend.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Union
 
@@ -43,6 +44,8 @@ class Quadrature:
     def __post_init__(self):
         if self.dt <= 0 or self.t_max < self.dt or self.dy <= 0:
             raise ValueError("quadrature steps and horizon must be positive")
+        if self.y_halfwidth is not None and not self.y_halfwidth > 0:
+            raise ValueError(f"quad.y_halfwidth must be positive, got {self.y_halfwidth:g}")
 
 
 @dataclass(frozen=True)
@@ -114,10 +117,11 @@ def _cell_weights(s: float, h: float) -> tuple[float, float]:
     return a, b
 
 
-# the kernel of one broadcast call holds about this many floats, and one GEMM
-# accumulates this many kernel calls' worth of time cells
-_KERNEL_FLOATS = 3e5
-_CALLS_PER_GEMM = 8
+# one node tile's accumulator (lambdas x nodes x y mesh) and one block of its
+# kernel (time cells x nodes x y mesh), the GEMM operand, each hold at most about
+# this many floats (2**18 floats are 2 MB, a common per-core L2 size), so that a
+# tile is built in cache
+_BLOCK_FLOATS = 2**18
 
 
 class QuadratureOperator:
@@ -126,12 +130,17 @@ class QuadratureOperator:
     The time integral uses exponentially weighted trapezoid coefficients
     (exact integration of e^{-(lambda+gamma)t} against the piecewise-linear
     interpolant of P_t psi) plus the analytic frozen-state correction on the
-    singular first cell [0, dt]. All R(lambda) are built in one pass over the
-    time cells: each cell's kernel is evaluated once and added into every
-    lambda's accumulator by one GEMM per block of cells.
+    singular first cell [0, dt]. All R(lambda) are built together, one tile of
+    rate nodes at a time: for each tile the kernel of each time cell is
+    evaluated once, block by block of cells, and one GEMM per block adds it
+    into a small accumulator holding that tile for every lambda. When the
+    tile's cells are done, the y trapezoid and the extension onto the y mesh
+    turn the accumulator into the tile's rows of every R(lambda). Tile and
+    block are sized by ``_BLOCK_FLOATS`` so that both stay in cache.
     """
 
     def __init__(self, spec: ProblemSpec, grid: GridFunction, backend: Quadrature, lams):
+        started = time.perf_counter()
         if not isinstance(spec.model, Vasicek):
             raise ValueError("the quadrature resolvent requires the Vasicek model")
         lams = [float(lam) for lam in lams]
@@ -167,7 +176,12 @@ class QuadratureOperator:
         trap_y[-1] *= 0.5
 
         # extension of a grid function onto the y mesh: linear interpolation
-        # inside the window, frozen edge value times the envelope outside
+        # inside the window, frozen edge value times the envelope outside. It
+        # has at most two entries per y point, so it is applied as a sparse
+        # matrix, with the y trapezoid weights folded in (scipy.sparse is
+        # imported here so that `import consrate.cli` does not load it).
+        from scipy.sparse import csr_array
+
         rate = envelope_rate(spec)
         n_r = self.nodes.size
         ext = np.zeros((n_y, n_r))
@@ -179,26 +193,45 @@ class QuadratureOperator:
         i = np.minimum(pos.astype(int), n_r - 2)
         ext[inside, i] = 1.0 - (pos - i)
         ext[inside, i + 1] = pos - i
+        ext = csr_array(ext * trap_y[:, None])
 
         coef = np.array([self._coefficients(lam) for lam in lams])
-        acc = np.zeros((len(lams), n_r * n_y))
-        per_call = max(1, int(_KERNEL_FLOATS // (n_r * n_y)))
-        per_gemm = _CALLS_PER_GEMM * per_call
-        buf = np.empty((per_gemm, n_r, n_y))
-        r, y = self.nodes[None, :, None], self.y[None, None, :]
-        for start in range(0, n_steps, per_gemm):
-            stop = min(start + per_gemm, n_steps)
-            for j in range(start, stop, per_call):
-                k = min(j + per_call, stop)
-                buf[j - start : k - start] = fk_kernel_weight(spec, self.times[j:k, None, None], r, y)
-            cells = buf[: stop - start].reshape(stop - start, n_r * n_y)
-            # acc += coef[:, start:stop] @ cells without a temporary the size of acc
-            scipy.linalg.blas.dgemm(1.0, cells.T, coef[:, start:stop].T, beta=1.0, c=acc.T, overwrite_c=True)
-        del buf
-        acc = acc.reshape(len(lams) * n_r, n_y)
-        acc *= trap_y
-        self._mats = (acc @ ext).reshape(len(lams), n_r, n_r)
+        n_lam = len(lams)
+        tile = max(1, min(n_r, _BLOCK_FLOATS // (n_lam * n_y)))
+        per_block = max(1, min(n_steps, _BLOCK_FLOATS // (tile * n_y)))
+        self.node_tile, self.block_cells = tile, per_block
+        self._mats = np.empty((n_lam, n_r, n_r))
+        buf = np.empty(per_block * tile * n_y)
+        for i0 in range(0, n_r, tile):
+            i1 = min(i0 + tile, n_r)
+            width = (i1 - i0) * n_y
+            r = self.nodes[None, i0:i1, None]
+            # dgemm updates c in place only when c is Fortran-contiguous, and
+            # silently works on a copy otherwise: every tile, the ragged last
+            # one too, gets its own accumulator, and acc is rebound to the result
+            acc = np.zeros((width, n_lam), order="F")
+            for start in range(0, n_steps, per_block):
+                stop = min(start + per_block, n_steps)
+                block = buf[: (stop - start) * width].reshape(stop - start, i1 - i0, n_y)
+                fk_kernel_weight(spec, self.times[start:stop, None, None], r, self.y[None, None, :], block)
+                # acc^T += coef[:, start:stop] @ block
+                acc = scipy.linalg.blas.dgemm(
+                    1.0, block.reshape(stop - start, width).T, coef[:, start:stop].T, beta=1.0, c=acc, overwrite_c=True
+                )
+            self._mats[:, i0:i1] = (acc.T.reshape(n_lam * (i1 - i0), n_y) @ ext).reshape(n_lam, i1 - i0, n_r)
         self._level = {lam: i for i, lam in enumerate(lams)}
+        self.build_s = time.perf_counter() - started
+
+    def telemetry(self) -> dict:
+        """Sizes and build time of the operator, as written to run_record.txt."""
+        return {
+            "n_r": self.nodes.size,
+            "n_y": self.y.size,
+            "time_cells": self.n_steps,
+            "node_tile": self.node_tile,
+            "lambda_levels": len(self._mats),
+            "build_s": f"{self.build_s:.3f}",
+        }
 
     def _coefficients(self, lam: float) -> np.ndarray:
         s = lam + self.spec.gamma

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 
 from tests.conftest import child_env
-from consrate.cli import read_csv, resolve_config
+from consrate.cli import DEFAULTS, read_csv, resolve_config
 
 FAST_SOLVE = [
     "--set",
@@ -230,6 +230,31 @@ def test_mc_solver_backend_rejected(tmp_path):
     assert r.returncode == 2
     assert "unknown backend 'mc'" in r.stdout
     assert not (tmp_path / "o" / "solution.csv").exists()
+
+
+def test_nonpositive_y_halfwidth_rejected_before_solving(tmp_path):
+    r = run_cli("--output", "o", "--set", "quad.y_halfwidth=-0.1", "solve", cwd=tmp_path)
+    assert r.returncode == 2
+    assert "quad.y_halfwidth must be positive" in r.stdout
+    assert not (tmp_path / "o" / "solution.csv").exists()
+
+
+def test_run_record_reports_operator_and_peak_rss(tmp_path):
+    r = run_cli("--output", "o", *FAST_SOLVE, "solve", cwd=tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    keys, values = zip(*(line.split("=", 1) for line in (tmp_path / "o" / "run_record.txt").read_text().splitlines()))
+    record = dict(zip(keys, values))
+    added = ["operator.n_r", "operator.n_y", "operator.time_cells", "operator.node_tile",
+             "operator.lambda_levels", "operator.build_s", "peak_rss_mb"]
+    assert not set(added) & set(DEFAULTS)
+    # after the configuration keys, in this order
+    assert max(keys.index(k) for k in DEFAULTS) < keys.index(added[0])
+    assert [k for k in keys if k in added] == added
+    assert int(record["operator.time_cells"]) == 600  # quad.t_max / quad.dt
+    assert int(record["operator.lambda_levels"]) == 16  # solver.m_max
+    assert 1 <= int(record["operator.node_tile"]) <= int(record["operator.n_r"])
+    assert int(record["operator.n_r"]) > 39  # the reporting grid plus its padding
+    assert float(record["operator.build_s"]) > 0 and float(record["peak_rss_mb"]) > 0
 
 
 def test_determinism_across_threads(tmp_path):

@@ -107,6 +107,18 @@ def test_kernel_rejects_zero_time():
         fk_kernel_weight(PAPER, 0.0, 0.05, 0.05)
 
 
+def test_kernel_fills_a_given_block_with_the_same_values():
+    # a (cells, nodes, y) block, the shape the quadrature operator fills in place
+    t = 0.01 * np.arange(1, 8)[:, None, None]
+    r = np.linspace(-0.05, 0.2, 13)[None, :, None]
+    y = np.linspace(-0.1, 0.3, 101)[None, None, :]
+    out = np.full((7, 13, 101), np.nan)
+    assert fk_kernel_weight(PAPER, t, r, y, out) is out
+    assert np.array_equal(out, fk_kernel_weight(PAPER, t, r, y))
+    for j in range(7):
+        assert np.array_equal(out[j : j + 1], fk_kernel_weight(PAPER, t[j : j + 1], r, y))
+
+
 def test_semigroup_alpha_small_preserves_one():
     spec = ProblemSpec(VAS, 1e-12, 1.0, "A")
     phi = GridFunction.from_callable(-0.2, 0.35, 301, lambda r: np.ones_like(r))

@@ -20,6 +20,7 @@ from consrate import (
 )
 from consrate.gaussian import exp_h_moment, fk_kernel_weight
 from consrate.models import state_rate
+from consrate import resolvent
 from consrate.resolvent import QuadratureOperator
 
 VAS = Vasicek(0.03, 0.5, 0.02)
@@ -283,6 +284,28 @@ def test_quadrature_one_pass_matches_per_lambda_reference():
         mat, _ = op.resolvent_matrix(lam)
         ref = reference_resolvent_matrix(op, grid, lam)
         assert np.max(np.abs(mat - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_quadrature_node_tiles_match_per_lambda_reference(monkeypatch):
+    # a block size that cuts 61 nodes into tiles of 20 (the last tile holds one
+    # node) and 155 time cells into blocks of 3 (the last block holds two)
+    grid = grid_unit(61)
+    lams = (LAM1, 1.5, 4.0)
+    backend = quad_backend(t_max=3.1)
+    n_y = QuadratureOperator(PAPER, grid, backend, lams[:1]).y.size
+    monkeypatch.setattr(resolvent, "_BLOCK_FLOATS", len(lams) * 20 * n_y)
+    op = QuadratureOperator(PAPER, grid, backend, lams)
+    assert (op.node_tile, op.block_cells, op.n_steps) == (20, 3, 155)
+    for lam in lams:
+        mat, _ = op.resolvent_matrix(lam)
+        ref = reference_resolvent_matrix(op, grid, lam)
+        assert np.max(np.abs(mat - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_quadrature_rejects_nonpositive_y_halfwidth():
+    for hw in (0.0, -0.1):
+        with pytest.raises(ValueError, match="y_halfwidth must be positive"):
+            quad_backend(y_halfwidth=hw)
 
 
 def test_quadrature_rejects_unbuilt_lambda():
