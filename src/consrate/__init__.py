@@ -13,19 +13,19 @@ from .feasibility import (
     FeasibilityReport,
     classify,
     constant_rate_solution,
+    gamma_thresholds,
     necessary_condition_probe,
+    rho_decay,
     sufficient_condition_search,
+    theta_growth,
 )
 from .gaussian import (
     JointMoments,
     envelope_norm,
     fk_kernel_weight,
-    gamma_thresholds,
     ou_moments,
-    rho_decay,
     semigroup_apply,
     supersolution_N,
-    theta_growth,
 )
 from .grids import GridFunction
 from .hjb import (

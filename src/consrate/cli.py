@@ -286,7 +286,7 @@ def cmd_solve(args, variant: str) -> int:
     cfg = resolve_config(args)
     out = _outdir(args)
     spec = build_spec(cfg, variant)
-    report = feas.classify(ProblemSpec(spec.model, spec.alpha, spec.gamma, "A"))
+    report = feas.classify(spec)
     if report.verdict is not feas.Feasibility.FINITE and not args.force:
         print(f"feasibility gate: {report.verdict.value} ({report.reason}); use --force to override")
         return 2 if report.verdict is feas.Feasibility.INFINITE else 3

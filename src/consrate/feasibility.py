@@ -1,13 +1,15 @@
-"""Classifies problems as provably finite, provably infinite, or unknown, and
-supplies the constant-rate closed form that anchors the solver's oracles."""
+"""Decides finiteness: classifies problems as provably finite, provably
+infinite, or unknown, owns the Vasicek thresholds and the sufficient
+condition for a finite supersolution N, and supplies the constant-rate closed
+form that anchors the solver's oracles."""
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .errors import InfeasibleProblem
-from .gaussian import gamma_thresholds, rho_decay
 from .models import Constant, DriftedBM, GeometricBM, InvariantInterval, ProblemSpec, Vasicek
 
 
@@ -36,24 +38,93 @@ class FeasibilityReport:
     divergence_witness: tuple[float, float, float] | None = None
     sufficient_pair: tuple[float, float] | None = None
 
+    def require(self, allow_unknown: bool = False) -> None:
+        """Raise InfeasibleProblem unless the verdict is Finite, or Unknown
+        when ``allow_unknown`` is set."""
+        if self.verdict is Feasibility.FINITE or (allow_unknown and self.verdict is Feasibility.UNKNOWN):
+            return
+        raise InfeasibleProblem(f"feasibility verdict is {self.verdict.name}: {self.reason}")
+
+
+def gamma_thresholds(spec: ProblemSpec) -> tuple[float, float]:
+    """Sufficient discount thresholds (gamma_1, gamma_2) for the Vasicek model.
+
+    gamma > gamma_1 makes the supersolution N finite; gamma > gamma_2 is the
+    extra uniform-integrability margin.
+    """
+    model = spec.model
+    if not isinstance(model, Vasicek):
+        raise ValueError("gamma thresholds are defined for the Vasicek model")
+    a, b, sig, al = model.a, model.b, model.sigma, spec.alpha
+    g1 = al * a / b + al**2 * sig**2 / ((1.0 - al) * b**2)
+    g2 = al * a / b + 3.0 * al**2 * sig**2 / (2.0 * math.sqrt(1.0 - al) * b**2) + al * sig * (b + 1.0) / b
+    return g1, g2
+
+
+def theta_growth(spec: ProblemSpec) -> float:
+    """Growth exponent of the weighted semigroup norm bound:
+    ||P_t phi|| <= 2 e^{theta t} ||phi|| with theta = alpha^2 sigma^2/(2 b^2) + alpha a / b."""
+    model = spec.model
+    if not isinstance(model, Vasicek):
+        raise ValueError("the semigroup growth bound is defined for the Vasicek model")
+    return spec.alpha**2 * model.sigma**2 / (2.0 * model.b**2) + spec.alpha * model.a / model.b
+
+
+def rho_decay(spec: ProblemSpec) -> float:
+    """Exponential tail decay rate of the N integrand for the Vasicek model."""
+    model = spec.model
+    if not isinstance(model, Vasicek):
+        raise ValueError("rho is defined for the Vasicek model")
+    a, b, sig, al = model.a, model.b, model.sigma, spec.alpha
+    return (spec.gamma - al * a / b - al**2 * sig**2 / (2.0 * (1.0 - al) * b**2)) / (1.0 - al)
+
+
+def n_condition(spec: ProblemSpec) -> tuple[bool, str]:
+    """The sufficient condition for a finite supersolution N, and the
+    comparison it made: gamma > alpha r for a constant rate, gamma > alpha b on
+    the invariant interval (a, b), gamma > gamma_1 for Vasicek. No other model
+    has one. The compared values are printed in full, so that the comparison
+    reads right at the boundary."""
+    model, g = spec.model, spec.gamma
+    if isinstance(model, Constant):
+        name, bound = "alpha r", spec.alpha * model.r
+    elif isinstance(model, InvariantInterval):
+        name, bound = "alpha b", spec.alpha * model.b
+    elif isinstance(model, Vasicek):
+        name, bound = "gamma_1", gamma_thresholds(spec)[0]
+    else:
+        return False, f"no supersolution N is known for the {type(model).__name__} model"
+    holds = g > bound
+    return holds, f"gamma = {float(g)!r} {'>' if holds else '<='} {name} = {float(bound)!r}"
+
+
+def require_finite_N(spec: ProblemSpec) -> None:
+    """Raise InfeasibleProblem unless n_condition holds."""
+    holds, comparison = n_condition(spec)
+    if not holds:
+        raise InfeasibleProblem(f"supersolution N not guaranteed finite: {comparison}")
+
 
 def classify(spec: ProblemSpec) -> FeasibilityReport:
-    """Feasibility verdict for the value function of the given problem.
+    """Feasibility verdict for the value function of the given problem; it
+    reads only the model, alpha and gamma, not the variant.
 
     Only proven directions are asserted: Vasicek below its thresholds and the
-    interval model with b >= gamma/alpha stay Unknown rather than Infinite.
+    interval model with gamma <= alpha b stay Unknown rather than Infinite.
     """
     model = spec.model
     al, g = spec.alpha, spec.gamma
-    if isinstance(model, Constant):
-        margin = g - al * model.r
-        if margin > 0:
+    if isinstance(model, (Constant, InvariantInterval)):
+        holds, comparison = n_condition(spec)
+        if holds:
+            return FeasibilityReport(Feasibility.FINITE, f"{comparison}: the supersolution N is finite")
+        if isinstance(model, InvariantInterval):
             return FeasibilityReport(
-                Feasibility.FINITE, f"gamma - alpha r = {margin:.6g} > 0 (closed form applies)"
+                Feasibility.UNKNOWN, f"{comparison}: the bounded-interval sufficient condition fails"
             )
         return FeasibilityReport(
             Feasibility.INFINITE,
-            "gamma - alpha r <= 0: vanishing consumption rates push the functional to infinity",
+            f"{comparison}: vanishing consumption rates push the functional to infinity",
             divergence_witness=(max(al * model.r - g, 0.0), 0.0, 0.0),
         )
     if isinstance(model, Vasicek):
@@ -71,15 +142,6 @@ def classify(spec: ProblemSpec) -> FeasibilityReport:
             f"gamma = {g:.6g} is not above max(gamma_1, gamma_2) = {max(g1, g2):.6g}; "
             "the sufficient conditions are inconclusive",
             thresholds=(g1, g2),
-        )
-    if isinstance(model, InvariantInterval):
-        if model.b < g / al:
-            return FeasibilityReport(
-                Feasibility.FINITE, f"rate cap b = {model.b:.6g} below gamma/alpha = {g / al:.6g}"
-            )
-        return FeasibilityReport(
-            Feasibility.UNKNOWN,
-            "b >= gamma/alpha: the bounded-interval sufficient condition fails",
         )
     if isinstance(model, DriftedBM):
         return FeasibilityReport(
@@ -132,7 +194,7 @@ def necessary_condition_probe(spec: ProblemSpec, c: float) -> str:
     if isinstance(model, Constant):
         rate = al * model.r - g - al * c
     elif isinstance(model, Vasicek):
-        rate = al * model.a / model.b + al**2 * model.sigma**2 / (2.0 * model.b**2) - g - al * c
+        rate = theta_growth(spec) - g - al * c
     elif isinstance(model, InvariantInterval):
         # only the guaranteed lower bound r >= a certifies divergence
         rate = al * model.a - g - al * c

@@ -2,7 +2,8 @@
 
 Joint Gaussian law of (r_t, h_t) with h_t the running rate integral, the
 weighted transition kernel and semigroup P_t phi(r) = E^r[phi(r_t) e^{alpha h_t}],
-the integral supersolution N, and the feasibility thresholds gamma_1/gamma_2.
+and the integral supersolution N. Whether N is finite is decided in
+feasibility.
 """
 
 from __future__ import annotations
@@ -12,9 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleProblem
+from .feasibility import require_finite_N, rho_decay
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, Vasicek
+
+# semigroup_apply: how far the y mesh reaches beyond the grid, in kernel widths
+_PAD_SIGMAS = 6.0
+# supersolution_N: time step and relative cutoff of the Vasicek integral
+_N_DT = 1e-3
+_N_CUTOFF = 1e-14
+
 
 @dataclass(frozen=True)
 class JointMoments:
@@ -189,12 +197,12 @@ def semigroup_apply(
     t: float,
     *,
     dy: float | None = None,
-    pad_sigmas: float = 6.0,
 ) -> GridFunction:
     """Apply the weighted semigroup P_t to a grid function by trapezoid in y.
 
-    Beyond the grid, phi is continued by its edge value times the exponential
-    envelope frozen at the edge.
+    The y mesh reaches _PAD_SIGMAS kernel widths beyond the grid, where phi
+    is continued by its edge value times the exponential envelope frozen at
+    the edge.
     """
     if t <= 0:
         raise ValueError("semigroup_apply requires t > 0")
@@ -207,8 +215,8 @@ def semigroup_apply(
     mom = ou_moments(model, np.array([phi.r_min, phi.r_max]), t)
     sd = math.sqrt(float(mom.var_r[0]))
     dy = min(dy, sd)  # the y mesh must resolve the kernel width
-    y_lo = min(phi.r_min, float(mom.mean_r[0])) - pad_sigmas * sd
-    y_hi = max(phi.r_max, float(mom.mean_r[1])) + pad_sigmas * sd
+    y_lo = min(phi.r_min, float(mom.mean_r[0])) - _PAD_SIGMAS * sd
+    y_hi = max(phi.r_max, float(mom.mean_r[1])) + _PAD_SIGMAS * sd
     n_y = int(math.ceil((y_hi - y_lo) / dy)) + 1
     y = np.linspace(y_lo, y_hi, n_y)
     phi_y = extend_with_envelope(phi, envelope_rate(spec), y)
@@ -219,79 +227,38 @@ def semigroup_apply(
     return phi.with_values(w @ (phi_y * weights))
 
 
-def gamma_thresholds(spec: ProblemSpec) -> tuple[float, float]:
-    """Sufficient discount thresholds (gamma_1, gamma_2) for the Vasicek model.
-
-    gamma > gamma_1 makes the supersolution N finite; gamma > gamma_2 is the
-    extra uniform-integrability margin.
-    """
-    model = spec.model
-    if not isinstance(model, Vasicek):
-        raise ValueError("gamma thresholds are defined for the Vasicek model")
-    a, b, sig, al = model.a, model.b, model.sigma, spec.alpha
-    g1 = al * a / b + al**2 * sig**2 / ((1.0 - al) * b**2)
-    g2 = al * a / b + 3.0 * al**2 * sig**2 / (2.0 * math.sqrt(1.0 - al) * b**2) + al * sig * (b + 1.0) / b
-    return g1, g2
-
-
-def theta_growth(spec: ProblemSpec) -> float:
-    """Growth exponent of the weighted semigroup norm bound:
-    ||P_t phi|| <= 2 e^{theta t} ||phi|| with theta = alpha^2 sigma^2/(2 b^2) + alpha a / b."""
-    model = spec.model
-    if not isinstance(model, Vasicek):
-        raise ValueError("the semigroup growth bound is defined for the Vasicek model")
-    return spec.alpha**2 * model.sigma**2 / (2.0 * model.b**2) + spec.alpha * model.a / model.b
-
-
-def rho_decay(spec: ProblemSpec) -> float:
-    """Exponential tail decay rate of the N integrand for the Vasicek model."""
-    model = spec.model
-    if not isinstance(model, Vasicek):
-        raise ValueError("rho is defined for the Vasicek model")
-    a, b, sig, al = model.a, model.b, model.sigma, spec.alpha
-    return (spec.gamma - al * a / b - al**2 * sig**2 / (2.0 * (1.0 - al) * b**2)) / (1.0 - al)
-
-
 def _n_integrand(spec: ProblemSpec, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     """exp((-gamma t + alpha mean_h)/(1-alpha) + alpha^2 var_h / (2 (1-alpha)^2)),
-    shaped (len(t), len(r))."""
+    shaped (len(t), len(r)); var_h depends on t only and stays a column."""
     al, g = spec.alpha, spec.gamma
-    mom = ou_moments(spec.model, r[None, :], t[:, None])
-    expo = (-g * t[:, None] + al * mom.mean_h) / (1.0 - al) + 0.5 * (al / (1.0 - al)) ** 2 * mom.var_h
+    t = t[:, None]
+    _, mean_h = _means(spec.model, r[None, :], t)
+    _, var_h, _ = _variances(spec.model, t)
+    expo = (-g * t + al * mean_h) / (1.0 - al) + 0.5 * (al / (1.0 - al)) ** 2 * var_h
     return np.exp(expo)
 
 
-def supersolution_N(spec: ProblemSpec, r, *, dt: float = 1e-3, cutoff: float = 1e-14, n_nodes: int = 2001):
+def supersolution_N(spec: ProblemSpec, r):
     """The integral supersolution N(r) = E^r int_0^inf e^{(-gamma t + alpha h_t)/(1-alpha)} dt.
 
-    Vasicek: adaptive trapezoid in t using the closed-form Gaussian exponent,
-    truncated once the integrand falls below ``cutoff`` times its running
-    maximum at every node (the tail decays like e^{-rho t}). Constant: exact
-    closed form. Invariant interval: finite-difference solution of the linear
-    equation Q N + ((alpha r - gamma)/(1-alpha)) N + 1 = 0.
+    Raises InfeasibleProblem unless feasibility.n_condition holds. Vasicek:
+    adaptive trapezoid in t using the closed-form Gaussian exponent, truncated
+    once the integrand falls below _N_CUTOFF times its running maximum at
+    every node (the tail decays like e^{-rho t}). Constant: exact closed form.
+    Invariant interval: finite-difference solution of the linear equation
+    Q N + ((alpha r - gamma)/(1-alpha)) N + 1 = 0.
     """
+    require_finite_N(spec)
     model = spec.model
     al, g = spec.alpha, spec.gamma
     if isinstance(model, Constant):
-        if g - al * model.r <= 0:
-            raise InfeasibleProblem("supersolution not guaranteed finite: gamma <= alpha * r")
         out = (1.0 - al) / (g - al * model.r) * np.ones_like(np.asarray(r, dtype=float))
         return float(out) if np.ndim(r) == 0 else out
     if isinstance(model, InvariantInterval):
-        if model.b >= g / al:
-            raise InfeasibleProblem("supersolution not guaranteed finite: need b < gamma/alpha")
         from .resolvent import solve_linear_fk_ode
 
-        n_grid = solve_linear_fk_ode(spec, n_nodes=n_nodes)
-        out = n_grid(np.asarray(r, dtype=float))
+        out = solve_linear_fk_ode(spec)(np.asarray(r, dtype=float))
         return float(out) if np.ndim(r) == 0 else out
-    if not isinstance(model, Vasicek):
-        raise InfeasibleProblem("supersolution not guaranteed finite for this model")
-    g1, _ = gamma_thresholds(spec)
-    if g <= g1:
-        raise InfeasibleProblem(
-            f"supersolution not guaranteed finite: gamma={g} must exceed gamma_1={g1:.6g}"
-        )
     rho = rho_decay(spec)
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     t_end = max(80.0 / rho, 10.0 / model.b)
@@ -301,14 +268,14 @@ def supersolution_N(spec: ProblemSpec, r, *, dt: float = 1e-3, cutoff: float = 1
     t0 = 0.0
     g_prev = _n_integrand(spec, r_arr, np.array([0.0]))[0]
     while t0 < t_end:
-        ts = t0 + dt * np.arange(1, chunk + 1)
+        ts = t0 + _N_DT * np.arange(1, chunk + 1)
         vals = _n_integrand(spec, r_arr, ts)
         block = np.vstack([g_prev, vals])
-        total += np.trapezoid(block, dx=dt, axis=0)
+        total += np.trapezoid(block, dx=_N_DT, axis=0)
         gmax = np.maximum(gmax, block.max(axis=0))
         g_prev = vals[-1]
         t0 = float(ts[-1])
-        if np.all(g_prev <= cutoff * gmax):
+        if np.all(g_prev <= _N_CUTOFF * gmax):
             break
     out = total
     return float(out[0]) if np.ndim(r) == 0 else out

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HorizonError, InfeasibleProblem, MonotonicityError
-from .feasibility import Feasibility, classify
+from .feasibility import classify
 from .gaussian import supersolution_N
 from .grids import GridFunction
 from .models import Constant, ProblemSpec, Vasicek, domain, generator_apply, state_rate
@@ -246,11 +246,8 @@ def solve_problem_a(spec: ProblemSpec, config: SolverConfig, *, force: bool = Fa
     """
     if spec.variant != "A":
         raise ValueError("solve_problem_a requires a variant-A spec")
-    report = classify(spec)
-    if report.verdict is not Feasibility.FINITE and not force:
-        raise InfeasibleProblem(
-            f"feasibility verdict is {report.verdict.name}; pass force=True to solve anyway"
-        )
+    if not force:
+        classify(spec).require()
     nodes, i0, i1 = _extended_nodes(spec, config.grid, config.pad)
     window = slice(i0, i1 + 1)
     upper = _upper_profile(spec, nodes, force)
@@ -282,16 +279,16 @@ def _package(spec, config, nodes, window, k, upper, trace, snaps) -> Solution:
 # Problem B
 
 
-def _kl_extended(spec: ProblemSpec, config: SolverConfig, R: float | None):
-    """Hitting functional K_L on a doubling truncation [0, R]; returns
-    (nodes, values, R_final). The discrete operator is shared with the
-    problem-B iteration so K_L stays an exact discrete subsolution."""
+def _kl_extended(spec: ProblemSpec, config: SolverConfig):
+    """Hitting functional K_L on a truncation [0, R] doubled from
+    max(2 r_max, 0.3) to convergence; returns (nodes, values). The discrete
+    operator is shared with the problem-B iteration so K_L stays an exact
+    discrete subsolution."""
     grid = config.grid
     if abs(grid.r_min) > 1e-12:
         raise ValueError("problem-B grids must start at r = 0")
     h = grid.step
-    if R is None:
-        R = max(2.0 * grid.r_max, 0.3)
+    R = max(2.0 * grid.r_max, 0.3)
     prev = None
     while True:
         n_ext = max(int(round(R / h)), grid.n_nodes - 1)
@@ -301,7 +298,7 @@ def _kl_extended(spec: ProblemSpec, config: SolverConfig, R: float | None):
         u = sys.solve(np.zeros(nodes.size))
         vals = u[: grid.n_nodes]
         if prev is not None and float(np.max(np.abs(vals - prev))) < config.tol_n:
-            return nodes, u, R
+            return nodes, u
         prev = vals
         R *= 2.0
         if R > 1000.0 * max(grid.r_max, 1.0):
@@ -311,7 +308,7 @@ def _kl_extended(spec: ProblemSpec, config: SolverConfig, R: float | None):
             )
 
 
-def compute_KL(spec: ProblemSpec, config: SolverConfig, R: float | None = None) -> GridFunction:
+def compute_KL(spec: ProblemSpec, config: SolverConfig) -> GridFunction:
     """Laplace functional of the first hitting time of 0,
     K_L(r) = E^r e^{-gamma tau_0 + alpha int_0^tau_0 r}, by FD solve of the
     homogeneous equation with K_L(0) = K_L(R) = 1 and R doubled to convergence."""
@@ -319,7 +316,7 @@ def compute_KL(spec: ProblemSpec, config: SolverConfig, R: float | None = None) 
         raise ValueError("compute_KL belongs to problem B")
     if not isinstance(spec.model, Vasicek):
         raise ValueError("compute_KL is implemented for the Vasicek model")
-    _, u, _ = _kl_extended(spec, config, R)
+    _, u = _kl_extended(spec, config)
     grid = config.grid
     return GridFunction(grid.r_min, grid.r_max, u[: grid.n_nodes])
 
@@ -334,12 +331,9 @@ def solve_problem_b(spec: ProblemSpec, config: SolverConfig, *, force: bool = Fa
         raise ValueError("solve_problem_b requires a variant-B spec")
     if not isinstance(spec.model, Vasicek):
         raise ValueError("problem B is implemented for the Vasicek model")
-    report = classify(ProblemSpec(spec.model, spec.alpha, spec.gamma, "A"))
-    if report.verdict is not Feasibility.FINITE and not force:
-        raise InfeasibleProblem(
-            f"feasibility verdict is {report.verdict.name}; pass force=True to solve anyway"
-        )
-    nodes, kl, _ = _kl_extended(spec, config, None)
+    if not force:
+        classify(spec).require()
+    nodes, kl = _kl_extended(spec, config)
     rate = robin_rate(spec)
     # Ntilde: the supersolution stopped at 0 (absorbing Dirichlet), Robin far out
     c0 = (spec.gamma - spec.alpha * nodes) / (1.0 - spec.alpha)

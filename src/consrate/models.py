@@ -204,14 +204,18 @@ class InvarianceReport:
     threshold: float
 
 
+# scale_partial_integrals: levels of the geometric endpoint mesh
+_SCALE_LEVELS = 60
+# invariance_check: a scale-function partial beyond this counts as divergent
+_INVARIANCE_THRESHOLD = 1e6
+
+
 def scale_partial_integrals(
     mu_fn: Callable,
     sigma_fn: Callable,
     a: float,
     b: float,
     *,
-    levels: int = 60,
-    ratio: float = 0.5,
     points_per_segment: int = 16,
     stop_at: float = math.inf,
 ) -> tuple[float, float]:
@@ -220,9 +224,9 @@ def scale_partial_integrals(
     The scale function is s(x) = int_w^x exp(-int_w^y 2 mu/sigma^2 dz) dy with
     w the interval midpoint. Endpoint non-attainability requires s(a+) = -inf
     and s(b-) = +inf, i.e. both partial integrals (in magnitude) diverge. The
-    mesh refines geometrically toward each endpoint (offset shrinks by
-    ``ratio`` per level); integration stops early once a partial exceeds
-    ``stop_at``.
+    mesh refines geometrically toward each endpoint (the offset halves on
+    each of _SCALE_LEVELS levels); integration stops early once a partial
+    exceeds ``stop_at``.
 
     Returns (lower_partial, upper_partial), both nonnegative magnitudes.
     """
@@ -233,8 +237,8 @@ def scale_partial_integrals(
         partial = 0.0
         log_integrand = 0.0  # -int 2mu/sigma^2 from w to the current point
         y_prev = w
-        for k in range(1, levels + 1):
-            offset = half * ratio**k
+        for k in range(1, _SCALE_LEVELS + 1):
+            offset = half * 0.5**k
             y_next = (b - offset) if toward_upper else (a + offset)
             ys = np.linspace(y_prev, y_next, points_per_segment + 1)
             mu = np.asarray(mu_fn(ys), dtype=float)
@@ -258,18 +262,12 @@ def scale_partial_integrals(
     return _march(toward_upper=False), _march(toward_upper=True)
 
 
-def invariance_check(
-    model: InvariantInterval,
-    *,
-    threshold: float = 1e6,
-    levels: int = 60,
-    ratio: float = 0.5,
-    points_per_segment: int = 16,
-) -> InvarianceReport:
+def invariance_check(model: InvariantInterval, *, points_per_segment: int = 16) -> InvarianceReport:
     """Check non-attainability of both interval endpoints via the scale function.
 
     The scale integral is improper; divergence is decided by whether the
-    partial integrals on a geometric endpoint mesh exceed ``threshold``.
+    partial integrals on scale_partial_integrals' geometric endpoint mesh
+    exceed _INVARIANCE_THRESHOLD.
     """
     if not isinstance(model, InvariantInterval):
         raise ValueError("invariance_check applies to the invariant-interval model")
@@ -281,16 +279,14 @@ def invariance_check(
         lambda y: diffusion(model, y),
         model.a,
         model.b,
-        levels=levels,
-        ratio=ratio,
         points_per_segment=points_per_segment,
-        stop_at=10.0 * threshold,
+        stop_at=10.0 * _INVARIANCE_THRESHOLD,
     )
     return InvarianceReport(
-        invariant=bool(lower > threshold and upper > threshold),
+        invariant=bool(lower > _INVARIANCE_THRESHOLD and upper > _INVARIANCE_THRESHOLD),
         lower_partial=lower,
         upper_partial=upper,
-        threshold=threshold,
+        threshold=_INVARIANCE_THRESHOLD,
     )
 
 

@@ -10,12 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleProblem
-from .feasibility import Feasibility, classify
+from .feasibility import classify
 from .gaussian import supersolution_N
 from .grids import GridFunction
-from .models import Constant, InvariantInterval, ProblemSpec, diffusion, generator_apply, state_rate
-from .hjb import grid_derivatives
+from .models import Constant, InvariantInterval, ProblemSpec, diffusion
+from .hjb import grid_derivatives, hjb_residual
+
+# beta_hat: half-width and node count of the local grid around r
+_BETA_HALFWIDTH = 0.05
+_BETA_NODES = 401
 
 
 @dataclass(frozen=True)
@@ -41,9 +44,7 @@ def value_c(spec: ProblemSpec, r, v: float):
         raise ValueError("value_c requires a variant-C spec")
     if v <= 0:
         raise ValueError("wealth must be positive")
-    gate = classify(ProblemSpec(spec.model, spec.alpha, spec.gamma, "A"))
-    if gate.verdict is not Feasibility.FINITE:
-        raise InfeasibleProblem(f"feasibility verdict is {gate.verdict.name}")
+    classify(spec).require()
     n = supersolution_N(spec, r)
     return np.power(n, 1.0 - spec.alpha) * v**spec.alpha
 
@@ -65,17 +66,17 @@ def beta_profiles(spec: ProblemSpec, grid: GridFunction) -> tuple[GridFunction, 
     )
 
 
-def beta_hat(spec: ProblemSpec, r: float, *, halfwidth: float = 0.05, n_nodes: int = 401) -> float:
+def beta_hat(spec: ProblemSpec, r: float) -> float:
     """Optimal exposure at one rate, cross-checked across both formulas."""
     model = spec.model
     if isinstance(model, Constant):
         return 0.0
-    lo, hi = r - halfwidth, r + halfwidth
+    lo, hi = r - _BETA_HALFWIDTH, r + _BETA_HALFWIDTH
     if isinstance(model, InvariantInterval):
         margin = 1e-6 * (model.b - model.a)
         lo = max(lo, model.a + margin)
         hi = min(hi, model.b - margin)
-    grid = GridFunction.zeros(lo, hi, n_nodes)
+    grid = GridFunction.zeros(lo, hi, _BETA_NODES)
     from_k, from_n = beta_profiles(spec, grid)
     bk, bn = float(from_k(r)), float(from_n(r))
     if abs(bk - bn) > 1e-6 + 100.0 * grid.step**2 * max(1.0, abs(bk)):
@@ -112,22 +113,12 @@ def eta_from_beta(beta: float, varsigma: float, b: float) -> PortfolioPolicy:
 
 
 def bonds_hjb_residual(spec: ProblemSpec, K: GridFunction) -> tuple[GridFunction, GridFunction]:
-    """Residual of the bond-portfolio HJB
-    Q K + (alpha r - gamma) K + (1-alpha) K^{alpha/(alpha-1)}
-    + alpha sigma^2 (K')^2 / (2 (1-alpha) K) on the interior nodes."""
+    """Residual of the bond-portfolio HJB: hjb_residual's
+    Q K + (alpha r - gamma) K + (1-alpha) K^{alpha/(alpha-1)} plus the exposure
+    term alpha sigma^2 (K')^2 / (2 (1-alpha) K), on the interior nodes."""
+    base, _ = hjb_residual(spec, K)
     mid = K.values[1:-1]
-    if np.any(mid <= 0):
-        raise ValueError("K must be strictly positive on interior nodes")
-    nodes = K.nodes[1:-1]
-    d1, d2 = grid_derivatives(K)
-    q = generator_apply(spec.model, mid, d1, d2, nodes)
-    sig = np.asarray(diffusion(spec.model, nodes))
-    raw = (
-        q
-        + (spec.alpha * state_rate(spec.model, nodes) - spec.gamma) * mid
-        + (1.0 - spec.alpha) * np.power(mid, spec.alpha / (spec.alpha - 1.0))
-        + spec.alpha * sig**2 * d1**2 / (2.0 * (1.0 - spec.alpha) * mid)
-    )
-    rel = raw / (1.0 + np.abs(mid))
-    gf = GridFunction(nodes[0], nodes[-1], raw)
-    return gf, gf.with_values(rel)
+    d1, _ = grid_derivatives(K)
+    sig = np.asarray(diffusion(spec.model, K.nodes[1:-1]))
+    raw = base.values + spec.alpha * sig**2 * d1**2 / (2.0 * (1.0 - spec.alpha) * mid)
+    return base.with_values(raw), base.with_values(raw / (1.0 + np.abs(mid)))

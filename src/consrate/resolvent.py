@@ -18,15 +18,8 @@ from typing import Union
 import numpy as np
 import scipy.linalg
 
-from .errors import InfeasibleProblem
-from .gaussian import (
-    envelope_rate,
-    extend_with_envelope,
-    fk_kernel_weight,
-    gamma_thresholds,
-    ou_moments,
-    theta_growth,
-)
+from .feasibility import require_finite_N, theta_growth
+from .gaussian import envelope_rate, extend_with_envelope, fk_kernel_weight, ou_moments
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, Vasicek, diffusion, drift, state_rate
 from .simulate import _euler_paths, _exact_paths
@@ -430,16 +423,12 @@ def solve_linear_fk_ode(
 
     Serves as the supersolution N for the interval model (no closed-form
     transition density exists there) and as a cross-check of the Vasicek
-    quadrature N. Boundary rules match resolvent_fd.
+    quadrature N. Boundary rules match resolvent_fd. Raises
+    InfeasibleProblem unless feasibility.n_condition holds.
     """
+    require_finite_N(spec)
     model = spec.model
     al, g = spec.alpha, spec.gamma
-    if isinstance(model, Constant) and g <= al * model.r:
-        raise InfeasibleProblem("need gamma > alpha * r")
-    if isinstance(model, InvariantInterval) and g <= al * model.b:
-        raise InfeasibleProblem("need gamma > alpha * b for the interval model")
-    if isinstance(model, Vasicek) and spec.gamma <= gamma_thresholds(spec)[0]:
-        raise InfeasibleProblem("need gamma > gamma_1 for the Vasicek model")
     if grid is None:
         if isinstance(model, InvariantInterval):
             grid = GridFunction.zeros(model.a, model.b, n_nodes)

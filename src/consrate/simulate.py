@@ -14,11 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, HorizonError, InfeasibleProblem
-from .feasibility import Feasibility, classify
-from .gaussian import _cov_shape, _int_decay_shape, _var_h_shape, exp_h_moment, ou_moments
+from .errors import DivergenceError, HorizonError
+from .feasibility import classify
+from .gaussian import _cov_shape, _int_decay_shape, _var_h_shape, exp_h_moment
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, ShortRateModel, Vasicek, diffusion, domain, drift
+
+# paths per estimate_J batch and per joint_moment_sample block
+_J_BATCH = 256
+_MOMENT_BLOCK = 100_000
 
 
 @dataclass(frozen=True)
@@ -264,8 +268,6 @@ def estimate_J(
     r0: float,
     v: float,
     cfg: PathConfig,
-    *,
-    batch: int = 256,
 ) -> JEstimate:
     """Monte Carlo value of a proportional policy:
     J = v^alpha E int_0^T e^{-gamma t} c_t^alpha e^{alpha int (r - c)} dt.
@@ -279,9 +281,7 @@ def estimate_J(
     divergence guard, which aborts when the mean integrand grows over the
     final tenth of the horizon instead of decaying.
     """
-    gate = classify(ProblemSpec(spec.model, spec.alpha, spec.gamma, "A"))
-    if gate.verdict is Feasibility.INFINITE:
-        raise InfeasibleProblem(f"feasibility verdict is {gate.verdict.name}: {gate.reason}")
+    classify(spec).require(allow_unknown=True)
     if np.any(policy_c.values < 0):
         raise ValueError("the consumption policy must be nonnegative")
     if v <= 0:
@@ -294,7 +294,7 @@ def estimate_J(
     mean_profile = np.zeros(n_steps + 1)
     done = 0
     while done < cfg.n_paths:
-        nb = min(batch, cfg.n_paths - done)
+        nb = min(_J_BATCH, cfg.n_paths - done)
         r, h, _ = _scheme_batch(spec.model, r0, cfg, n_steps, _path_rngs(cfg.seed, done, nb))
         c = policy_c(r)
         np.maximum(c, 0.0, out=c)
@@ -362,9 +362,7 @@ def estimate_KL_mc(spec: ProblemSpec, r0: float, cfg: PathConfig, *, chunk: int 
         raise ValueError("estimate_KL_mc is implemented for the Vasicek model")
     if r0 <= 0:
         raise ValueError("r0 must be positive (the functional is 1 at the boundary)")
-    gate = classify(ProblemSpec(spec.model, spec.alpha, spec.gamma, "A"))
-    if gate.verdict is not Feasibility.FINITE:
-        raise InfeasibleProblem(f"feasibility verdict is {gate.verdict.name}")
+    classify(spec).require()
     al, g, dt = spec.alpha, spec.gamma, cfg.dt
     bridge = 2.0 / (spec.model.sigma**2 * dt)
     max_steps = int(round(cfg.t_max / dt))
@@ -426,7 +424,6 @@ def joint_moment_sample(
     *,
     n_steps: int = 8,
     seed: int = 0,
-    block: int = 100_000,
 ) -> dict:
     """Sampling oracle for ou_moments: empirical moments of (r_t, h_t) from
     composed exact increments, with exact normal-theory standard errors.
@@ -439,7 +436,7 @@ def joint_moment_sample(
     ss = np.zeros(3)  # sum r^2, sum h^2, sum r h
     done = 0
     while done < n_paths:
-        nb = min(block, n_paths - done)
+        nb = min(_MOMENT_BLOCK, n_paths - done)
         r, h = _exact_paths(model, r0, dt, rng.standard_normal((nb, n_steps, 2)))
         r_end, h_end = r[:, -1], h[:, -1]
         s += [r_end.sum(), h_end.sum()]

@@ -50,6 +50,19 @@ def test_feasibility_prints_thresholds(tmp_path):
     assert "verdict=finite" in record
 
 
+def test_interval_boundary_verdict_agrees_between_commands(tmp_path):
+    # gamma = alpha b = 0.27 up to rounding: the gate and the supersolution
+    # must take the same side of the rule
+    interval = [
+        "--set", "model.kind=interval", "--set", "model.a=0", "--set", "model.b=0.9",
+        "--set", "model.kappa=1", "--set", "model.sigma=1",
+        "--set", "problem.alpha=0.3", "--set", "problem.gamma=0.27",
+    ]
+    feas = run_cli("--output", "o", *interval, "feasibility", cwd=tmp_path)
+    solve = run_cli("--output", "o", *interval, "solve-c", cwd=tmp_path)
+    assert feas.returncode == solve.returncode == 3, feas.stdout + solve.stdout
+
+
 def test_solve_writes_artifacts_and_invariants(tmp_path):
     r = run_cli("--output", "o", *FAST_SOLVE, "solve", cwd=tmp_path)
     assert r.returncode == 0, r.stdout + r.stderr

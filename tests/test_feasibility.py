@@ -12,7 +12,9 @@ from consrate import (
     classify,
     constant_rate_solution,
     necessary_condition_probe,
+    solve_linear_fk_ode,
     sufficient_condition_search,
+    supersolution_N,
 )
 
 VAS = Vasicek(0.03, 0.5, 0.02)
@@ -132,3 +134,47 @@ def test_sufficient_search_finds_pair_at_paper_parameters():
 def test_sufficient_search_collapses_near_alpha_one():
     spec = ProblemSpec(Vasicek(0.03, 0.5, 0.5), 0.999, 0.5, "A")
     assert sufficient_condition_search(spec) is None
+
+
+# (alpha, b, gamma) with gamma = alpha b up to one rounding, on either side
+INTERVAL_BOUNDARY = [(0.3, 0.9, 0.27), (0.21, 0.59, 0.1239), (0.8, 0.57, 0.456)]
+
+
+def _returns(fn) -> bool:
+    try:
+        fn()
+    except InfeasibleProblem:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("alpha, b, gamma", INTERVAL_BOUNDARY)
+def test_interval_verdict_agrees_with_supersolution_at_the_boundary(alpha, b, gamma):
+    spec = ProblemSpec(InvariantInterval(0.0, b, 1.0, 1.0), alpha, gamma, "C")
+    finite = classify(spec).verdict is Feasibility.FINITE
+    assert _returns(lambda: supersolution_N(spec, 0.5 * b)) is finite
+    assert _returns(lambda: solve_linear_fk_ode(spec, n_nodes=201)) is finite
+
+
+def test_interval_reason_shows_the_compared_values():
+    box = InvariantInterval(0.0, 0.9, 1.0, 1.0)
+    rep = classify(ProblemSpec(box, 0.3, 0.27, "A"))
+    assert rep.verdict is Feasibility.UNKNOWN
+    assert "gamma = 0.27 <= alpha b = 0.27" in rep.reason
+    box = InvariantInterval(0.0, 0.59, 1.0, 1.0)
+    rep = classify(ProblemSpec(box, 0.21, 0.1239, "A"))
+    assert rep.verdict is Feasibility.FINITE
+    assert "gamma = 0.1239 > alpha b = 0.12389999999999998" in rep.reason
+
+
+def test_require_lets_through_only_what_the_policy_allows():
+    finite = classify(ProblemSpec(VAS, 0.5, 1.5304, "A"))
+    unknown = classify(ProblemSpec(VAS, 0.5, 0.05, "A"))
+    infinite = classify(ProblemSpec(DriftedBM(0.01, 0.2), 0.5, 3.0, "A"))
+    finite.require()
+    unknown.require(allow_unknown=True)
+    with pytest.raises(InfeasibleProblem, match="UNKNOWN"):
+        unknown.require()
+    for allow in (False, True):
+        with pytest.raises(InfeasibleProblem, match="INFINITE"):
+            infinite.require(allow_unknown=allow)

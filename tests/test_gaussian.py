@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,19 @@ def test_supersolution_interval_bounds():
     n = supersolution_N(spec, np.linspace(0.002, 0.098, 25))
     assert np.all(n >= 5.0 - 1e-6)
     assert np.all(n <= 10.0 + 1e-6)
+
+
+def test_supersolution_peak_memory_on_mid_nodes():
+    # the 251 nodes of the mid solve (grid.n=151 padded by 0.05 each side):
+    # var_h depends on t only, so no (chunk, nodes) array should hold it
+    nodes = GridFunction.zeros(-0.05, 0.2, 251).nodes
+    tracemalloc.start()
+    try:
+        supersolution_N(PAPER, nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 55 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_supersolution_infeasible_raises():
