@@ -2,14 +2,16 @@
 
 The Vasicek pair (r_t, h_t) advances by exact joint-Gaussian increments (no
 discretization bias in the state), other models by Euler steps. Paths are
-reproducible: path k draws from seed + k, and reductions use a fixed order,
-so any parallel split over paths would match the serial result.
+reproducible: path k draws from seed + k. estimate_J runs its paths in
+blocks on a thread pool and reduces the blocks' results in block order, so
+its estimate is bitwise the same for any number of workers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +22,11 @@ from .gaussian import _cov_shape, _int_decay_shape, _var_h_shape, exp_h_moment
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, ShortRateModel, Vasicek, diffusion, domain, drift
 
-# paths per estimate_J batch and per joint_moment_sample block
+# paths per estimate_J block, the unit of work of its thread pool; the blocks
+# fix the order in which J is summed, so this stays a constant rather than a
+# setting: another size would change J in its last bits
 _J_BATCH = 256
+# paths per joint_moment_sample block
 _MOMENT_BLOCK = 100_000
 
 
@@ -32,6 +37,7 @@ class PathConfig:
     n_paths: int
     seed: int
     scheme: str = "exact"
+    workers: int = 0  # estimate_J threads: at most this many, 0 for one per available core
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_max < self.dt:
@@ -40,6 +46,16 @@ class PathConfig:
             raise ValueError("need at least one path")
         if self.scheme not in ("exact", "euler"):
             raise ValueError("scheme must be 'exact' or 'euler'")
+        if self.workers < 0:
+            raise ValueError(f"workers must be >= 0 (0 means one per available core), got {self.workers}")
+
+    @property
+    def pool_workers(self) -> int:
+        """Threads estimate_J runs on: workers (all available cores for 0),
+        capped at the available cores and at the number of path blocks."""
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        blocks = -(-self.n_paths // _J_BATCH)
+        return min(self.workers or cores, cores, blocks)
 
 
 @dataclass
@@ -100,28 +116,40 @@ def _exact_step_params(model: Vasicek, dt: float):
     return phi, m_r, c_h, m_h, chol
 
 
-def _exact_paths(model: Vasicek, r0, dt: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _exact_filter(model: Vasicek, r0, dt: float, x: np.ndarray, noise_h) -> tuple[np.ndarray, np.ndarray]:
     """Exact (r, h) paths, shape (batch, n_steps + 1), from start rates r0 (a
-    scalar or one per path) driven by standard normals z of shape
-    (batch, n_steps, 2); h starts at 0. Every Vasicek sampler goes through here."""
+    scalar or one per path) and the rate and h parts of the correlated noise
+    z @ chol.T: x[:, 1:] holds the rate part and noise_h, shape
+    (batch, n_steps), the h part. x is overwritten and returned as h, so a
+    block holds three path-sized arrays at its peak: x, noise_h and r.
+    Every Vasicek sampler goes through here."""
     # imported here rather than at module level: only path sampling needs it,
     # and it made `import consrate.cli` take 1.75 s instead of 0.55 s (2-core VM)
     import scipy.signal
 
-    phi, m_r, c_h, m_h, chol = _exact_step_params(model, dt)
-    batch = z.shape[0]
-    noise = z @ chol.T
-    # every caller passes z inline, so dropping it here frees the normals
-    # before the filter runs: one (batch, n_steps, 2) array less at peak
-    del z
-    r_start = np.empty((batch, 1))
-    r_start[:, 0] = r0
-    x = m_r + noise[:, :, 0]
-    r_tail, _ = scipy.signal.lfilter([1.0], [1.0, -phi], x, axis=1, zi=phi * r_start)
-    r = np.concatenate([r_start, r_tail], axis=1)
-    dh = c_h * r[:, :-1] + m_h + noise[:, :, 1]
-    h = np.concatenate([np.zeros((batch, 1)), np.cumsum(dh, axis=1)], axis=1)
+    phi, m_r, c_h, m_h, _ = _exact_step_params(model, dt)
+    x[:, 1:] += m_r
+    # r_0 enters as the first input with a zero filter state, which gives the
+    # same arithmetic as filtering x[:, 1:] from the state phi r_0
+    x[:, 0] = r0
+    r = scipy.signal.lfilter([1.0], [1.0, -phi], x, axis=1)
+    h, dh = x, x[:, 1:]
+    np.multiply(r[:, :-1], c_h, out=dh)
+    dh += m_h
+    dh += noise_h
+    h[:, 0] = 0.0
+    np.cumsum(dh, axis=1, out=dh)
     return r, h
+
+
+def _exact_paths(model: Vasicek, r0, dt: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (r, h) paths, shape (batch, n_steps + 1), from start rates r0
+    driven by standard normals z of shape (batch, n_steps, 2); h starts at 0."""
+    noise = z @ _exact_step_params(model, dt)[4].T
+    del z  # callers pass z inline, so this frees the normals before the filter runs
+    x = np.empty((noise.shape[0], noise.shape[1] + 1))
+    x[:, 1:] = noise[:, :, 0]
+    return _exact_filter(model, r0, dt, x, noise[:, :, 1])
 
 
 def _normals(rngs, shape: tuple) -> np.ndarray:
@@ -133,8 +161,17 @@ def _normals(rngs, shape: tuple) -> np.ndarray:
 
 
 def _exact_batch(model: Vasicek, r0: float, dt: float, n_steps: int, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (r, h) paths, shape (batch, n_steps + 1), one rng per path."""
-    return _exact_paths(model, r0, dt, _normals(rngs, (n_steps, 2)))
+    """Exact (r, h) paths, shape (batch, n_steps + 1), one rng per path. Each
+    path's correlated noise goes straight into the filter's buffers, so no
+    (batch, n_steps, 2) array of normals is ever held."""
+    chol_t = _exact_step_params(model, dt)[4].T
+    x = np.empty((len(rngs), n_steps + 1))
+    noise_h = np.empty((len(rngs), n_steps))
+    for i, rng in enumerate(rngs):
+        noise = rng.standard_normal((n_steps, 2)) @ chol_t
+        x[i, 1:] = noise[:, 0]
+        noise_h[i] = noise[:, 1]
+    return _exact_filter(model, r0, dt, x, noise_h)
 
 
 def _euler_paths(model: ShortRateModel, r0: np.ndarray, dt: float, z: np.ndarray):
@@ -262,6 +299,35 @@ def _horizon_steps(spec: ProblemSpec, policy_c: GridFunction, r0: float, cfg: Pa
     return int(np.argmax(ok))
 
 
+def _j_block(spec: ProblemSpec, policy_c: GridFunction, r0: float, cfg: PathConfig, times: np.ndarray, start: int):
+    """Per-path integrals and the summed integrand profile of the estimate_J
+    block of paths start, ..., start + _J_BATCH - 1 (fewer in the last block).
+
+    integrand = exp(-g t + al (h - int c)) c^al, with int c the trapezoid of c,
+    is formed in place, and r and h are dropped as soon as they are used, so
+    the block, like the exact engine, peaks at three path-sized arrays."""
+    al, g = spec.alpha, spec.gamma
+    nb = min(_J_BATCH, cfg.n_paths - start)
+    r, h, _ = _scheme_batch(spec.model, r0, cfg, times.size - 1, _path_rngs(cfg.seed, start, nb))
+    c = policy_c(r)
+    del r
+    np.maximum(c, 0.0, out=c)
+    integrand = np.zeros_like(c)
+    int_c = integrand[:, 1:]
+    np.add(c[:, 1:], c[:, :-1], out=int_c)
+    int_c *= 0.5
+    int_c *= cfg.dt
+    np.cumsum(int_c, axis=1, out=int_c)
+    np.subtract(h, integrand, out=integrand)
+    del h
+    integrand *= al
+    integrand += -g * times
+    np.exp(integrand, out=integrand)
+    integrand *= np.power(c, al, out=c)
+    del c
+    return np.trapezoid(integrand, dx=cfg.dt, axis=1), integrand.sum(axis=0)
+
+
 def estimate_J(
     spec: ProblemSpec,
     policy_c: GridFunction,
@@ -276,11 +342,18 @@ def estimate_J(
     bound of _horizon_steps shows that the rest of the integral is below J's
     rounding unit; JEstimate.horizon reports it.
 
+    The paths run in blocks of _J_BATCH on cfg.pool_workers threads. The
+    blocks' results are reduced in block order, so the estimate is bitwise
+    the same for any worker count.
+
     Provably infinite problems are rejected outright; Unknown verdicts are
     allowed through (the estimator is how one probes them) and rely on the
     divergence guard, which aborts when the mean integrand grows over the
     final tenth of the horizon instead of decaying.
     """
+    # imported here, not at module level, so that `import consrate.cli` stays lean
+    import concurrent.futures
+
     classify(spec).require(allow_unknown=True)
     if np.any(policy_c.values < 0):
         raise ValueError("the consumption policy must be nonnegative")
@@ -292,30 +365,14 @@ def estimate_J(
     sums = 0.0
     j_all = np.empty(cfg.n_paths)
     mean_profile = np.zeros(n_steps + 1)
-    done = 0
-    while done < cfg.n_paths:
-        nb = min(_J_BATCH, cfg.n_paths - done)
-        r, h, _ = _scheme_batch(spec.model, r0, cfg, n_steps, _path_rngs(cfg.seed, done, nb))
-        c = policy_c(r)
-        np.maximum(c, 0.0, out=c)
-        # integrand = exp(-g t + al (h - int c)) c^al with int c the trapezoid
-        # of c, computed in place: the same operations in the same order
-        dc = c[:, 1:] + c[:, :-1]
-        dc *= 0.5
-        dc *= cfg.dt
-        integrand = np.zeros_like(c)
-        np.cumsum(dc, axis=1, out=integrand[:, 1:])
-        del dc
-        np.subtract(h, integrand, out=integrand)
-        integrand *= al
-        integrand += -g * times
-        np.exp(integrand, out=integrand)
-        integrand *= np.power(c, al, out=c)
-        j_paths = np.trapezoid(integrand, dx=cfg.dt, axis=1)
-        sums += float(np.sum(j_paths))
-        j_all[done : done + nb] = j_paths
-        mean_profile += integrand.sum(axis=0)
-        done += nb
+    starts = range(0, cfg.n_paths, _J_BATCH)
+    block = functools.partial(_j_block, spec, policy_c, r0, cfg, times)
+    with concurrent.futures.ThreadPoolExecutor(cfg.pool_workers) as pool:
+        # map yields in submission order, which fixes the summation order
+        for start, (j_paths, profile) in zip(starts, pool.map(block, starts)):
+            sums += float(np.sum(j_paths))
+            j_all[start : start + j_paths.size] = j_paths
+            mean_profile += profile
     mean_profile /= cfg.n_paths
     tail_window = max(n_steps // 10, 1)
     last = float(np.mean(mean_profile[-tail_window:]))

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -310,3 +311,31 @@ def test_trace_csv_records_lambda(tmp_path):
     trace = read_csv(tmp_path / "o" / "trace.csv")
     # desk schedule: lambda_m = alpha m + eps2 with alpha = 0.5, eps2 = 1e-5
     assert np.allclose(trace["lam"], 0.5 * trace["m"] + 1e-5, rtol=1e-12, atol=0.0)
+
+
+def test_negative_threads_rejected_before_any_work(tmp_path):
+    # no solution.csv: a load before the check would exit 5
+    for flags in (["--threads", "-1"], ["--set", "threads=-3"]):
+        r = run_cli("--output", "o", *flags, "estimate", cwd=tmp_path)
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert f"got {flags[-1].split('=')[-1]}" in r.stdout
+        assert not (tmp_path / "o").exists()
+
+
+def test_estimate_same_record_across_threads(tmp_path):
+    assert run_cli("--output", "o", *FAST_SOLVE, "solve", cwd=tmp_path).returncode == 0
+    records = {}
+    for threads in ("1", "2"):
+        r = run_cli(
+            "--output", "o", "--threads", threads, "--seed", "99",
+            "--set", "paths.dt=0.01", "--set", "paths.t_max=30", "--set", "paths.n_paths=600",
+            "estimate",
+            cwd=tmp_path,
+        )
+        assert r.returncode in (0, 1), r.stdout + r.stderr
+        assert f"workers={min(int(threads), len(os.sched_getaffinity(0)))} " in r.stdout
+        assert float(r.stdout.split("paths_per_s=")[1].split()[0]) > 0
+        text = (tmp_path / "o" / "estimate.txt").read_text()
+        assert "workers=" not in text and "paths_per_s=" not in text
+        records[threads] = [line for line in text.splitlines() if not line.startswith("threads=")]
+    assert records["1"] == records["2"]

@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +168,49 @@ def test_estimate_j_divergence_guard():
     cfg = PathConfig(dt=0.01, t_max=500.0, n_paths=20, seed=19)
     with pytest.raises(DivergenceError):
         estimate_J(spec, flat_policy(1e-9), 0.05, 1.0, cfg)
+
+
+def test_estimate_j_bitwise_across_workers():
+    # 600 paths make blocks of 256, 256 and a ragged 88
+    pol = GridFunction(0.0, 0.15, np.linspace(2.0, 4.0, 9))
+    for scheme in ("exact", "euler"):
+        cfgs = [PathConfig(dt=0.01, t_max=30.0, n_paths=600, seed=5, scheme=scheme, workers=w) for w in (1, 2, 3)]
+        runs = [estimate_J(PAPER_A, pol, 0.05, 3.0, cfg) for cfg in cfgs]
+        for est in runs[1:]:
+            assert (est.mean, est.se, est.tail_bound, est.horizon) == (
+                runs[0].mean, runs[0].se, runs[0].tail_bound, runs[0].horizon
+            )
+    # the divergence guard reads the reduced profile, which is the same on any split
+    spec = ProblemSpec(VAS, 0.5, 0.02, "A")
+    for w in (1, 2):
+        cfg = PathConfig(dt=0.05, t_max=200.0, n_paths=600, seed=19, workers=w)
+        with pytest.raises(DivergenceError):
+            estimate_J(spec, flat_policy(1e-9), 0.05, 1.0, cfg)
+
+
+def test_path_config_workers():
+    with pytest.raises(ValueError, match="got -1"):
+        PathConfig(dt=0.01, t_max=1.0, n_paths=600, seed=1, workers=-1)
+    cores = len(os.sched_getaffinity(0))
+    assert PathConfig(dt=0.01, t_max=1.0, n_paths=600, seed=1).pool_workers == min(cores, 3)
+    assert PathConfig(dt=0.01, t_max=1.0, n_paths=600, seed=1, workers=64).pool_workers == min(cores, 3)
+    assert PathConfig(dt=0.01, t_max=1.0, n_paths=600, seed=1, workers=1).pool_workers == 1
+    assert PathConfig(dt=0.01, t_max=1.0, n_paths=20, seed=1, workers=8).pool_workers == 1
+
+
+def test_exact_batch_peak_memory():
+    # one estimate_J block: 256 paths of 2000 steps must stay under six
+    # (256, 2001) arrays; holding the (batch, n, 2) normals and their
+    # correlated copy took about eight
+    n_steps = 2000
+    _exact_batch(VAS, 0.05, 0.0025, 10, _path_rngs(1, 0, 2))  # imports and caches outside the window
+    tracemalloc.start()
+    try:
+        _exact_batch(VAS, 0.05, 0.0025, n_steps, _path_rngs(1, 0, 256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 256 * (n_steps + 1) * 8
 
 
 def test_estimate_j_infeasible_gate():
