@@ -158,6 +158,7 @@ def build_backend(cfg: dict):
             t_max=cfg["quad.t_max"],
             dy=cfg["quad.dy"],
             y_halfwidth=None if hw in ("", None) else float(hw),
+            workers=cfg["threads"],
         )
     if name == "fd":
         return FiniteDifference()
@@ -443,7 +444,7 @@ def _add_common(parser, suppress: bool) -> None:
     parser.add_argument("--set", action="append", default=d(None), metavar="KEY=VALUE", help="override one configuration key")
     parser.add_argument("--profile", choices=sorted(PROFILES), default=d("desk"))
     parser.add_argument("--seed", type=int, default=d(None))
-    parser.add_argument("--threads", type=int, default=d(None), help="estimate's worker threads (0, the default: one per available core); no effect on other commands")
+    parser.add_argument("--threads", type=int, default=d(None), help="worker threads of estimate and of solve's quadrature operator build (0, the default: one per available core); no effect on other commands")
     parser.add_argument("--output", default=d("out"), help="artifact directory")
     parser.add_argument("--force", action="store_true", default=d(False), help="solve despite a non-finite feasibility verdict")
 

@@ -22,6 +22,11 @@ _PAD_SIGMAS = 6.0
 # supersolution_N: time step and relative cutoff of the Vasicek integral
 _N_DT = 1e-3
 _N_CUTOFF = 1e-14
+# fk_kernel_weight: floats per fill when t runs along the leading axis (whole
+# time cells, at least one); each ufunc call is then long enough to release
+# the GIL for a while (the operator build fills its node tiles on several
+# threads) while the temporaries stay in cache
+_FILL_FLOATS = 2**16
 
 
 @dataclass(frozen=True)
@@ -124,8 +129,9 @@ def fk_kernel_weight(spec: ProblemSpec, t, r, y, out=None):
     the broadcast shape, receives the values instead of a new array.
 
     When t runs along the leading axis only, as in a (cells, nodes, y) block,
-    the kernel is filled one time value at a time: the factors that depend on
-    t alone are then scalars, and the temporaries stay the size of one cell.
+    the kernel is filled a few time values at a time (about _FILL_FLOATS
+    values), with the factors that depend on t alone as (cells, 1, 1)
+    columns, so that the temporaries stay small.
     """
     t = _checked_times(spec.model, t)
     if not np.all(t > 0):
@@ -145,9 +151,11 @@ def fk_kernel_weight(spec: ProblemSpec, t, r, y, out=None):
     expo = np.empty(shape) if out is None else out
     if expo.ndim and t.ndim == expo.ndim and t.size == expo.shape[0] > 1:
         y = np.broadcast_to(y, shape)
-        dev = np.empty(shape[1:])
-        for j, (s, h) in enumerate(zip(scale.ravel().tolist(), shift.ravel().tolist())):
-            _fill_kernel(expo[j], dev, y[j], mean_r[j], s, h, base[j])
+        cells = min(t.size, max(1, _FILL_FLOATS // max(1, expo[0].size)))
+        dev = np.empty((cells,) + shape[1:])
+        for j0 in range(0, t.size, cells):
+            j = slice(j0, j0 + cells)
+            _fill_kernel(expo[j], dev[: t.size - j0], y[j], mean_r[j], scale[j], shift[j], base[j])
     else:
         _fill_kernel(expo, np.empty(shape), y, mean_r, scale, shift, base)
     return expo if expo.ndim else expo[()]

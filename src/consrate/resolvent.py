@@ -10,6 +10,8 @@ cross-check of the two, not a solver backend.
 
 from __future__ import annotations
 
+import concurrent.futures
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -22,6 +24,7 @@ from .feasibility import require_finite_N, theta_growth
 from .gaussian import envelope_rate, extend_with_envelope, fk_kernel_weight, ou_moments
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, Vasicek, diffusion, drift, state_rate
+from .parallel import one_blas_thread, pool_size
 from .simulate import _euler_paths, _exact_paths
 
 
@@ -33,12 +36,15 @@ class Quadrature:
     t_max: float = 12.0
     dy: float = 0.002
     y_halfwidth: float | None = None
+    workers: int = 0  # operator build threads: at most this many, 0 for one per available core
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_max < self.dt or self.dy <= 0:
             raise ValueError("quadrature steps and horizon must be positive")
         if self.y_halfwidth is not None and not self.y_halfwidth > 0:
             raise ValueError(f"quad.y_halfwidth must be positive, got {self.y_halfwidth:g}")
+        if self.workers < 0:
+            raise ValueError(f"workers must be >= 0 (0 means one per available core), got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,15 @@ class QuadratureOperator:
     tile's cells are done, the y trapezoid and the extension onto the y mesh
     turn the accumulator into the tile's rows of every R(lambda). Tile and
     block are sized by ``_BLOCK_FLOATS`` so that both stay in cache.
+
+    Each tile is one task on a pool of ``workers`` threads (``backend.workers``
+    capped by parallel.pool_size). A task owns its kernel block and its
+    accumulator and writes only its own rows, and the tiles and blocks do not
+    depend on the worker count, so R(lambda) is bitwise the same for any
+    count. The build runs with OpenBLAS on one thread, which also keeps
+    R(lambda) independent of BLAS's own thread count (at the paper profile's
+    sizes the GEMM's last bits depend on it); where that setting cannot be
+    found, the build runs on one worker and BLAS as it is.
     """
 
     def __init__(self, spec: ProblemSpec, grid: GridFunction, backend: Quadrature, lams):
@@ -194,29 +209,49 @@ class QuadratureOperator:
         per_block = max(1, min(n_steps, _BLOCK_FLOATS // (tile * n_y)))
         self.node_tile, self.block_cells = tile, per_block
         self._mats = np.empty((n_lam, n_r, n_r))
-        buf = np.empty(per_block * tile * n_y)
-        for i0 in range(0, n_r, tile):
-            i1 = min(i0 + tile, n_r)
-            width = (i1 - i0) * n_y
-            r = self.nodes[None, i0:i1, None]
-            # dgemm updates c in place only when c is Fortran-contiguous, and
-            # silently works on a copy otherwise: every tile, the ragged last
-            # one too, gets its own accumulator, and acc is rebound to the result
-            acc = np.zeros((width, n_lam), order="F")
-            for start in range(0, n_steps, per_block):
-                stop = min(start + per_block, n_steps)
-                block = buf[: (stop - start) * width].reshape(stop - start, i1 - i0, n_y)
-                fk_kernel_weight(spec, self.times[start:stop, None, None], r, self.y[None, None, :], block)
-                # acc^T += coef[:, start:stop] @ block
-                acc = scipy.linalg.blas.dgemm(
-                    1.0, block.reshape(stop - start, width).T, coef[:, start:stop].T, beta=1.0, c=acc, overwrite_c=True
-                )
-            self._mats[:, i0:i1] = (acc.T.reshape(n_lam * (i1 - i0), n_y) @ ext).reshape(n_lam, i1 - i0, n_r)
+        tiles = [(i0, min(i0 + tile, n_r)) for i0 in range(0, n_r, tile)]
+        build = functools.partial(self._build_tile, coef, ext)
+        with one_blas_thread() as pinned:
+            self.workers = pool_size(backend.workers, len(tiles)) if pinned else 1
+            with concurrent.futures.ThreadPoolExecutor(self.workers) as pool:
+                seconds = list(pool.map(build, tiles))
+        self.kernel_s, self.gemm_s = (sum(s) for s in zip(*seconds))
         self._level = {lam: i for i, lam in enumerate(lams)}
         self.build_s = time.perf_counter() - started
 
+    def _build_tile(self, coef: np.ndarray, ext, nodes: tuple[int, int]) -> tuple[float, float]:
+        """Write rows i0:i1 of every R(lambda); return the seconds spent in
+        kernel fills and in GEMMs."""
+        i0, i1 = nodes
+        n_lam, n_y, per_block = coef.shape[0], self.y.size, self.block_cells
+        width = (i1 - i0) * n_y
+        r = self.nodes[None, i0:i1, None]
+        buf = np.empty(per_block * width)
+        # dgemm updates c in place only when c is Fortran-contiguous, and
+        # silently works on a copy otherwise: every tile, the ragged last one
+        # too, gets its own accumulator, and acc is rebound to the result
+        acc = np.zeros((width, n_lam), order="F")
+        kernel_s = gemm_s = 0.0
+        for start in range(0, self.n_steps, per_block):
+            stop = min(start + per_block, self.n_steps)
+            block = buf[: (stop - start) * width].reshape(stop - start, i1 - i0, n_y)
+            t0 = time.perf_counter()
+            fk_kernel_weight(self.spec, self.times[start:stop, None, None], r, self.y[None, None, :], block)
+            t1 = time.perf_counter()
+            # acc^T += coef[:, start:stop] @ block
+            acc = scipy.linalg.blas.dgemm(
+                1.0, block.reshape(stop - start, width).T, coef[:, start:stop].T, beta=1.0, c=acc, overwrite_c=True
+            )
+            t2 = time.perf_counter()
+            kernel_s += t1 - t0
+            gemm_s += t2 - t1
+        self._mats[:, i0:i1] = (acc.T.reshape(n_lam * (i1 - i0), n_y) @ ext).reshape(n_lam, i1 - i0, self.nodes.size)
+        return kernel_s, gemm_s
+
     def telemetry(self) -> dict:
-        """Sizes and build time of the operator, as written to run_record.txt."""
+        """Sizes, worker count and build times of the operator, as written to
+        run_record.txt; kernel_s and gemm_s are thread-seconds summed over
+        the tiles."""
         return {
             "n_r": self.nodes.size,
             "n_y": self.y.size,
@@ -224,6 +259,9 @@ class QuadratureOperator:
             "node_tile": self.node_tile,
             "lambda_levels": len(self._mats),
             "build_s": f"{self.build_s:.3f}",
+            "workers": self.workers,
+            "kernel_s": f"{self.kernel_s:.3f}",
+            "gemm_s": f"{self.gemm_s:.3f}",
         }
 
     def _coefficients(self, lam: float) -> np.ndarray:

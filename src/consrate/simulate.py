@@ -9,9 +9,9 @@ its estimate is bitwise the same for any number of workers.
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +21,7 @@ from .feasibility import classify
 from .gaussian import _cov_shape, _int_decay_shape, _var_h_shape, exp_h_moment
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, ShortRateModel, Vasicek, diffusion, domain, drift
+from .parallel import pool_size
 
 # paths per estimate_J block, the unit of work of its thread pool; the blocks
 # fix the order in which J is summed, so this stays a constant rather than a
@@ -53,9 +54,7 @@ class PathConfig:
     def pool_workers(self) -> int:
         """Threads estimate_J runs on: workers (all available cores for 0),
         capped at the available cores and at the number of path blocks."""
-        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        blocks = -(-self.n_paths // _J_BATCH)
-        return min(self.workers or cores, cores, blocks)
+        return pool_size(self.workers, -(-self.n_paths // _J_BATCH))
 
 
 @dataclass
@@ -351,9 +350,6 @@ def estimate_J(
     divergence guard, which aborts when the mean integrand grows over the
     final tenth of the horizon instead of decaying.
     """
-    # imported here, not at module level, so that `import consrate.cli` stays lean
-    import concurrent.futures
-
     classify(spec).require(allow_unknown=True)
     if np.any(policy_c.values < 0):
         raise ValueError("the consumption policy must be nonnegative")

@@ -339,3 +339,27 @@ def test_estimate_same_record_across_threads(tmp_path):
         assert "workers=" not in text and "paths_per_s=" not in text
         records[threads] = [line for line in text.splitlines() if not line.startswith("threads=")]
     assert records["1"] == records["2"]
+
+
+def test_solve_same_answers_across_threads(tmp_path):
+    # the desk grid with FAST_SOLVE's steps: 126 operator nodes in two tiles
+    grid = ["--set", "grid.n=76", *FAST_SOLVE[2:]]
+    records = {}
+    for threads in ("1", "2"):
+        r = run_cli("--output", threads, "--threads", threads, *grid, "solve", cwd=tmp_path)
+        assert r.returncode == 0, r.stdout + r.stderr
+        records[threads] = dict(
+            line.split("=", 1) for line in (tmp_path / threads / "run_record.txt").read_text().splitlines()
+        )
+    assert int(records["1"]["operator.node_tile"]) < int(records["1"]["operator.n_r"])
+    assert records["1"]["operator.workers"] == "1"
+    assert 1 <= int(records["2"]["operator.workers"]) <= 2
+    for name in ("solution.csv", "figure1.svg"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    assert records["1"].keys() == records["2"].keys()
+    # the keys that may differ: the setting, the worker count and what is timed
+    free = {"threads", "operator.workers", "operator.build_s", "operator.kernel_s", "operator.gemm_s", "peak_rss_mb"}
+    assert free <= records["1"].keys()
+    assert {k: v for k, v in records["1"].items() if k not in free} == {
+        k: v for k, v in records["2"].items() if k not in free
+    }

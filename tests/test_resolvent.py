@@ -1,3 +1,6 @@
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from consrate import (
 )
 from consrate.gaussian import exp_h_moment, fk_kernel_weight
 from consrate.models import state_rate
-from consrate import resolvent
+from consrate import gaussian, parallel, resolvent
 from consrate.resolvent import QuadratureOperator
 
 VAS = Vasicek(0.03, 0.5, 0.02)
@@ -300,6 +303,73 @@ def test_quadrature_node_tiles_match_per_lambda_reference(monkeypatch):
         mat, _ = op.resolvent_matrix(lam)
         ref = reference_resolvent_matrix(op, grid, lam)
         assert np.max(np.abs(mat - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_quadrature_bitwise_across_workers(monkeypatch):
+    # seven levels and a block size that cut 61 nodes into tiles of 20 (the
+    # last tile holds one node) and 155 time cells into blocks of 7 (the last
+    # block holds one cell); a 20-node block is filled 4 + 3 cells at a time
+    grid = grid_unit(61)
+    lams = (LAM1, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0)
+    backend = quad_backend(t_max=3.1)
+    n_y = QuadratureOperator(PAPER, grid, backend, lams[:1]).y.size
+    monkeypatch.setattr(resolvent, "_BLOCK_FLOATS", len(lams) * 20 * n_y)
+    monkeypatch.setattr(gaussian, "_FILL_FLOATS", 4 * 20 * n_y)
+    # as many threads as asked for, even beyond the cores, switching often
+    monkeypatch.setattr(resolvent, "pool_size", lambda requested, tasks: min(requested, tasks))
+    interval = sys.getswitchinterval()
+    ops = {}
+    try:
+        sys.setswitchinterval(1e-5)
+        for workers in (1, 2, 3):
+            ops[workers] = QuadratureOperator(PAPER, grid, dataclasses.replace(backend, workers=workers), lams)
+            assert (ops[workers].node_tile, ops[workers].block_cells, ops[workers].n_steps) == (20, 7, 155)
+    finally:
+        sys.setswitchinterval(interval)
+    if parallel._openblas_set_threads() is not None:
+        assert [ops[w].workers for w in (1, 2, 3)] == [1, 2, 3]
+    for lam in lams:
+        mat, _ = ops[1].resolvent_matrix(lam)
+        for workers in (2, 3):
+            assert np.array_equal(ops[workers].resolvent_matrix(lam)[0], mat)
+        ref = reference_resolvent_matrix(ops[1], grid, lam)
+        assert np.max(np.abs(mat - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.skipif(parallel._openblas_set_threads() is None, reason="scipy's OpenBLAS thread setter not found")
+def test_build_runs_blas_on_one_thread_and_restores_it(monkeypatch):
+    set_threads = parallel._openblas_set_threads()
+
+    def blas_threads():
+        current = set_threads(1)
+        set_threads(current)
+        return current
+
+    seen = []
+
+    def recording_kernel(*args):
+        seen.append(blas_threads())
+        return fk_kernel_weight(*args)
+
+    grid = grid_unit(61)
+    lams = (LAM1, 1.5, 4.0)
+    backend = quad_backend(t_max=1.0)
+    n_y = QuadratureOperator(PAPER, grid, backend, lams[:1]).y.size
+    monkeypatch.setattr(resolvent, "_BLOCK_FLOATS", len(lams) * 20 * n_y)
+    monkeypatch.setattr(resolvent, "fk_kernel_weight", recording_kernel)
+    # two workers even on a one-core machine
+    monkeypatch.setattr(resolvent, "pool_size", lambda requested, tasks: min(requested, tasks))
+    original = blas_threads()
+    try:
+        set_threads(2)
+        for workers in (1, 2):
+            seen.clear()
+            op = QuadratureOperator(PAPER, grid, dataclasses.replace(backend, workers=workers), lams)
+            assert op.workers == workers
+            assert seen and set(seen) == {1}  # every fill ran while BLAS was on one thread
+            assert blas_threads() == 2
+    finally:
+        set_threads(original)
 
 
 def test_quadrature_rejects_nonpositive_y_halfwidth():
