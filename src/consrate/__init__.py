@@ -7,7 +7,7 @@ closed form, and Monte Carlo cross-validation of policies and hitting
 functionals.
 """
 
-from .errors import DivergenceError, HorizonError, InfeasibleProblem, MonotonicityError
+from .errors import DivergenceError, HorizonError, InfeasibleProblem, InsufficientMemory, MonotonicityError
 from .feasibility import (
     Feasibility,
     FeasibilityReport,

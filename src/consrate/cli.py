@@ -4,7 +4,8 @@ orchestration, and CSV/SVG artifact emission.
 Exit codes: feasibility 0=finite 2=infinite 3=unknown; solve 4 on a solver
 abort (2/3 when the feasibility gate blocks an infeasible/unknown spec);
 simulate/estimate/residual 5 when no solution file is present; estimate 0 when
-|z| <= 3, 1 otherwise, 2 on a divergence signal.
+|z| <= 3, 1 otherwise, 2 on a divergence signal; solve 6 when the quadrature
+operator would need more memory than the process may still take.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import feasibility as feas
 from . import hjb, portfolio, simulate
-from .errors import DivergenceError, InfeasibleProblem, MonotonicityError
+from .errors import DivergenceError, InfeasibleProblem, InsufficientMemory, MonotonicityError
 from .gaussian import supersolution_N
 from .grids import GridFunction
 from .models import Constant, DriftedBM, GeometricBM, InvariantInterval, ProblemSpec, Vasicek
@@ -320,10 +321,17 @@ def cmd_solve(args, variant: str) -> int:
         )
         print(f"upsilon={fmt(pol.upsilon)} beta(mid)={fmt(pol.beta)} eta(mid)={fmt(pol.eta)}")
     extra.update({f"operator.{k}": v for k, v in sol.operator.items()})
-    extra["peak_rss_mb"] = f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}"
+    extra["peak_rss_mb"] = _peak_rss_mb(resource.RUSAGE_SELF)
+    extra["peak_rss_children_mb"] = _peak_rss_mb(resource.RUSAGE_CHILDREN)
     write_record(out / "run_record.txt", cfg, extra)
     print(f"solution written to {out / 'solution.csv'} ({sol.K.n_nodes} nodes)")
     return 0
+
+
+def _peak_rss_mb(who) -> str:
+    """Peak resident set size in MB of this process (RUSAGE_SELF) or of its
+    largest finished worker process (RUSAGE_CHILDREN), as a record value."""
+    return f"{resource.getrusage(who).ru_maxrss / 1024:.1f}"
 
 
 def _solve_c(spec: ProblemSpec, solver_cfg: hjb.SolverConfig) -> hjb.Solution:
@@ -403,7 +411,8 @@ def cmd_estimate(args) -> int:
         f"J_estimate={fmt(est.mean)} SE={fmt(est.se)} pde_value={fmt(pde_value)} "
         f"z={fmt(z)} tail_bound={fmt(est.tail_bound)} horizon={fmt(est.horizon)} "
         # wall-clock figures go to stdout only: estimate.txt is reproducible
-        f"workers={pcfg.pool_workers} paths_per_s={pcfg.n_paths / seconds:.0f}"
+        f"workers={pcfg.pool_workers} paths_per_s={pcfg.n_paths / seconds:.0f} "
+        f"peak_rss_children_mb={_peak_rss_mb(resource.RUSAGE_CHILDREN)}"
     )
     write_record(
         out / "estimate.txt",
@@ -444,7 +453,7 @@ def _add_common(parser, suppress: bool) -> None:
     parser.add_argument("--set", action="append", default=d(None), metavar="KEY=VALUE", help="override one configuration key")
     parser.add_argument("--profile", choices=sorted(PROFILES), default=d("desk"))
     parser.add_argument("--seed", type=int, default=d(None))
-    parser.add_argument("--threads", type=int, default=d(None), help="worker threads of estimate and of solve's quadrature operator build (0, the default: one per available core); no effect on other commands")
+    parser.add_argument("--threads", type=int, default=d(None), help="worker processes of estimate and of solve's quadrature operator build (0, the default: one per available core); no effect on other commands")
     parser.add_argument("--output", default=d("out"), help="artifact directory")
     parser.add_argument("--force", action="store_true", default=d(False), help="solve despite a non-finite feasibility verdict")
 
@@ -482,6 +491,9 @@ def main(argv=None) -> int:
     except InfeasibleProblem as exc:
         print(f"infeasible: {exc}")
         code = 2
+    except InsufficientMemory as exc:
+        print(f"out of memory: {exc}")
+        code = 6
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}")
         code = 2

@@ -23,3 +23,7 @@ class DivergenceError(RuntimeError):
 
 class HorizonError(RuntimeError):
     """A simulation horizon was too short for the requested estimator."""
+
+
+class InsufficientMemory(MemoryError):
+    """A computation would need more memory than the process may still take."""

@@ -23,9 +23,8 @@ _PAD_SIGMAS = 6.0
 _N_DT = 1e-3
 _N_CUTOFF = 1e-14
 # fk_kernel_weight: floats per fill when t runs along the leading axis (whole
-# time cells, at least one); each ufunc call is then long enough to release
-# the GIL for a while (the operator build fills its node tiles on several
-# threads) while the temporaries stay in cache
+# time cells, at least one); each ufunc call is then long enough that the
+# per-call overhead is small, while the temporaries stay in cache
 _FILL_FLOATS = 2**16
 
 

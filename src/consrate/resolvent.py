@@ -10,7 +10,6 @@ cross-check of the two, not a solver backend.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import math
 import time
@@ -20,11 +19,12 @@ from typing import Union
 import numpy as np
 import scipy.linalg
 
+from .errors import InsufficientMemory
 from .feasibility import require_finite_N, theta_growth
 from .gaussian import envelope_rate, extend_with_envelope, fk_kernel_weight, ou_moments
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, Vasicek, diffusion, drift, state_rate
-from .parallel import one_blas_thread, pool_size
+from .parallel import fork_map, memory_budget, one_blas_thread, pool_size, shared_empty
 from .simulate import _euler_paths, _exact_paths
 
 
@@ -36,7 +36,7 @@ class Quadrature:
     t_max: float = 12.0
     dy: float = 0.002
     y_halfwidth: float | None = None
-    workers: int = 0  # operator build threads: at most this many, 0 for one per available core
+    workers: int = 0  # operator build worker processes: at most this many, 0 for one per available core
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_max < self.dt or self.dy <= 0:
@@ -123,6 +123,20 @@ def _cell_weights(s: float, h: float) -> tuple[float, float]:
 _BLOCK_FLOATS = 2**18
 
 
+def _check_memory(stack_floats: int, workers: int, task_floats: int) -> None:
+    """Raise InsufficientMemory unless the R(lambda) stack and ``workers``
+    tasks' buffers fit in what the process may still take."""
+    budget = memory_budget()
+    need = 8 * (stack_floats + workers * task_floats)
+    if budget is not None and need > budget:
+        mib = 2.0**-20
+        raise InsufficientMemory(
+            f"the quadrature operator needs {need * mib:.1f} MiB: {8 * stack_floats * mib:.1f} MiB of R(lambda) "
+            f"and {8 * task_floats * mib:.1f} MiB of tile buffers for each of {workers} workers, but only "
+            f"{budget * mib:.1f} MiB is available; lower grid.n, solver.m_max or --threads"
+        )
+
+
 class QuadratureOperator:
     """Resolvent matrices R(lambda) on a grid for a fixed set of lambdas.
 
@@ -137,14 +151,19 @@ class QuadratureOperator:
     turn the accumulator into the tile's rows of every R(lambda). Tile and
     block are sized by ``_BLOCK_FLOATS`` so that both stay in cache.
 
-    Each tile is one task on a pool of ``workers`` threads (``backend.workers``
-    capped by parallel.pool_size). A task owns its kernel block and its
-    accumulator and writes only its own rows, and the tiles and blocks do not
-    depend on the worker count, so R(lambda) is bitwise the same for any
-    count. The build runs with OpenBLAS on one thread, which also keeps
-    R(lambda) independent of BLAS's own thread count (at the paper profile's
-    sizes the GEMM's last bits depend on it); where that setting cannot be
-    found, the build runs on one worker and BLAS as it is.
+    Each tile is one task of parallel.fork_map on ``workers`` worker
+    processes (``backend.workers`` capped by parallel.pool_size). A task owns
+    its kernel block and its accumulator and writes only its own rows of the
+    R(lambda) stack, which lives in a shared mapping made before the workers
+    are forked; the tiles and blocks do not depend on the worker count, so
+    R(lambda) is bitwise the same for any count. Before the mapping is made,
+    the stack and the workers' tile buffers are checked against the memory
+    the process may still take (parallel.memory_budget), and
+    InsufficientMemory names the sizes if they do not fit. The build runs
+    with OpenBLAS on one thread, which also keeps R(lambda) independent of
+    BLAS's own thread count (at the paper profile's sizes the GEMM's last
+    bits depend on it); where that setting cannot be found, the build runs on
+    one worker and BLAS as it is.
     """
 
     def __init__(self, spec: ProblemSpec, grid: GridFunction, backend: Quadrature, lams):
@@ -208,13 +227,15 @@ class QuadratureOperator:
         tile = max(1, min(n_r, _BLOCK_FLOATS // (n_lam * n_y)))
         per_block = max(1, min(n_steps, _BLOCK_FLOATS // (tile * n_y)))
         self.node_tile, self.block_cells = tile, per_block
-        self._mats = np.empty((n_lam, n_r, n_r))
         tiles = [(i0, min(i0 + tile, n_r)) for i0 in range(0, n_r, tile)]
         build = functools.partial(self._build_tile, coef, ext)
         with one_blas_thread() as pinned:
             self.workers = pool_size(backend.workers, len(tiles)) if pinned else 1
-            with concurrent.futures.ThreadPoolExecutor(self.workers) as pool:
-                seconds = list(pool.map(build, tiles))
+            # a task's kernel block, accumulator and product with ext
+            width = tile * n_y
+            _check_memory(n_lam * n_r * n_r, self.workers, per_block * width + n_lam * (width + tile * n_r))
+            self._mats = shared_empty((n_lam, n_r, n_r))
+            seconds = fork_map(build, tiles, self.workers)
         self.kernel_s, self.gemm_s = (sum(s) for s in zip(*seconds))
         self._level = {lam: i for i, lam in enumerate(lams)}
         self.build_s = time.perf_counter() - started
@@ -250,8 +271,8 @@ class QuadratureOperator:
 
     def telemetry(self) -> dict:
         """Sizes, worker count and build times of the operator, as written to
-        run_record.txt; kernel_s and gemm_s are thread-seconds summed over
-        the tiles."""
+        run_record.txt; kernel_s and gemm_s are seconds summed over the
+        tiles, across the workers."""
         return {
             "n_r": self.nodes.size,
             "n_y": self.y.size,

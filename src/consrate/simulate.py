@@ -3,13 +3,12 @@
 The Vasicek pair (r_t, h_t) advances by exact joint-Gaussian increments (no
 discretization bias in the state), other models by Euler steps. Paths are
 reproducible: path k draws from seed + k. estimate_J runs its paths in
-blocks on a thread pool and reduces the blocks' results in block order, so
-its estimate is bitwise the same for any number of workers.
+blocks on worker processes and reduces the blocks' results in block order,
+so its estimate is bitwise the same for any number of workers.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import math
 from dataclasses import dataclass
@@ -21,9 +20,9 @@ from .feasibility import classify
 from .gaussian import _cov_shape, _int_decay_shape, _var_h_shape, exp_h_moment
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, ShortRateModel, Vasicek, diffusion, domain, drift
-from .parallel import pool_size
+from .parallel import fork_map, pool_size
 
-# paths per estimate_J block, the unit of work of its thread pool; the blocks
+# paths per estimate_J block, the unit of work of its worker processes; the blocks
 # fix the order in which J is summed, so this stays a constant rather than a
 # setting: another size would change J in its last bits
 _J_BATCH = 256
@@ -38,7 +37,7 @@ class PathConfig:
     n_paths: int
     seed: int
     scheme: str = "exact"
-    workers: int = 0  # estimate_J threads: at most this many, 0 for one per available core
+    workers: int = 0  # estimate_J worker processes: at most this many, 0 for one per available core
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_max < self.dt:
@@ -52,7 +51,7 @@ class PathConfig:
 
     @property
     def pool_workers(self) -> int:
-        """Threads estimate_J runs on: workers (all available cores for 0),
+        """Worker processes estimate_J runs on: workers (all available cores for 0),
         capped at the available cores and at the number of path blocks."""
         return pool_size(self.workers, -(-self.n_paths // _J_BATCH))
 
@@ -341,9 +340,10 @@ def estimate_J(
     bound of _horizon_steps shows that the rest of the integral is below J's
     rounding unit; JEstimate.horizon reports it.
 
-    The paths run in blocks of _J_BATCH on cfg.pool_workers threads. The
-    blocks' results are reduced in block order, so the estimate is bitwise
-    the same for any worker count.
+    The paths run in blocks of _J_BATCH on cfg.pool_workers worker
+    processes (parallel.fork_map), which send back each block's per-path
+    integrals and summed integrand profile. The blocks' results are reduced
+    in block order, so the estimate is bitwise the same for any worker count.
 
     Provably infinite problems are rejected outright; Unknown verdicts are
     allowed through (the estimator is how one probes them) and rely on the
@@ -363,12 +363,11 @@ def estimate_J(
     mean_profile = np.zeros(n_steps + 1)
     starts = range(0, cfg.n_paths, _J_BATCH)
     block = functools.partial(_j_block, spec, policy_c, r0, cfg, times)
-    with concurrent.futures.ThreadPoolExecutor(cfg.pool_workers) as pool:
-        # map yields in submission order, which fixes the summation order
-        for start, (j_paths, profile) in zip(starts, pool.map(block, starts)):
-            sums += float(np.sum(j_paths))
-            j_all[start : start + j_paths.size] = j_paths
-            mean_profile += profile
+    # fork_map returns the results in block order, which fixes the summation order
+    for start, (j_paths, profile) in zip(starts, fork_map(block, starts, cfg.pool_workers)):
+        sums += float(np.sum(j_paths))
+        j_all[start : start + j_paths.size] = j_paths
+        mean_profile += profile
     mean_profile /= cfg.n_paths
     tail_window = max(n_steps // 10, 1)
     last = float(np.mean(mean_profile[-tail_window:]))

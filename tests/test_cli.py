@@ -5,6 +5,7 @@ import sys
 import numpy as np
 
 from tests.conftest import child_env
+from consrate import cli, resolvent
 from consrate.cli import DEFAULTS, read_csv, resolve_config
 
 FAST_SOLVE = [
@@ -358,8 +359,31 @@ def test_solve_same_answers_across_threads(tmp_path):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
     assert records["1"].keys() == records["2"].keys()
     # the keys that may differ: the setting, the worker count and what is timed
-    free = {"threads", "operator.workers", "operator.build_s", "operator.kernel_s", "operator.gemm_s", "peak_rss_mb"}
+    free = {"threads", "operator.workers", "operator.build_s", "operator.kernel_s", "operator.gemm_s", "peak_rss_mb",
+            "peak_rss_children_mb"}
     assert free <= records["1"].keys()
     assert {k: v for k, v in records["1"].items() if k not in free} == {
         k: v for k, v in records["2"].items() if k not in free
     }
+
+
+def test_solve_exits_6_when_the_operator_does_not_fit(tmp_path, monkeypatch, capsys):
+    # in process, so that the memory budget can be patched
+    monkeypatch.setattr(resolvent, "memory_budget", lambda: 2**20)
+    code = cli.main(["--output", str(tmp_path / "o"), *FAST_SOLVE, "solve"])
+    out = capsys.readouterr().out
+    assert code == 6, out
+    assert "out of memory: the quadrature operator needs" in out and "MiB of R(lambda)" in out
+    assert "only 1.0 MiB is available" in out
+    assert not (tmp_path / "o" / "solution.csv").exists()
+
+
+def test_run_record_reports_worker_peak_rss(tmp_path):
+    # the desk grid with FAST_SOLVE's steps: two node tiles, so two workers where there are two cores
+    r = run_cli("--output", "o", "--threads", "2", "--set", "grid.n=76", *FAST_SOLVE[2:], "solve", cwd=tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    keys, values = zip(*(line.split("=", 1) for line in (tmp_path / "o" / "run_record.txt").read_text().splitlines()))
+    record = dict(zip(keys, values))
+    assert keys[-2:] == ("peak_rss_mb", "peak_rss_children_mb")
+    children = float(record["peak_rss_children_mb"])
+    assert children > 0 if int(record["operator.workers"]) > 1 else children >= 0

@@ -21,6 +21,7 @@ from consrate import (
     solve_linear_fk_ode,
     supersolution_N,
 )
+from consrate.errors import InsufficientMemory
 from consrate.gaussian import exp_h_moment, fk_kernel_weight
 from consrate.models import state_rate
 from consrate import gaussian, parallel, resolvent
@@ -337,7 +338,7 @@ def test_quadrature_bitwise_across_workers(monkeypatch):
 
 
 @pytest.mark.skipif(parallel._openblas_set_threads() is None, reason="scipy's OpenBLAS thread setter not found")
-def test_build_runs_blas_on_one_thread_and_restores_it(monkeypatch):
+def test_build_runs_blas_on_one_thread_and_restores_it(monkeypatch, tmp_path):
     set_threads = parallel._openblas_set_threads()
 
     def blas_threads():
@@ -345,10 +346,13 @@ def test_build_runs_blas_on_one_thread_and_restores_it(monkeypatch):
         set_threads(current)
         return current
 
-    seen = []
+    # the fills run in the build's worker processes, so each appends what it
+    # saw to a file that the test then reads
+    log = tmp_path / "blas_threads.txt"
 
     def recording_kernel(*args):
-        seen.append(blas_threads())
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(f"{blas_threads()}\n")
         return fk_kernel_weight(*args)
 
     grid = grid_unit(61)
@@ -363,13 +367,44 @@ def test_build_runs_blas_on_one_thread_and_restores_it(monkeypatch):
     try:
         set_threads(2)
         for workers in (1, 2):
-            seen.clear()
+            log.write_text("")
             op = QuadratureOperator(PAPER, grid, dataclasses.replace(backend, workers=workers), lams)
+            seen = [int(line) for line in log.read_text().split()]
             assert op.workers == workers
             assert seen and set(seen) == {1}  # every fill ran while BLAS was on one thread
             assert blas_threads() == 2
     finally:
         set_threads(original)
+
+
+def test_quadrature_checks_memory_before_mapping_the_stack(monkeypatch):
+    # a patched budget, not a real giant allocation: 3 levels on 61 nodes make
+    # an R(lambda) stack of 3 x 61^2 floats, and the tile buffers come on top
+    grid = grid_unit(61)
+    lams = (LAM1, 1.5, 4.0)
+    backend = quad_backend(t_max=1.0, workers=1)
+    stack = 3 * 61 * 61 * 8
+
+    def no_mapping(shape):
+        raise AssertionError("the stack was mapped although it does not fit")
+
+    with monkeypatch.context() as m:
+        m.setattr(resolvent, "memory_budget", lambda: stack)
+        m.setattr(resolvent, "shared_empty", no_mapping)
+        sizes = r"0\.1 MiB of R\(lambda\) and [0-9.]+ MiB of tile buffers for each of 1 workers"
+        with pytest.raises(InsufficientMemory, match=sizes) as info:
+            QuadratureOperator(PAPER, grid, backend, lams)
+    assert isinstance(info.value, MemoryError)
+    reference = QuadratureOperator(PAPER, grid, backend, lams)
+    for budget in (None, 2**40):  # unreadable, or ample
+        monkeypatch.setattr(resolvent, "memory_budget", lambda: budget)
+        op = QuadratureOperator(PAPER, grid, backend, lams)
+        assert np.array_equal(op.resolvent_matrix(1.5)[0], reference.resolvent_matrix(1.5)[0])
+
+
+def test_memory_budget_reads_this_machine():
+    budget = parallel.memory_budget()
+    assert budget is None or budget > 0
 
 
 def test_quadrature_rejects_nonpositive_y_halfwidth():

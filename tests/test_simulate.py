@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from consrate import simulate
 from consrate import (
     Constant,
     DivergenceError,
@@ -186,6 +187,21 @@ def test_estimate_j_bitwise_across_workers():
         cfg = PathConfig(dt=0.05, t_max=200.0, n_paths=600, seed=19, workers=w)
         with pytest.raises(DivergenceError):
             estimate_J(spec, flat_policy(1e-9), 0.05, 1.0, cfg)
+
+
+def test_estimate_j_worker_error_reaches_the_caller(monkeypatch):
+    # the exact scheme is Vasicek-only, and estimate_J first finds that out in
+    # a block: the ValueError is raised inside a worker process and must reach
+    # the caller with its message, with no worker left behind
+    monkeypatch.setattr(simulate, "pool_size", lambda requested, tasks: min(requested, tasks))
+    spec = ProblemSpec(InvariantInterval(0.0, 0.1, 1.0, 10.0), 0.5, 1.0, "A")
+    cfg = PathConfig(dt=0.01, t_max=2.0, n_paths=600, seed=3, scheme="exact", workers=2)
+    assert cfg.pool_workers == 2
+    with pytest.raises(ValueError, match="the exact scheme applies to the Vasicek model only") as info:
+        estimate_J(spec, GridFunction(0.0, 0.1, np.full(5, 0.5)), 0.05, 1.0, cfg)
+    assert any("raised in worker process" in note for note in info.value.__notes__)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_path_config_workers():
