@@ -11,6 +11,7 @@ operator would need more memory than the process may still take.
 from __future__ import annotations
 
 import argparse
+import math
 import resource
 import sys
 import time
@@ -308,7 +309,10 @@ def cmd_solve(args, variant: str) -> int:
         print(f"solver aborted: {exc}")
         return 4
     _emit_solution(out, cfg, sol, cfg["output.emit_plots"])
-    extra = {"variant": variant, "K_min": fmt(sol.K.values.min()), "K_max": fmt(sol.K.values.max())}
+    # the resolvent that ran: only the quadrature operator leaves telemetry,
+    # and Problem B and the non-Vasicek models use FD whatever solver.backend says
+    ran = "none" if variant == "C" else "quadrature" if sol.operator else "fd"
+    extra = {"variant": variant, "resolvent": ran, "K_min": fmt(sol.K.values.min()), "K_max": fmt(sol.K.values.max())}
     if variant == "C" and isinstance(spec.model, Vasicek):
         # bank-weight recovery needs the affine bond loading, so Vasicek only
         pol = portfolio.eta_from_beta(
@@ -406,7 +410,9 @@ def cmd_estimate(args) -> int:
         return 2
     seconds = time.perf_counter() - t0
     pde_value = float(sol["K"](cfg["sim.r0"])) * cfg["sim.v"] ** spec.alpha
-    z = (est.mean - pde_value) / est.se if est.se > 0 else 0.0
+    gap = est.mean - pde_value
+    # with SE = 0 (one path, or deterministic paths) any gap at all fails the |z| gate
+    z = gap / est.se if est.se > 0 else math.copysign(math.inf, gap) if gap else 0.0
     print(
         f"J_estimate={fmt(est.mean)} SE={fmt(est.se)} pde_value={fmt(pde_value)} "
         f"z={fmt(z)} tail_bound={fmt(est.tail_bound)} horizon={fmt(est.horizon)} "

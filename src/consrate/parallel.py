@@ -6,14 +6,17 @@ fork_map, on forked worker processes rather than threads: each worker has its
 own interpreter lock, so the Python between ufuncs, scipy's GEMM wrapper and
 the per-path generators run side by side. Both take the number of workers
 from the ``threads`` key through pool_size, which caps it at the cores the
-process may use and at the number of tasks. The workers are forked, not
+process may use and at the number of tasks. fork_map is the standard
+library's process pool on the fork start method: the workers are forked, not
 spawned, so that they read the caller's operands without pickling them; the
 only other threads of a consrate process are OpenBLAS's, which stops them
-around a fork itself. A worker returns small results through a pipe; the
-operator's rows, which are large, go into a shared mapping (shared_empty)
-made before the fork. The operator build runs with OpenBLAS on
-one thread (one_blas_thread): workers that each call a multithreaded BLAS run
-more threads than there are cores.
+around a fork itself. A task goes to whichever worker is free, and its small
+result comes back pickled; the results are returned in task order, so what
+the callers reduce does not depend on which worker ran what. The operator's
+rows, which are large, go into a shared mapping (shared_empty) made before
+the fork. The operator build runs with OpenBLAS on one thread
+(one_blas_thread): workers that each call a multithreaded BLAS run more
+threads than there are cores.
 """
 
 from __future__ import annotations
@@ -23,9 +26,6 @@ import functools
 import math
 import mmap
 import os
-import pickle
-import signal
-import traceback
 from pathlib import Path
 
 import numpy as np
@@ -41,77 +41,49 @@ def pool_size(requested: int, tasks: int) -> int:
 def fork_map(fn, tasks, workers: int) -> list:
     """[fn(task) for task in tasks], computed on ``workers`` forked processes.
 
-    Worker w runs tasks w, w + workers, ... in turn and pickles each result
-    back through its own pipe; the results are read in task order. A task's
-    exception is raised here, with the worker's traceback as a note, and no
-    worker outlives the call: every worker is ended and reaped before it
-    returns or raises. With one worker, or where os.fork is missing, the tasks
-    run inline. Workers see the caller's memory as it was at the fork, and
-    what they write is their own, except in a mapping from shared_empty.
+    The workers are a ProcessPoolExecutor on the fork start method, each
+    handed fn and the task list at the fork, so neither is pickled. Each task
+    is sent as its index to whichever worker is free, and only its result
+    comes back pickled; the results are returned in task order. A task's
+    exception is raised here, with a note naming the worker and the worker's
+    traceback as its cause. A worker that dies without a result raises
+    concurrent.futures.process.BrokenProcessPool. Every worker is joined
+    before the call returns or raises. With one worker, or on a platform
+    without fork, the tasks run inline. Workers see the caller's memory as it
+    was at the fork, and what they write is their own, except in a mapping
+    from shared_empty.
     """
     tasks = list(tasks)
     workers = min(workers, len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):
         return [fn(task) for task in tasks]
-    pids, pipes = [], []
+    # imported here so that `import consrate.cli` does not load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt, (fn, tasks))
     try:
-        for w in range(workers):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _serve(fn, tasks[w::workers], read_fd, write_fd)
-            os.close(write_fd)
-            pids.append(pid)
-            pipes.append(os.fdopen(read_fd, "rb"))
-        return [_receive(pipes[i % workers], pids[i % workers]) for i in range(len(tasks))]
+        return list(pool.map(_run, range(len(tasks))))
     finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)  # not yet reaped, so pid is still this worker's
-            os.waitpid(pid, 0)
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _serve(fn, tasks: list, read_fd: int, write_fd: int):
-    """A worker's life: run the tasks, write (True, result) or, at the first
-    failure, (False, exception, traceback text) for each, and leave by
-    os._exit, so that nothing of the caller's (its stack, atexit hooks,
-    buffered output) runs in the worker."""
-    code = 0
+_job = None  # (fn, tasks) in a fork_map worker, set at its start by _adopt
+
+
+def _adopt(fn, tasks: list) -> None:
+    global _job
+    _job = fn, tasks
+
+
+def _run(index: int):
+    """Task ``index`` of the job this worker adopted."""
+    fn, tasks = _job
     try:
-        os.close(read_fd)
-        with os.fdopen(write_fd, "wb") as out:
-            for task in tasks:
-                try:
-                    item = (True, fn(task))
-                except BaseException as exc:
-                    item = (False, exc, traceback.format_exc())
-                try:
-                    payload = pickle.dumps(item)
-                except Exception:  # a result or exception that does not pickle is sent as its repr
-                    payload = pickle.dumps((False, RuntimeError(repr(item[1])), traceback.format_exc()))
-                out.write(payload)
-                if not item[0]:
-                    break
-    except BaseException:  # nothing may leave a worker: it would run on in the caller's code
-        code = 1
-    finally:
-        os._exit(code)
-
-
-def _receive(pipe, pid: int):
-    """The next result from worker pid's pipe, raising what its task raised."""
-    try:
-        item = pickle.load(pipe)
-    except EOFError:
-        # WNOWAIT leaves the worker to be reaped by fork_map
-        info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-        how = f"exit code {info.si_status}" if info.si_code == os.CLD_EXITED else f"signal {info.si_status}"
-        raise ChildProcessError(f"worker process {pid} ended without a result ({how})") from None
-    if not item[0]:
-        item[1].add_note(f"raised in worker process {pid}:\n{item[2]}")
-        raise item[1]
-    return item[1]
+        return fn(tasks[index])
+    except BaseException as exc:
+        exc.add_note(f"raised in worker process {os.getpid()}")
+        raise
 
 
 def shared_empty(shape: tuple) -> np.ndarray:

@@ -152,11 +152,13 @@ class QuadratureOperator:
     block are sized by ``_BLOCK_FLOATS`` so that both stay in cache.
 
     Each tile is one task of parallel.fork_map on ``workers`` worker
-    processes (``backend.workers`` capped by parallel.pool_size). A task owns
-    its kernel block and its accumulator and writes only its own rows of the
-    R(lambda) stack, which lives in a shared mapping made before the workers
-    are forked; the tiles and blocks do not depend on the worker count, so
-    R(lambda) is bitwise the same for any count. Before the mapping is made,
+    processes (``backend.workers`` capped by parallel.pool_size), and goes to
+    whichever worker is free. A task owns its kernel block and its
+    accumulator and writes only its own rows of the R(lambda) stack, which
+    lives in a shared mapping made before the workers are forked; the tiles
+    and blocks depend neither on the worker count nor on which worker builds
+    which tile, so R(lambda) is bitwise the same for any count. A worker that
+    dies mid-build raises BrokenProcessPool. Before the mapping is made,
     the stack and the workers' tile buffers are checked against the memory
     the process may still take (parallel.memory_budget), and
     InsufficientMemory names the sizes if they do not fit. The build runs

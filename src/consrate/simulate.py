@@ -341,9 +341,11 @@ def estimate_J(
     rounding unit; JEstimate.horizon reports it.
 
     The paths run in blocks of _J_BATCH on cfg.pool_workers worker
-    processes (parallel.fork_map), which send back each block's per-path
-    integrals and summed integrand profile. The blocks' results are reduced
-    in block order, so the estimate is bitwise the same for any worker count.
+    processes (parallel.fork_map): each block goes to whichever worker is
+    free, which sends back its per-path integrals and summed integrand
+    profile. The blocks' results are reduced in block order, so the estimate
+    is bitwise the same for any worker count and any assignment. A worker
+    that dies mid-run raises BrokenProcessPool.
 
     Provably infinite problems are rejected outright; Unknown verdicts are
     allowed through (the estimator is how one probes them) and rely on the

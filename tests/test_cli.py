@@ -108,12 +108,15 @@ def test_solve_b_first_row_pinned(tmp_path):
     data = read_csv(tmp_path / "o" / "solution.csv")
     assert data["r"][0] == 0.0
     assert data["K"][0] == 1.0
+    # Problem B always runs the FD resolvent, whatever solver.backend says
+    assert "\nvariant=B\nresolvent=fd\n" in (tmp_path / "o" / "run_record.txt").read_text()
 
 
 def test_solve_c_profile(tmp_path):
     r = run_cli("--output", "o", "--set", "grid.n=39", "solve-c", cwd=tmp_path)
     assert r.returncode == 0, r.stdout
     assert "upsilon=-0.666666666667" in r.stdout
+    assert "\nvariant=C\nresolvent=none\n" in (tmp_path / "o" / "run_record.txt").read_text()
     data = read_csv(tmp_path / "o" / "solution.csv")
     assert np.allclose(data["K"], data["N_pow"])
 
@@ -270,6 +273,7 @@ def test_run_record_reports_operator_and_peak_rss(tmp_path):
     assert 1 <= int(record["operator.node_tile"]) <= int(record["operator.n_r"])
     assert int(record["operator.n_r"]) > 39  # the reporting grid plus its padding
     assert float(record["operator.build_s"]) > 0 and float(record["peak_rss_mb"]) > 0
+    assert record["resolvent"] == "quadrature" and keys.index("resolvent") == keys.index("variant") + 1
 
 
 def test_determinism_across_threads(tmp_path):
@@ -297,11 +301,13 @@ def test_determinism_across_threads(tmp_path):
 
 
 def test_cli_import_does_not_load_scipy_signal():
-    # scipy.signal is most of the CLI's import time; only path sampling needs it
-    code = "import sys, consrate.cli; print('scipy.signal' in sys.modules)"
+    # scipy.signal is most of the CLI's import time; only path sampling needs
+    # it. The process pool's modules load only when a command forks workers.
+    names = ["scipy.signal", "multiprocessing", "concurrent.futures.process"]
+    code = f"import sys, consrate.cli; print([name for name in {names!r} if name in sys.modules])"
     r = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "False"
+    assert r.stdout.strip() == "[]"
 
 
 def test_trace_csv_records_lambda(tmp_path):
@@ -321,6 +327,24 @@ def test_negative_threads_rejected_before_any_work(tmp_path):
         assert r.returncode == 2, r.stdout + r.stderr
         assert f"got {flags[-1].split('=')[-1]}" in r.stdout
         assert not (tmp_path / "o").exists()
+
+
+def test_estimate_with_zero_se_fails_on_any_gap(tmp_path):
+    # one path has SE = 0, so z cannot measure the gap: a doubled K column
+    # must still fail the |z| <= 3 gate
+    assert run_cli("--output", "o", *FAST_SOLVE, "solve", cwd=tmp_path).returncode == 0
+    path = tmp_path / "o" / "solution.csv"
+    data = read_csv(path)
+    data["K"] = 2.0 * data["K"]
+    cli.write_csv(path, list(data), list(data.values()))
+    r = run_cli(
+        "--output", "o", "--set", "paths.n_paths=1", "--set", "paths.dt=0.01", "--set", "paths.t_max=30",
+        "estimate",
+        cwd=tmp_path,
+    )
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert " SE=0 " in r.stdout and " z=-inf " in r.stdout
+    assert "\nz=-inf\n" in (tmp_path / "o" / "estimate.txt").read_text()
 
 
 def test_estimate_same_record_across_threads(tmp_path):
