@@ -25,7 +25,7 @@ from .gaussian import envelope_rate, extend_with_envelope, fk_kernel_weight, ou_
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, Vasicek, diffusion, drift, state_rate
 from .parallel import fork_map, memory_budget, one_blas_thread, pool_size, shared_empty
-from .simulate import _euler_paths, _exact_paths
+from .simulate import _PATH_BLOCK, _euler_paths, _exact_batch, _path_rngs
 
 
 @dataclass(frozen=True)
@@ -515,8 +515,12 @@ def resolvent_mc(
     grid node by the affine OU map r + node e^{-bt}, h + node (1 - e^{-bt})/b
     (so common random numbers are exact and make node-to-node noise smooth);
     other models step all nodes as one Euler batch with a common shock. Path k
-    draws from seed + k. lambda + gamma must be large enough that the
-    discarded tail beyond t_max is below the intended tolerance.
+    draws from seed + k. The exact paths are simulated in blocks of
+    simulate._PATH_BLOCK, one engine call per block, which holds three
+    (paths, n_steps + 1) arrays at its peak; each path's integrals are then
+    formed and summed in path order, as one path at a time would. lambda +
+    gamma must be large enough that the discarded tail beyond t_max is below
+    the intended tolerance.
     """
     _check_mc_applicable(spec)
     s = lam + spec.gamma
@@ -531,8 +535,7 @@ def resolvent_mc(
     trap_t[-1] *= 0.5
     disc = np.exp(-s * times)
 
-    vasicek = isinstance(spec.model, Vasicek)
-    if vasicek:
+    if isinstance(spec.model, Vasicek):
         ext_rate = envelope_rate(spec)
         b = spec.model.b
         r_shift = nodes[None, :] * np.exp(-b * times)[:, None]
@@ -541,28 +544,33 @@ def resolvent_mc(
         def psi_at(r):
             return extend_with_envelope(psi, ext_rate, r)
 
+        def node_paths(rngs):
+            r, h = _exact_batch(spec.model, 0.0, dt, n_steps, rngs)
+            for r_k, h_k in zip(r, h):
+                yield r_k[:, None] + r_shift, h_k[:, None] + h_shift
+
     else:
         r_start = state_rate(spec.model, nodes)
 
         def psi_at(r):
             return psi(r)
 
+        def node_paths(rngs):
+            for rng in rngs:
+                r, h, _ = _euler_paths(spec.model, r_start, dt, rng.standard_normal((1, n_steps)))
+                yield np.ascontiguousarray(r.T), np.ascontiguousarray(h.T)
+
     # the variance is taken about the mean of the kept path integrals: a
     # one-pass total_sq / n - mean^2 cancels to rounding noise once they are
     # nearly equal
     total = np.zeros(nodes.size)
     integrals = np.empty((backend.paths, nodes.size))
-    for k in range(backend.paths):
-        rng = np.random.default_rng(backend.seed + k)
-        if vasicek:
-            r, h = _exact_paths(spec.model, 0.0, dt, rng.standard_normal((1, n_steps, 2)))
-            r_mat, h_mat = r[0][:, None] + r_shift, h[0][:, None] + h_shift
-        else:
-            r, h, _ = _euler_paths(spec.model, r_start, dt, rng.standard_normal((1, n_steps)))
-            r_mat, h_mat = np.ascontiguousarray(r.T), np.ascontiguousarray(h.T)
-        g = psi_at(r_mat) * np.exp(spec.alpha * h_mat) * disc[:, None]
-        integrals[k] = trap_t @ g
-        total += integrals[k]
+    for start in range(0, backend.paths, _PATH_BLOCK):
+        rngs = _path_rngs(backend.seed, start, min(_PATH_BLOCK, backend.paths - start))
+        for k, (r_mat, h_mat) in enumerate(node_paths(rngs), start):
+            g = psi_at(r_mat) * np.exp(spec.alpha * h_mat) * disc[:, None]
+            integrals[k] = trap_t @ g
+            total += integrals[k]
     n = backend.paths
     mean = total / n
     se = np.sqrt(integrals.var(axis=0, ddof=1) / n)

@@ -2,9 +2,10 @@
 
 The Vasicek pair (r_t, h_t) advances by exact joint-Gaussian increments (no
 discretization bias in the state), other models by Euler steps. Paths are
-reproducible: path k draws from seed + k. estimate_J runs its paths in
-blocks on worker processes and reduces the blocks' results in block order,
-so its estimate is bitwise the same for any number of workers.
+reproducible: path k draws from seed + k. estimate_J and estimate_KL_mc run
+their paths in blocks on worker processes and reduce the blocks' results in
+a fixed order, so their estimates are bitwise the same for any number of
+workers.
 """
 
 from __future__ import annotations
@@ -15,19 +16,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, HorizonError
+from .errors import DivergenceError, HorizonError, InsufficientMemory
 from .feasibility import classify
 from .gaussian import _cov_shape, _int_decay_shape, _var_h_shape, exp_h_moment
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, ShortRateModel, Vasicek, diffusion, domain, drift
-from .parallel import fork_map, pool_size
+from .parallel import fork_map, memory_budget, pool_size
 
-# paths per estimate_J block, the unit of work of its worker processes; the blocks
-# fix the order in which J is summed, so this stays a constant rather than a
-# setting: another size would change J in its last bits
-_J_BATCH = 256
+# paths per block of estimate_J, estimate_KL_mc and resolvent_mc: one engine call
+# runs a block, and a block is the unit of work of the worker processes. The
+# blocks fix the order in which J is summed, so this stays a constant rather
+# than a setting: another size would change J in its last bits
+_PATH_BLOCK = 256
 # paths per joint_moment_sample block
 _MOMENT_BLOCK = 100_000
+# float arrays of one value per time step that _horizon_steps holds at its peak
+# (tracemalloc: 9.1-10.0 at 16001 and 160001 steps)
+_HORIZON_ARRAYS = 10
 
 
 @dataclass(frozen=True)
@@ -37,7 +42,7 @@ class PathConfig:
     n_paths: int
     seed: int
     scheme: str = "exact"
-    workers: int = 0  # estimate_J worker processes: at most this many, 0 for one per available core
+    workers: int = 0  # estimate_J and estimate_KL_mc worker processes: at most this many, 0 for one per available core
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_max < self.dt:
@@ -51,9 +56,10 @@ class PathConfig:
 
     @property
     def pool_workers(self) -> int:
-        """Worker processes estimate_J runs on: workers (all available cores for 0),
-        capped at the available cores and at the number of path blocks."""
-        return pool_size(self.workers, -(-self.n_paths // _J_BATCH))
+        """Worker processes estimate_J and estimate_KL_mc run on: workers (all
+        available cores for 0), capped at the available cores and at the number
+        of path blocks."""
+        return pool_size(self.workers, -(-self.n_paths // _PATH_BLOCK))
 
 
 @dataclass
@@ -118,20 +124,31 @@ def _exact_filter(model: Vasicek, r0, dt: float, x: np.ndarray, noise_h) -> tupl
     """Exact (r, h) paths, shape (batch, n_steps + 1), from start rates r0 (a
     scalar or one per path) and the rate and h parts of the correlated noise
     z @ chol.T: x[:, 1:] holds the rate part and noise_h, shape
-    (batch, n_steps), the h part. x is overwritten and returned as h, so a
-    block holds three path-sized arrays at its peak: x, noise_h and r.
-    Every Vasicek sampler goes through here."""
-    # imported here rather than at module level: only path sampling needs it,
-    # and it made `import consrate.cli` take 1.75 s instead of 0.55 s (2-core VM)
-    import scipy.signal
+    (batch, n_steps), the h part. Every Vasicek sampler goes through here.
 
+    The rate is the AR(1) recurrence r_k = x_k + phi r_{k-1} from r_0 = r0,
+    run in place on x as a loop over time: one multiply and one add per step,
+    each on the column of the whole batch, which is the arithmetic of
+    lfilter([1], [1, -phi]) and bitwise equal to it. A step costs a few
+    microseconds of call overhead whatever the batch, so callers hand over
+    whole blocks of paths, never one path per call in a loop. x is returned
+    as r and h is new, so the engine holds three path-sized arrays at its
+    peak: r, noise_h and h.
+    """
     phi, m_r, c_h, m_h, _ = _exact_step_params(model, dt)
     x[:, 1:] += m_r
-    # r_0 enters as the first input with a zero filter state, which gives the
-    # same arithmetic as filtering x[:, 1:] from the state phi r_0
     x[:, 0] = r0
-    r = scipy.signal.lfilter([1.0], [1.0, -phi], x, axis=1)
-    h, dh = x, x[:, 1:]
+    # the loop runs on strided column views of x, measured as fast as on a
+    # time-major copy with its two transposes. Per call, an array phi and a
+    # positional out save about 0.3 and 0.2 us against a float and out=.
+    columns = list(x.T)
+    phi_col = np.full(x.shape[0], phi)
+    step = np.empty(x.shape[0])
+    for prev, col in zip(columns, columns[1:]):
+        np.multiply(prev, phi_col, step)
+        np.add(col, step, col)
+    r, h = x, np.empty_like(x)
+    dh = h[:, 1:]
     np.multiply(r[:, :-1], c_h, out=dh)
     dh += m_h
     dh += noise_h
@@ -142,7 +159,8 @@ def _exact_filter(model: Vasicek, r0, dt: float, x: np.ndarray, noise_h) -> tupl
 
 def _exact_paths(model: Vasicek, r0, dt: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact (r, h) paths, shape (batch, n_steps + 1), from start rates r0
-    driven by standard normals z of shape (batch, n_steps, 2); h starts at 0."""
+    driven by standard normals z of shape (batch, n_steps, 2); h starts at 0.
+    The normals and their correlated copy are two path-sized arrays each."""
     noise = z @ _exact_step_params(model, dt)[4].T
     del z  # callers pass z inline, so this frees the normals before the filter runs
     x = np.empty((noise.shape[0], noise.shape[1] + 1))
@@ -158,10 +176,12 @@ def _normals(rngs, shape: tuple) -> np.ndarray:
     return z
 
 
-def _exact_batch(model: Vasicek, r0: float, dt: float, n_steps: int, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (r, h) paths, shape (batch, n_steps + 1), one rng per path. Each
-    path's correlated noise goes straight into the filter's buffers, so no
-    (batch, n_steps, 2) array of normals is ever held."""
+def _exact_batch(model: Vasicek, r0, dt: float, n_steps: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (r, h) paths, shape (batch, n_steps + 1), from start rates r0 (a
+    scalar or one per path), one rng per path. Each path's correlated noise
+    goes straight into the filter's buffers, so no (batch, n_steps, 2) array
+    of normals is ever held, and the block peaks at the filter's three
+    path-sized arrays."""
     chol_t = _exact_step_params(model, dt)[4].T
     x = np.empty((len(rngs), n_steps + 1))
     noise_h = np.empty((len(rngs), n_steps))
@@ -299,13 +319,13 @@ def _horizon_steps(spec: ProblemSpec, policy_c: GridFunction, r0: float, cfg: Pa
 
 def _j_block(spec: ProblemSpec, policy_c: GridFunction, r0: float, cfg: PathConfig, times: np.ndarray, start: int):
     """Per-path integrals and the summed integrand profile of the estimate_J
-    block of paths start, ..., start + _J_BATCH - 1 (fewer in the last block).
+    block of paths start, ..., start + _PATH_BLOCK - 1 (fewer in the last block).
 
     integrand = exp(-g t + al (h - int c)) c^al, with int c the trapezoid of c,
     is formed in place, and r and h are dropped as soon as they are used, so
     the block, like the exact engine, peaks at three path-sized arrays."""
     al, g = spec.alpha, spec.gamma
-    nb = min(_J_BATCH, cfg.n_paths - start)
+    nb = min(_PATH_BLOCK, cfg.n_paths - start)
     r, h, _ = _scheme_batch(spec.model, r0, cfg, times.size - 1, _path_rngs(cfg.seed, start, nb))
     c = policy_c(r)
     del r
@@ -340,12 +360,14 @@ def estimate_J(
     bound of _horizon_steps shows that the rest of the integral is below J's
     rounding unit; JEstimate.horizon reports it.
 
-    The paths run in blocks of _J_BATCH on cfg.pool_workers worker
+    The paths run in blocks of _PATH_BLOCK on cfg.pool_workers worker
     processes (parallel.fork_map): each block goes to whichever worker is
     free, which sends back its per-path integrals and summed integrand
     profile. The blocks' results are reduced in block order, so the estimate
     is bitwise the same for any worker count and any assignment. A worker
-    that dies mid-run raises BrokenProcessPool.
+    that dies mid-run raises BrokenProcessPool. Before anything is allocated,
+    the memory all this needs at cfg.t_max is checked against
+    parallel.memory_budget() (InsufficientMemory, see _check_memory).
 
     Provably infinite problems are rejected outright; Unknown verdicts are
     allowed through (the estimator is how one probes them) and rely on the
@@ -357,13 +379,14 @@ def estimate_J(
         raise ValueError("the consumption policy must be nonnegative")
     if v <= 0:
         raise ValueError("initial wealth must be positive")
+    _check_memory(cfg)
     al, g = spec.alpha, spec.gamma
     n_steps = _horizon_steps(spec, policy_c, r0, cfg)
     times = cfg.dt * np.arange(n_steps + 1)
     sums = 0.0
     j_all = np.empty(cfg.n_paths)
     mean_profile = np.zeros(n_steps + 1)
-    starts = range(0, cfg.n_paths, _J_BATCH)
+    starts = range(0, cfg.n_paths, _PATH_BLOCK)
     block = functools.partial(_j_block, spec, policy_c, r0, cfg, times)
     # fork_map returns the results in block order, which fixes the summation order
     for start, (j_paths, profile) in zip(starts, fork_map(block, starts, cfg.pool_workers)):
@@ -390,6 +413,28 @@ def estimate_J(
     )
 
 
+def _check_memory(cfg: PathConfig) -> None:
+    """Raise InsufficientMemory unless estimate_J's arrays, sized for the
+    whole of cfg.t_max before the horizon is known, fit in what the process
+    may still take: _horizon_steps' step arrays, the three path-sized arrays
+    of each worker's block, and the blocks' per-path integrals and profiles
+    held until the reduction."""
+    steps = int(round(cfg.t_max / cfg.dt)) + 1
+    horizon = 8 * _HORIZON_ARRAYS * steps
+    block = 8 * 3 * min(_PATH_BLOCK, cfg.n_paths) * steps
+    results = 8 * (-(-cfg.n_paths // _PATH_BLOCK) * steps + cfg.n_paths)
+    need = horizon + cfg.pool_workers * block + results
+    budget = memory_budget()
+    if budget is not None and need > budget:
+        mib = 2.0**-20
+        raise InsufficientMemory(
+            f"estimate needs {need * mib:.1f} MiB: {horizon * mib:.1f} MiB for the horizon bound, "
+            f"{block * mib:.1f} MiB of path arrays for each of {cfg.pool_workers} workers and "
+            f"{results * mib:.1f} MiB of block results, but only {budget * mib:.1f} MiB is available; "
+            "lower paths.t_max / paths.dt, paths.n_paths or --threads"
+        )
+
+
 def _standard_error(samples: np.ndarray) -> float:
     """Standard error of the sample mean, from the two-pass variance about the
     mean (a one-pass sum of squares cancels to rounding noise when the samples
@@ -397,6 +442,56 @@ def _standard_error(samples: np.ndarray) -> float:
     if samples.size < 2:
         return 0.0
     return math.sqrt(samples.var(ddof=1) / samples.size)
+
+
+def _kl_block(spec: ProblemSpec, r0: float, cfg: PathConfig, chunk: int, start: int):
+    """Hitting weights, survival at t_max and truncated weights of the
+    estimate_KL_mc paths start, ..., start + _PATH_BLOCK - 1 (fewer in the last
+    block), in path order.
+
+    The block's paths that have not hit zero advance together, chunk steps a
+    round, in one engine call (_exact_batch) per round, each path drawing
+    from its own generator. Each path's row is then reduced on its own, by
+    the same operations in the same order as a path simulated alone.
+    """
+    al, g, dt = spec.alpha, spec.gamma, cfg.dt
+    bridge = 2.0 / (spec.model.sigma**2 * dt)
+    max_steps = int(round(cfg.t_max / dt))
+    nb = min(_PATH_BLOCK, cfg.n_paths - start)
+    rngs = _path_rngs(cfg.seed, start, nb)
+    weights, survival, truncated = np.zeros(nb), np.ones(nb), np.zeros(nb)
+    r_last, h_last = np.full(nb, float(r0)), np.zeros(nb)
+    live = list(range(nb))
+    done = 0
+    while live and done < max_steps:
+        n_steps = min(chunk, max_steps - done)
+        r_paths, h_paths = _exact_batch(spec.model, r_last[live], dt, n_steps, [rngs[i] for i in live])
+        still = []
+        for i, r_path, h_path in zip(live, r_paths, h_paths):
+            h_path = h_last[i] + h_path
+            below = r_path[1:] <= 0.0
+            n_live = int(np.argmax(below)) if below.any() else n_steps
+            p = np.exp(-bridge * r_path[:n_live] * r_path[1 : n_live + 1])
+            alive = survival[i] * np.concatenate(([1.0], np.cumprod(1.0 - p)))
+            t_mid = (done + 0.5 + np.arange(n_live)) * dt
+            h_mid = 0.5 * (h_path[:n_live] + h_path[1 : n_live + 1])
+            weights[i] += float(np.sum(alive[:-1] * p * np.exp(-g * t_mid + al * h_mid)))
+            survival[i] = alive[-1]
+            if n_live < n_steps:
+                j = n_live
+                frac = r_path[j] / (r_path[j] - r_path[j + 1])
+                tau = (done + j + frac) * dt
+                h_tau = h_path[j] + frac * (h_path[j + 1] - h_path[j])
+                weights[i] += survival[i] * math.exp(-g * tau + al * h_tau)
+                survival[i] = 0.0
+            else:
+                r_last[i], h_last[i] = r_path[-1], h_path[-1]
+                still.append(i)
+        live = still
+        done += n_steps
+    for i in live:
+        truncated[i] = survival[i] * math.exp(-g * cfg.t_max + al * h_last[i])
+    return weights, survival, truncated
 
 
 def estimate_KL_mc(spec: ProblemSpec, r0: float, cfg: PathConfig, *, chunk: int = 4096) -> KLEstimate:
@@ -411,51 +506,22 @@ def estimate_KL_mc(spec: ProblemSpec, r0: float, cfg: PathConfig, *, chunk: int 
     discrete-monitoring bias without extra draws. Survival left at t_max
     contributes zero plus a truncation diagnostic. Fails if the mean survival
     at t_max exceeds 1%.
+
+    The paths run in blocks of _PATH_BLOCK on cfg.pool_workers worker processes
+    (parallel.fork_map), chunk steps per engine call, so a block holds three
+    (paths, chunk + 1) arrays at its peak. The per-path results are summed in
+    path order, so the estimate is bitwise the same for any worker count.
     """
     if not isinstance(spec.model, Vasicek):
         raise ValueError("estimate_KL_mc is implemented for the Vasicek model")
     if r0 <= 0:
         raise ValueError("r0 must be positive (the functional is 1 at the boundary)")
     classify(spec).require()
-    al, g, dt = spec.alpha, spec.gamma, cfg.dt
-    bridge = 2.0 / (spec.model.sigma**2 * dt)
-    max_steps = int(round(cfg.t_max / dt))
-    total = 0.0
-    weights = np.empty(cfg.n_paths)
-    survival_total = 0.0
-    truncated_weight = 0.0
-    for k in range(cfg.n_paths):
-        rng = np.random.default_rng(cfg.seed + k)
-        r_last, h_last, survival = float(r0), 0.0, 1.0
-        done = 0
-        w = 0.0
-        while done < max_steps:
-            n_steps = min(chunk, max_steps - done)
-            r_path, h_path = _exact_paths(spec.model, r_last, dt, rng.standard_normal((1, n_steps, 2)))
-            r_path, h_path = r_path[0], h_last + h_path[0]
-            below = r_path[1:] <= 0.0
-            n_live = int(np.argmax(below)) if below.any() else n_steps
-            p = np.exp(-bridge * r_path[:n_live] * r_path[1 : n_live + 1])
-            alive = survival * np.concatenate(([1.0], np.cumprod(1.0 - p)))
-            t_mid = (done + 0.5 + np.arange(n_live)) * dt
-            h_mid = 0.5 * (h_path[:n_live] + h_path[1 : n_live + 1])
-            w += float(np.sum(alive[:-1] * p * np.exp(-g * t_mid + al * h_mid)))
-            survival = float(alive[-1])
-            if n_live < n_steps:
-                j = n_live
-                frac = r_path[j] / (r_path[j] - r_path[j + 1])
-                tau = (done + j + frac) * dt
-                h_tau = h_path[j] + frac * (h_path[j + 1] - h_path[j])
-                w += survival * math.exp(-g * tau + al * h_tau)
-                survival = 0.0
-                break
-            r_last, h_last = float(r_path[-1]), float(h_path[-1])
-            done += n_steps
-        else:
-            truncated_weight += survival * math.exp(-g * cfg.t_max + al * h_last)
-        survival_total += survival
-        total += w
-        weights[k] = w
+    block = functools.partial(_kl_block, spec, r0, cfg, chunk)
+    blocks = fork_map(block, range(0, cfg.n_paths, _PATH_BLOCK), cfg.pool_workers)
+    weights, survival, truncated = (np.concatenate(parts) for parts in zip(*blocks))
+    # running sums in path order (accumulate adds one term at a time)
+    total, survival_total, truncated_weight = (float(np.cumsum(a)[-1]) for a in (weights, survival, truncated))
     n = cfg.n_paths
     frac_absorbed = 1.0 - survival_total / n
     if frac_absorbed < 0.99:

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 
 from tests.conftest import child_env
-from consrate import cli, resolvent
+from consrate import cli, resolvent, simulate
 from consrate.cli import DEFAULTS, read_csv, resolve_config
 
 FAST_SOLVE = [
@@ -300,14 +300,23 @@ def test_determinism_across_threads(tmp_path):
         assert np.array_equal(t1[col], t2[col])
 
 
-def test_cli_import_does_not_load_scipy_signal():
-    # scipy.signal is most of the CLI's import time; only path sampling needs
-    # it. The process pool's modules load only when a command forks workers.
+def test_cli_import_does_not_load_scipy_signal(tmp_path):
+    # the path engine runs without scipy.signal, which was most of the CLI's
+    # import time. The process pool's modules load only when a command forks
+    # workers.
     names = ["scipy.signal", "multiprocessing", "concurrent.futures.process"]
     code = f"import sys, consrate.cli; print([name for name in {names!r} if name in sys.modules])"
     r = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+    # an estimate on one worker runs inline, so what it imports is in this process
+    assert run_cli("--output", "o", *FAST_SOLVE, "solve", cwd=tmp_path).returncode == 0
+    argv = ["--output", "o", "--threads", "1", "--set", "paths.n_paths=20", "--set", "paths.t_max=5", "estimate"]
+    code = f"import sys, consrate.cli; print(consrate.cli.main({argv!r}), 'scipy.signal' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split()[-2:] in (["0", "False"], ["1", "False"]), r.stdout
+    assert (tmp_path / "o" / "estimate.txt").exists()
 
 
 def test_trace_csv_records_lambda(tmp_path):
@@ -400,6 +409,18 @@ def test_solve_exits_6_when_the_operator_does_not_fit(tmp_path, monkeypatch, cap
     assert "out of memory: the quadrature operator needs" in out and "MiB of R(lambda)" in out
     assert "only 1.0 MiB is available" in out
     assert not (tmp_path / "o" / "solution.csv").exists()
+
+
+def test_estimate_exits_6_when_the_paths_do_not_fit(tmp_path, monkeypatch, capsys):
+    # in process, so that the memory budget can be patched
+    assert run_cli("--output", "o", *FAST_SOLVE, "solve", cwd=tmp_path).returncode == 0
+    monkeypatch.setattr(simulate, "memory_budget", lambda: 2**20)
+    code = cli.main(["--output", str(tmp_path / "o"), "estimate"])
+    out = capsys.readouterr().out
+    assert code == 6, out
+    assert "out of memory: estimate needs" in out and "MiB of path arrays for each of" in out
+    assert "only 1.0 MiB is available" in out
+    assert not (tmp_path / "o" / "estimate.txt").exists()
 
 
 def test_run_record_reports_worker_peak_rss(tmp_path):

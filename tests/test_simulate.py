@@ -13,6 +13,7 @@ from consrate import (
     GridFunction,
     HorizonError,
     InfeasibleProblem,
+    InsufficientMemory,
     InvariantInterval,
     PathConfig,
     ProblemSpec,
@@ -28,7 +29,8 @@ from consrate import (
     solve_problem_a,
     wealth_trajectory,
 )
-from consrate.simulate import _exact_batch, _horizon_steps, _normals, _path_rngs
+from consrate.resolvent import MonteCarlo, resolvent_mc
+from consrate.simulate import _exact_batch, _horizon_steps, _normals, _path_rngs, joint_moment_sample
 
 VAS = Vasicek(0.03, 0.5, 0.02)
 PAPER_A = ProblemSpec(VAS, 0.5, 1.5304, "A")
@@ -351,3 +353,129 @@ def test_kl_mc_independent_of_chunk():
     assert split.se == pytest.approx(whole.se, rel=1e-12)
     assert split.absorbed_fraction == pytest.approx(whole.absorbed_fraction, rel=1e-12)
     assert split.truncated_weight == pytest.approx(whole.truncated_weight, rel=1e-12, abs=1e-300)
+
+
+def lfilter_engine(model, r0, dt, x, noise_h):
+    """The exact engine as written with scipy.signal.lfilter, the reference
+    that the loop over time must match bit for bit."""
+    import scipy.signal
+
+    phi, m_r, c_h, m_h, _ = simulate._exact_step_params(model, dt)
+    x = x.copy()
+    x[:, 1:] += m_r
+    x[:, 0] = r0
+    r = scipy.signal.lfilter([1.0], [1.0, -phi], x, axis=1)
+    dh = r[:, :-1] * c_h
+    dh += m_h
+    dh += noise_h
+    h = np.zeros_like(r)
+    h[:, 1:] = np.cumsum(dh, axis=1)
+    return r, h
+
+
+def test_exact_filter_matches_lfilter():
+    rng = np.random.default_rng(8)
+    dt = 0.0025
+    chol = simulate._exact_step_params(VAS, dt)[4]
+    for batch, columns in ((256, 4967), (1, 4097), (4096, 9)):
+        for r0 in (0.05, rng.uniform(0.0, 0.1, batch)):
+            noise = rng.standard_normal((batch, columns - 1, 2)) @ chol.T
+            x = np.empty((batch, columns))
+            x[:, 1:] = noise[:, :, 0]
+            want_r, want_h = lfilter_engine(VAS, r0, dt, x, noise[:, :, 1])
+            r, h = simulate._exact_filter(VAS, r0, dt, x, noise[:, :, 1])
+            assert np.array_equal(r, want_r) and np.array_equal(h, want_h)
+
+
+# float.hex values of small runs of every sampler, recorded with the engine
+# that called scipy.signal.lfilter and ran estimate_KL_mc and resolvent_mc
+# one path at a time; the blocked engine must reproduce them bit for bit
+
+
+def assert_hex(values, expected):
+    assert [float(v).hex() for v in values] == expected
+
+
+def test_estimate_j_pinned():
+    pol = GridFunction(0.0, 0.15, np.linspace(2.0, 4.0, 9))
+    est = estimate_J(PAPER_A, pol, 0.05, 3.0, PathConfig(dt=0.01, t_max=30.0, n_paths=300, seed=5, workers=1))
+    assert_hex(
+        (est.mean, est.se, est.tail_bound, est.horizon),
+        ["0x1.fe42af5971bfcp-1", "0x1.10f3e764f4395p-13", "0x1.db555e968a645p-62", "0x1.df0a3d70a3d71p+3"],
+    )
+
+
+# paths from 0.05 that hit zero within a few time units, some only after t_max
+FAST_HIT_B = ProblemSpec(Vasicek(0.001, 0.5, 0.05), 0.5, 1.5304, "B")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kl_mc_pinned_at_any_worker_count(workers, monkeypatch):
+    # 300 paths make blocks of 256 and 44; both go to a worker of their own at 2
+    monkeypatch.setattr(simulate, "pool_size", lambda requested, tasks: min(requested, tasks))
+    cfg = PathConfig(dt=0.02, t_max=10.0, n_paths=300, seed=53, workers=workers)
+    assert cfg.pool_workers == workers
+    for chunk, se in ((4096, "0x1.b69e41d204197p-7"), (7, "0x1.b69e41d204196p-7")):
+        est = estimate_KL_mc(FAST_HIT_B, 0.05, cfg, chunk=chunk)
+        assert_hex(
+            (est.mean, est.se, est.absorbed_fraction, est.truncated_weight),
+            ["0x1.efca2afb4a44fp-3", se, "0x1.fbb482cf5bc76p-1", "0x1.78bd19a0d0520p-29"],
+        )
+    est = estimate_KL_mc(PAPER_B, 0.02, PathConfig(dt=0.1, t_max=1500.0, n_paths=300, seed=53, workers=workers))
+    assert_hex(
+        (est.mean, est.se, est.absorbed_fraction, est.truncated_weight),
+        ["0x1.30c34831fcb4fp-5", "0x1.ef3351f908373p-8", "0x1.ffffffffb17b9p-1", "0x0.0p+0"],
+    )
+
+
+def test_resolvent_mc_pinned():
+    psi = GridFunction(0.0, 0.15, np.ones(7))
+    u, se = resolvent_mc(PAPER_A, psi, 0.5 + 1e-5, MonteCarlo(paths=300, dt=0.01, t_max=10.0, seed=17))
+    assert_hex(u.values, [
+        "0x1.fa4bc33861516p-2", "0x1.fc64f8f354991p-2", "0x1.feeec8762f96fp-2", "0x1.00bf43ba532cfp-1",
+        "0x1.0209e4374e8c7p-1", "0x1.0357882c3bf12p-1", "0x1.04c5393bbfce0p-1",
+    ])
+    assert_hex(se.values, [
+        "0x1.4c47bde35d648p-15", "0x1.d54cdf8cd57b2p-15", "0x1.dbbc57fd991a3p-15", "0x1.e0992078117f0p-15",
+        "0x1.e5806a4948e3ep-15", "0x1.ed51ef1292706p-15", "0x1.51b071a704545p-14",
+    ])
+
+
+def test_joint_moment_sample_pinned():
+    s = joint_moment_sample(VAS, 0.05, 1.0, 1000, n_steps=8, seed=9)
+    assert_hex(
+        [s[key] for key in ("mean_r", "mean_h", "var_r", "var_h", "cov_rh")],
+        ["0x1.ba9794bc2513bp-5", "0x1.ae0e363155429p-5", "0x1.08eb363f8c8fdp-12", "0x1.95cdbfa82f7f7p-14",
+         "0x1.0a64a2dc7fe8bp-13"],
+    )
+
+
+def test_sample_path_pinned():
+    path = sample_path(VAS, 0.05, PathConfig(dt=0.01, t_max=2.0, n_paths=1, seed=42))
+    assert_hex(path.r[[1, 100, 200]], ["0x1.9efd155ab5558p-5", "0x1.a388cd6289f2ep-5", "0x1.087c5bf387741p-4"])
+    assert_hex(path.h[[1, 100, 200]], ["0x1.04b86fb722a3cp-11", "0x1.a71cd51e67d25p-5", "0x1.bc3a8f66664b2p-4"])
+
+
+def test_estimate_j_checks_memory_before_allocating(monkeypatch):
+    # a patched budget, not a real giant allocation: the desk path settings
+    # need 194 MiB on two workers, before the horizon is known
+    def never(*args):
+        raise AssertionError("estimate_J allocated although its arrays do not fit")
+
+    monkeypatch.setattr(simulate, "pool_size", lambda requested, tasks: min(requested, tasks))
+    cfg = PathConfig(dt=0.0025, t_max=40.0, n_paths=10_000, seed=1, workers=2)
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "memory_budget", lambda: 2**20)
+        m.setattr(simulate, "_horizon_steps", never)
+        m.setattr(simulate, "fork_map", never)
+        sizes = (
+            r"estimate needs 193\.7 MiB: 1\.2 MiB for the horizon bound, 93\.8 MiB of path arrays for "
+            r"each of 2 workers and 5\.0 MiB of block results, but only 1\.0 MiB is available"
+        )
+        with pytest.raises(InsufficientMemory, match=sizes):
+            estimate_J(PAPER_A, flat_policy(3.0), 0.05, 1.0, cfg)
+    small = PathConfig(dt=0.05, t_max=30.0, n_paths=20, seed=19)
+    reference = estimate_J(PAPER_A, flat_policy(3.0), 0.05, 1.0, small)
+    for budget in (None, 2**40):  # unreadable, or ample
+        monkeypatch.setattr(simulate, "memory_budget", lambda: budget)
+        assert estimate_J(PAPER_A, flat_policy(3.0), 0.05, 1.0, small) == reference
