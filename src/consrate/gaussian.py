@@ -13,15 +13,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InsufficientMemory
 from .feasibility import require_finite_N, rho_decay
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, Vasicek
+from .parallel import memory_budget
 
 # semigroup_apply: how far the y mesh reaches beyond the grid, in kernel widths
 _PAD_SIGMAS = 6.0
-# supersolution_N: time step and relative cutoff of the Vasicek integral
+# supersolution_N: time step and relative cutoff of the Vasicek integral, the
+# time steps of one chunk, and what a chunk holds at its peak: (chunk, nodes)
+# arrays (_n_integrand's output, the vstack block and the trapezoid's
+# temporaries) and (chunk,) time columns; a tracemalloc peak holds 5 arrays
+# and about 7 columns at 1 to 1000 nodes
 _N_DT = 1e-3
 _N_CUTOFF = 1e-14
+_N_CHUNK = 4096
+_N_CHUNK_ARRAYS = 5
+_N_CHUNK_COLUMNS = 8
 # fk_kernel_weight: floats per fill when t runs along the leading axis (whole
 # time cells, at least one); each ufunc call is then long enough that the
 # per-call overhead is small, while the temporaries stay in cache
@@ -253,7 +262,9 @@ def supersolution_N(spec: ProblemSpec, r):
     once the integrand falls below _N_CUTOFF times its running maximum at
     every node (the tail decays like e^{-rho t}). Constant: exact closed form.
     Invariant interval: finite-difference solution of the linear equation
-    Q N + ((alpha r - gamma)/(1-alpha)) N + 1 = 0.
+    Q N + ((alpha r - gamma)/(1-alpha)) N + 1 = 0. Before the Vasicek loop,
+    its chunk arrays are checked against parallel.memory_budget(), and
+    InsufficientMemory names the sizes if they do not fit.
     """
     require_finite_N(spec)
     model = spec.model
@@ -269,13 +280,13 @@ def supersolution_N(spec: ProblemSpec, r):
     rho = rho_decay(spec)
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     t_end = max(80.0 / rho, 10.0 / model.b)
-    chunk = 4096
+    _check_n_memory(r_arr.size)
     total = np.zeros_like(r_arr)
     gmax = np.zeros_like(r_arr)
     t0 = 0.0
     g_prev = _n_integrand(spec, r_arr, np.array([0.0]))[0]
     while t0 < t_end:
-        ts = t0 + _N_DT * np.arange(1, chunk + 1)
+        ts = t0 + _N_DT * np.arange(1, _N_CHUNK + 1)
         vals = _n_integrand(spec, r_arr, ts)
         block = np.vstack([g_prev, vals])
         total += np.trapezoid(block, dx=_N_DT, axis=0)
@@ -286,3 +297,16 @@ def supersolution_N(spec: ProblemSpec, r):
             break
     out = total
     return float(out[0]) if np.ndim(r) == 0 else out
+
+
+def _check_n_memory(nodes: int) -> None:
+    """Raise InsufficientMemory unless supersolution_N's chunk arrays fit in
+    what the process may still take."""
+    need = 8 * (_N_CHUNK + 1) * (_N_CHUNK_ARRAYS * nodes + _N_CHUNK_COLUMNS)
+    budget = memory_budget()
+    if budget is not None and need > budget:
+        mib = 2.0**-20
+        raise InsufficientMemory(
+            f"the supersolution N needs {need * mib:.1f} MiB for {_N_CHUNK_ARRAYS} arrays of {_N_CHUNK + 1} time "
+            f"steps x {nodes} nodes and their time columns, but only {budget * mib:.1f} MiB is available; lower grid.n"
+        )

@@ -13,11 +13,12 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import InsufficientMemory
 from .feasibility import require_finite_N, theta_growth
@@ -326,103 +327,110 @@ def resolvent_quadrature(
 @dataclass
 class TridiagSystem:
     """Tridiagonal operator rows c0 u - c2 u'' - c1 u' = rhs with boundary rows
-    already folded in. Dirichlet rows carry fixed right-hand sides."""
+    already folded in. Dirichlet rows carry fixed right-hand sides. The first
+    solve LU-factors the matrix with partial pivoting (LAPACK dgttrf) and keeps
+    the factors; each solve is then one dgttrs, the arithmetic of LAPACK's
+    one-shot dgtsv in the same order."""
 
     sub: np.ndarray
     diag: np.ndarray
     sup: np.ndarray
     dirichlet_left: float | None = None
     dirichlet_right: float | None = None
+    _factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float).copy()
+        rhs = np.array(rhs, dtype=float)
         if self.dirichlet_left is not None:
             rhs[0] = self.dirichlet_left
         if self.dirichlet_right is not None:
             rhs[-1] = self.dirichlet_right
-        n = self.diag.size
-        ab = np.zeros((3, n))
-        ab[0, 1:] = self.sup[:-1]
-        ab[1, :] = self.diag
-        ab[2, :-1] = self.sub[1:]
-        return scipy.linalg.solve_banded((1, 1), ab, rhs)
+        if self._factors is None:
+            *factors, info = dgttrf(self.sub[1:], self.diag, self.sup[:-1])
+            if info > 0:
+                raise np.linalg.LinAlgError("singular matrix")
+            self._factors = factors
+        return dgttrs(*self._factors, np.asarray_chkfinite(rhs), overwrite_b=True)[0]
 
 
-def fd_system(
-    spec: ProblemSpec,
-    nodes: np.ndarray,
-    c0: np.ndarray,
-    left_bc: tuple,
-    right_bc: tuple,
-) -> TridiagSystem:
+class _Stencil:
+    """The lambda-independent part of an fd_system assembly: off-diagonals,
+    the ``offset`` that the stencil and boundary folds add to c0 on the
+    diagonal, and the Dirichlet values of fixed rows."""
+
+    def __init__(self, spec: ProblemSpec, nodes: np.ndarray, left_bc: tuple, right_bc: tuple):
+        nodes = np.asarray(nodes, dtype=float)
+        h = nodes[1] - nodes[0]
+        mu = np.asarray(drift(spec.model, nodes), dtype=float)
+        c2 = 0.5 * np.asarray(diffusion(spec.model, nodes), dtype=float) ** 2
+        n = nodes.size
+        sub = np.zeros(n)
+        offset = np.zeros(n)
+        sup = np.zeros(n)
+
+        # interior rows
+        c1 = mu[1:-1]
+        d2 = c2[1:-1]
+        central = np.abs(c1) * h <= 2.0 * d2
+        central &= d2 > 0
+        sub[1:-1] = -d2 / h**2 + np.where(central, c1 / (2.0 * h), np.where(c1 < 0, c1 / h, 0.0))
+        sup[1:-1] = -d2 / h**2 - np.where(central, c1 / (2.0 * h), np.where(c1 > 0, c1 / h, 0.0))
+        offset[1:-1] = 2.0 * d2 / h**2 + np.where(central, 0.0, np.abs(c1) / h)
+
+        def _fold(side: int, bc: tuple):
+            i = 0 if side < 0 else n - 1
+            kind = bc[0]
+            if kind == "dirichlet":
+                return bc[1]
+            if kind == "robin":
+                rate = bc[1]
+                offset[i] = 2.0 * c2[i] / h**2 - side * 2.0 * c2[i] * rate / h - mu[i] * rate
+                (sup if side < 0 else sub)[i] = -2.0 * c2[i] / h**2
+                return None
+            if kind == "degenerate":
+                # sigma vanishes here; the equation is first order with inward drift
+                if side < 0:
+                    offset[i] = mu[i] / h
+                    sup[i] = -mu[i] / h
+                else:
+                    offset[i] = -mu[i] / h
+                    sub[i] = mu[i] / h
+                return None
+            if kind == "diagonal":
+                return None
+            raise ValueError(f"unknown boundary rule {bc!r}")
+
+        self.sub, self.offset, self.sup = sub, offset, sup
+        self.dirichlet_left = _fold(-1, left_bc)
+        self.dirichlet_right = _fold(+1, right_bc)
+
+    def system(self, c0: np.ndarray) -> TridiagSystem:
+        """The system with diagonal c0 + offset (Dirichlet rows 1); refuses
+        non-M-matrix assemblies and a diagonal that is not positive."""
+        diag = np.asarray(c0, dtype=float) + self.offset
+        if self.dirichlet_left is not None:
+            diag[0] = 1.0
+        if self.dirichlet_right is not None:
+            diag[-1] = 1.0
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(diag))))
+        if np.any(self.sub[1:] > tol) or np.any(self.sup[:-1] > tol):
+            raise ValueError("finite-difference assembly is not an M-matrix (drift-dominated stencil); refine the grid")
+        if not np.all(diag > 0):
+            raise ValueError("finite-difference diagonal is not positive; increase lambda/gamma or shrink the window")
+        return TridiagSystem(self.sub, diag, self.sup, self.dirichlet_left, self.dirichlet_right)
+
+
+def fd_system(spec: ProblemSpec, nodes: np.ndarray, c0: np.ndarray, left_bc: tuple, right_bc: tuple) -> TridiagSystem:
     """Assemble c0 u - Q u (model drift/volatility) on a uniform grid.
 
     Interior rows use central differences, switching the drift term to the
     upwind side wherever the cell Peclet number |mu| h / sigma^2 exceeds 1
     (inevitable near the degenerate endpoints of the interval model); this
-    keeps the matrix an M-matrix. Refuses non-M-matrix assemblies.
+    keeps the matrix an M-matrix. Refuses non-M-matrix assemblies. The
+    stencil does not depend on c0: FDOperator assembles it once and forms
+    each lambda's system from it, bitwise as this function does.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    h = nodes[1] - nodes[0]
-    mu = np.asarray(drift(spec.model, nodes), dtype=float)
-    c2 = 0.5 * np.asarray(diffusion(spec.model, nodes), dtype=float) ** 2
-    n = nodes.size
-    sub = np.zeros(n)
-    diag = np.asarray(c0, dtype=float).copy()
-    sup = np.zeros(n)
-
-    # interior rows
-    c1 = mu[1:-1]
-    d2 = c2[1:-1]
-    central = np.abs(c1) * h <= 2.0 * d2
-    central &= d2 > 0
-    sub_i = -d2 / h**2 + np.where(central, c1 / (2.0 * h), np.where(c1 < 0, c1 / h, 0.0))
-    sup_i = -d2 / h**2 - np.where(central, c1 / (2.0 * h), np.where(c1 > 0, c1 / h, 0.0))
-    diag_i = 2.0 * d2 / h**2 + np.where(central, 0.0, np.abs(c1) / h)
-    sub[1:-1] = sub_i
-    sup[1:-1] = sup_i
-    diag[1:-1] += diag_i
-
-    def _fold(side: int, bc: tuple):
-        i = 0 if side < 0 else n - 1
-        kind = bc[0]
-        if kind == "dirichlet":
-            diag[i] = 1.0
-            (sup if side < 0 else sub)[i] = 0.0
-            return bc[1]
-        if kind == "robin":
-            rate = bc[1]
-            off = -2.0 * c2[i] / h**2
-            diag[i] += 2.0 * c2[i] / h**2 - side * 2.0 * c2[i] * rate / h - mu[i] * rate
-            (sup if side < 0 else sub)[i] = off
-            return None
-        if kind == "degenerate":
-            # sigma vanishes here; the equation is first order with inward drift
-            if side < 0:
-                diag[i] += mu[i] / h
-                sup[i] = -mu[i] / h
-            else:
-                diag[i] += -mu[i] / h
-                sub[i] = mu[i] / h
-            return None
-        if kind == "diagonal":
-            return None
-        raise ValueError(f"unknown boundary rule {bc!r}")
-
-    dl = _fold(-1, left_bc)
-    dr = _fold(+1, right_bc)
-
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(diag))))
-    if np.any(sub[1:] > tol) or np.any(sup[:-1] > tol):
-        raise ValueError(
-            "finite-difference assembly is not an M-matrix (drift-dominated stencil); "
-            "refine the grid"
-        )
-    if np.any(diag <= 0):
-        raise ValueError(
-            "finite-difference diagonal is not positive; increase lambda/gamma or shrink the window"
-        )
-    return TridiagSystem(sub=sub, diag=diag, sup=sup, dirichlet_left=dl, dirichlet_right=dr)
+    return _Stencil(spec, nodes, left_bc, right_bc).system(c0)
 
 
 def _auto_bcs(spec: ProblemSpec, nodes: np.ndarray) -> tuple[tuple, tuple]:
@@ -444,26 +452,31 @@ class FDOperator:
     """Finite-difference resolvent (lambda + gamma - A)^{-1} on a fixed node set.
 
     ``bcs`` is the (left, right) boundary-rule pair of fd_system, by default
-    the model's truncation rules. The tridiagonal system is assembled once per
-    lambda and reused for every psi.
+    the model's truncation rules. The lambda-independent stencil is assembled
+    once, here; each lambda's system is formed from it and checked on the
+    first apply at that lambda, and factored by that apply's solve, so every
+    further apply is one dgttrs.
     """
 
     def __init__(self, spec: ProblemSpec, nodes: np.ndarray, bcs: tuple[tuple, tuple] | None = None):
         self.spec = spec
         self.nodes = nodes
         self.bcs = _auto_bcs(spec, nodes) if bcs is None else bcs
+        self._stencil = _Stencil(spec, nodes, *self.bcs)
+        self._alpha_r = spec.alpha * state_rate(spec.model, nodes)
         self._systems: dict[float, TridiagSystem] = {}
 
     def apply(self, lam: float, psi_values: np.ndarray) -> np.ndarray:
-        if lam not in self._systems:
-            c0 = lam + self.spec.gamma - self.spec.alpha * state_rate(self.spec.model, self.nodes)
+        system = self._systems.get(lam)
+        if system is None:
+            c0 = lam + self.spec.gamma - self._alpha_r
             if np.any(c0 <= 0):
                 raise ValueError(
                     "lambda + gamma - alpha r must stay positive on the window; "
                     "increase lambda or shrink the window"
                 )
-            self._systems[lam] = fd_system(self.spec, self.nodes, c0, *self.bcs)
-        return self._systems[lam].solve(psi_values)
+            system = self._systems[lam] = self._stencil.system(c0)
+        return system.solve(psi_values)
 
 
 def resolvent_fd(

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 
 from tests.conftest import child_env
-from consrate import cli, resolvent, simulate
+from consrate import cli, gaussian, resolvent, simulate
 from consrate.cli import DEFAULTS, read_csv, resolve_config
 
 FAST_SOLVE = [
@@ -407,6 +407,17 @@ def test_solve_exits_6_when_the_operator_does_not_fit(tmp_path, monkeypatch, cap
     out = capsys.readouterr().out
     assert code == 6, out
     assert "out of memory: the quadrature operator needs" in out and "MiB of R(lambda)" in out
+    assert "only 1.0 MiB is available" in out
+    assert not (tmp_path / "o" / "solution.csv").exists()
+
+
+def test_solve_exits_6_when_the_supersolution_does_not_fit(tmp_path, monkeypatch, capsys):
+    # in process, so that the memory budget can be patched
+    monkeypatch.setattr(gaussian, "memory_budget", lambda: 2**20)
+    code = cli.main(["--output", str(tmp_path / "o"), *FAST_SOLVE, "solve"])
+    out = capsys.readouterr().out
+    assert code == 6, out
+    assert "out of memory: the supersolution N needs" in out and "arrays of 4097 time steps x" in out
     assert "only 1.0 MiB is available" in out
     assert not (tmp_path / "o" / "solution.csv").exists()
 

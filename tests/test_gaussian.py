@@ -21,6 +21,8 @@ from consrate import (
     supersolution_N,
     theta_growth,
 )
+from consrate import gaussian
+from consrate.errors import InsufficientMemory
 from consrate.gaussian import exp_h_moment
 from consrate.simulate import joint_moment_sample
 
@@ -229,3 +231,27 @@ def test_gamma_thresholds_vanishing_vol_limit():
     g1, g2 = gamma_thresholds(spec)
     assert g1 == pytest.approx(0.03, abs=1e-9)
     assert g2 == pytest.approx(0.03, abs=1e-9)
+
+
+def test_supersolution_checks_memory_before_its_loop(monkeypatch):
+    # a patched budget, not a real giant allocation; the sizing must cover
+    # what a chunk really holds on the mid solve's 251 nodes
+    nodes = GridFunction.zeros(-0.05, 0.2, 251).nodes
+    tracemalloc.start()
+    try:
+        reference = supersolution_N(PAPER, nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = 8 * 4097 * (5 * 251 + 8)
+    assert peak <= need
+    monkeypatch.setattr(gaussian, "_n_integrand", None)  # the loop must not start
+    monkeypatch.setattr(gaussian, "memory_budget", lambda: need - 1)
+    sizes = r"needs 39\.5 MiB for 5 arrays of 4097 time steps x 251 nodes and their time columns, but only 39\.5 MiB"
+    with pytest.raises(InsufficientMemory, match=sizes) as info:
+        supersolution_N(PAPER, nodes)
+    assert isinstance(info.value, MemoryError)
+    monkeypatch.undo()
+    for budget in (None, need):  # unreadable, or just enough
+        monkeypatch.setattr(gaussian, "memory_budget", lambda: budget)
+        assert np.array_equal(supersolution_N(PAPER, nodes), reference)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -298,3 +300,33 @@ def test_trace_records_lambda_of_each_step():
     cfg = SolverConfig(grid=GridFunction.zeros(0.0, 0.15, 31), backend=FiniteDifference())
     sol = solve_problem_a(PAPER_A, cfg)
     assert [s.lam for s in sol.trace.steps] == [lambda_schedule(PAPER_A, cfg, s.m) for s in sol.trace.steps]
+
+
+# criterion 6's Problem B and K_L on its n = 76 grid at three discount rates:
+# sha256 of the float.hex of every node, and K at r = 0.03, 0.09 and 0.15,
+# recorded when each FD solve still went through scipy.linalg.solve_banded;
+# the factored solve must reproduce them bit for bit
+FD_PINNED = {
+    1.25: ({"K": "9ac5209321f86699", "N_pow": "1617b719f58d78c4", "K_L": "6bb42a6cdece36c1"},
+           ["0x1.472a195956798p-1", "0x1.4975f4abd767bp-1", "0x1.4ce34d6c57fddp-1"]),
+    1.5304: ({"K": "1934aeca398db47e", "N_pow": "590f0191f2a557dc", "K_L": "65abc00ea4048b43"},
+             ["0x1.272f23e274c7fp-1", "0x1.28d6c11148c32p-1", "0x1.2b6d1dfa81642p-1"]),
+    1.75: ({"K": "2dc07c78c746d0cb", "N_pow": "37c54fd207c05ed7", "K_L": "e527f6073f757950"},
+           ["0x1.13c22867c6f57p-1", "0x1.151be79683a10p-1", "0x1.174084d629db0p-1"]),
+}
+
+
+def hex_digest(values):
+    return hashlib.sha256(" ".join(float(v).hex() for v in values).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("gamma", sorted(FD_PINNED))
+def test_problem_b_and_kl_pinned(gamma):
+    cfg = SolverConfig(grid=GridFunction.zeros(0.0, 0.15, 76), backend=FiniteDifference(), m_max=16, n_max=40)
+    spec = ProblemSpec(VAS, 0.5, gamma, "B")
+    sol = solve_problem_b(spec, cfg)
+    kl = compute_KL(spec, cfg)
+    digests, k_hex = FD_PINNED[gamma]
+    got = {"K": sol.K.values, "N_pow": sol.N_pow.values, "K_L": kl.values}
+    assert {name: hex_digest(v) for name, v in got.items()} == digests
+    assert [float(v).hex() for v in sol.K.values[[15, 45, 75]]] == k_hex

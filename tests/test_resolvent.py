@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from consrate import (
     Constant,
@@ -433,3 +434,100 @@ def test_mc_se_resolves_near_deterministic_paths():
     assert np.all(se[1e-6] > 0) and np.all(se[2e-6] > 0)
     ratio = se[1e-6] / se[2e-6]
     assert np.all((ratio >= 0.49) & (ratio <= 0.51))
+
+
+# the factored FD solve against scipy.linalg.solve_banded, bit for bit, on
+# every boundary-rule pair the solvers assemble
+
+
+def banded_oracle(system, rhs):
+    rhs = np.array(rhs, dtype=float)
+    if system.dirichlet_left is not None:
+        rhs[0] = system.dirichlet_left
+    if system.dirichlet_right is not None:
+        rhs[-1] = system.dirichlet_right
+    ab = np.zeros((3, system.diag.size))
+    ab[0, 1:] = system.sup[:-1]
+    ab[1] = system.diag
+    ab[2, :-1] = system.sub[1:]
+    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+
+
+def problem_b_nodes(h):
+    return h * np.arange(int(round(0.3 / h)) + 1)
+
+
+def fd_case(family):
+    """(spec, nodes, c0, (left, right)) of one boundary-rule pair in use."""
+    rate = resolvent.robin_rate(PAPER)
+    if family == "robin/robin":  # Problem A on a Vasicek window
+        nodes = np.linspace(-0.05, 0.2, 126)
+        return PAPER, nodes, 1.0 + PAPER.gamma - 0.5 * nodes, (("robin", -rate), ("robin", rate))
+    if family == "dirichlet/robin":  # Problem B: K(0) = 1, Robin far out
+        nodes = problem_b_nodes(0.002)
+        return PAPER, nodes, 1.0 + PAPER.gamma - 0.5 * nodes, (("dirichlet", 1.0), ("robin", rate))
+    if family == "dirichlet/dirichlet":  # K_L(0) = K_L(R) = 1
+        nodes = problem_b_nodes(0.004)
+        return PAPER, nodes, PAPER.gamma - 0.5 * nodes, (("dirichlet", 1.0), ("dirichlet", 1.0))
+    if family == "degenerate":  # the interval model's N equation
+        spec = ProblemSpec(InvariantInterval(0.0, 0.1, 1.0, 10.0), 0.5, 0.1, "A")
+        nodes = np.linspace(0.0, 0.1, 201)
+        return spec, nodes, (0.1 - 0.5 * nodes) / 0.5, (("degenerate",), ("degenerate",))
+    nodes = np.linspace(0.0, 0.15, 21)  # the constant model
+    return ProblemSpec(Constant(0.05), 0.5, 0.1, "A"), nodes, np.full(21, 0.6), (("diagonal",), ("diagonal",))
+
+
+FD_FAMILIES = ("robin/robin", "dirichlet/robin", "dirichlet/dirichlet", "degenerate", "diagonal")
+
+
+@pytest.mark.parametrize("family", FD_FAMILIES)
+def test_fd_solve_is_bitwise_solve_banded(family):
+    spec, nodes, c0, (left, right) = fd_case(family)
+    system = resolvent.fd_system(spec, nodes, c0, left, right)
+    rng = np.random.default_rng(7)
+    for rhs in (np.ones(nodes.size), rng.standard_normal(nodes.size), 1e3 * rng.random(nodes.size)):
+        got = system.solve(rhs)  # factored on the first rhs, reused after
+        assert got.tobytes() == banded_oracle(system, rhs).tobytes()
+    if family == "dirichlet/robin":
+        # at h = 0.002 the entry below the Dirichlet row outweighs its unit
+        # pivot, so partial pivoting swaps rows 0 and 1
+        assert system._factors[-1][0] == 2
+
+
+def test_fd_singular_system_raises():
+    system = resolvent.TridiagSystem(sub=np.zeros(3), diag=np.array([1.0, 0.0, 1.0]), sup=np.zeros(3))
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        system.solve(np.ones(3))
+    with pytest.raises(np.linalg.LinAlgError):
+        banded_oracle(system, np.ones(3))
+
+
+def test_fd_solve_rejects_nonfinite_rhs():
+    spec, nodes, c0, (left, right) = fd_case("robin/robin")
+    system = resolvent.fd_system(spec, nodes, c0, left, right)
+    rhs = np.ones(nodes.size)
+    rhs[3] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        system.solve(rhs)
+
+
+def test_fd_operator_factors_once_per_lambda(monkeypatch):
+    calls = []
+
+    def counting_dgttrf(*args, **kwargs):
+        calls.append(args[1].size)
+        return scipy.linalg.lapack.dgttrf(*args, **kwargs)
+
+    monkeypatch.setattr(resolvent, "dgttrf", counting_dgttrf)
+    nodes = problem_b_nodes(0.002)
+    op = resolvent.FDOperator(PAPER, nodes, (("dirichlet", 1.0), ("robin", resolvent.robin_rate(PAPER))))
+    psi = np.linspace(1.0, 2.0, nodes.size)
+    first = op.apply(1.0, psi)
+    for _ in range(9):
+        assert op.apply(1.0, psi).tobytes() == first.tobytes()
+    assert calls == [nodes.size]
+    op.apply(1.5, psi)
+    assert len(calls) == 2
+    c0 = 1.0 + PAPER.gamma - PAPER.alpha * nodes
+    reference = resolvent.fd_system(PAPER, nodes, c0, *op.bcs)
+    assert first.tobytes() == banded_oracle(reference, psi).tobytes()
