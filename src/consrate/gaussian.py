@@ -9,9 +9,10 @@ feasibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from .errors import InsufficientMemory
 from .feasibility import require_finite_N, rho_decay
@@ -33,7 +34,8 @@ _N_CHUNK_ARRAYS = 5
 _N_CHUNK_COLUMNS = 8
 # fk_kernel_weight: floats per fill when t runs along the leading axis (whole
 # time cells, at least one); each ufunc call is then long enough that the
-# per-call overhead is small, while the temporaries stay in cache
+# per-call overhead is small, while the temporaries (the dev scratch and the
+# y tile) stay in cache
 _FILL_FLOATS = 2**16
 
 
@@ -102,13 +104,21 @@ def _checked_times(model, t) -> np.ndarray:
 
 def _means(model: Vasicek, r: np.ndarray, t: np.ndarray):
     """(mean_r, mean_h) at the broadcast shape of r and t."""
+    return _means_from(model, r, *_mean_factors(model, t))
+
+
+def _mean_factors(model: Vasicek, t: np.ndarray):
+    """The t-only factors of the means, at the shape of t: e^{-bt},
+    (a/b)(1 - e^{-bt}), 1 - e^{-bt} and (a/b^2) b(t - (1 - e^{-bt})/b)."""
     a, b = model.a, model.b
     x = b * t
-    e1 = np.exp(-x)
     one_m_e1 = -np.expm1(-x)
-    mean_r = r * e1 + (a / b) * one_m_e1
-    mean_h = r * one_m_e1 / b + (a / b**2) * _int_decay_shape(x)
-    return mean_r, mean_h
+    return np.exp(-x), (a / b) * one_m_e1, one_m_e1, (a / b**2) * _int_decay_shape(x)
+
+
+def _means_from(model: Vasicek, r, e1, drift_r, one_m_e1, drift_h):
+    """(mean_r, mean_h) from r and the factors of _mean_factors."""
+    return r * e1 + drift_r, r * one_m_e1 / model.b + drift_h
 
 
 def _variances(model: Vasicek, t: np.ndarray):
@@ -127,7 +137,40 @@ def exp_h_moment(spec: ProblemSpec, r, t):
     return np.exp(spec.alpha * mom.mean_h + 0.5 * spec.alpha**2 * mom.var_h)
 
 
-def fk_kernel_weight(spec: ProblemSpec, t, r, y, out=None):
+@dataclass(frozen=True)
+class KernelColumns:
+    """The factors of fk_kernel_weight that depend on t alone, at the shape
+    of t; ``columns[j]`` holds those of ``t[j]``."""
+
+    t: np.ndarray
+    e1: np.ndarray  # e^{-bt}
+    drift_r: np.ndarray  # (a/b)(1 - e^{-bt})
+    one_m_e1: np.ndarray  # 1 - e^{-bt}
+    drift_h: np.ndarray  # (a/b^2) b(t - (1 - e^{-bt})/b)
+    half_var: np.ndarray  # alpha^2 var_cond / 2
+    half_log: np.ndarray  # log(2 pi var_r) / 2
+    scale: np.ndarray  # -1 / (2 var_r)
+    shift: np.ndarray  # alpha cov_rh / var_r
+
+    def __getitem__(self, j) -> KernelColumns:
+        return KernelColumns(*(getattr(self, f.name)[j] for f in fields(self)))
+
+
+def kernel_columns(spec: ProblemSpec, t) -> KernelColumns:
+    """The t-only factors of fk_kernel_weight at times t > 0."""
+    t = _checked_times(spec.model, t)
+    if not np.all(t > 0):
+        raise ValueError("the kernel requires t > 0")
+    al = spec.alpha
+    var_r, var_h, cov_rh = _variances(spec.model, t)
+    beta = cov_rh / var_r
+    var_cond = np.maximum(var_h - cov_rh**2 / var_r, 0.0)
+    half_var = 0.5 * al**2 * var_cond
+    half_log = 0.5 * np.log(2.0 * math.pi * var_r)
+    return KernelColumns(t, *_mean_factors(spec.model, t), half_var, half_log, -0.5 / var_r, al * beta)
+
+
+def fk_kernel_weight(spec: ProblemSpec, t, r, y, out=None, columns=None, y_tile=None):
     """Weighted transition kernel w(t, r, y).
 
     w is the Gaussian transition density of r_t times the conditional
@@ -135,38 +178,58 @@ def fk_kernel_weight(spec: ProblemSpec, t, r, y, out=None):
     int phi(y) w(t, r, y) dy = E^r[phi(r_t) e^{alpha h_t}].
     The kernel is singular at t = 0 and rejects t <= 0. ``out``, an array of
     the broadcast shape, receives the values instead of a new array.
+    ``columns``, kernel_columns(spec, t) computed once by the caller, saves
+    recomputing the factors that depend on t alone.
 
-    When t runs along the leading axis only, as in a (cells, nodes, y) block,
-    the kernel is filled a few time values at a time (about _FILL_FLOATS
-    values), with the factors that depend on t alone as (cells, 1, 1)
-    columns, so that the temporaries stay small.
+    When t runs along the leading axis only, r along the middle axes and y
+    along the last, as in a (cells, nodes, y) block, the kernel is filled a
+    few time values at a time (about _FILL_FLOATS values), with the factors
+    that depend on t alone as (cells, 1, 1) columns, so that the temporaries
+    stay small. ``y_tile``, kernel_y_tile(y, shape) made once by a caller
+    that fills many blocks of one shape, saves rebuilding it.
     """
-    t = _checked_times(spec.model, t)
-    if not np.all(t > 0):
-        raise ValueError("the kernel requires t > 0")
+    t = np.asarray(t, dtype=float)
+    if columns is None:
+        columns = kernel_columns(spec, t)
+    elif columns.t.shape != t.shape or not np.array_equal(columns.t, t):
+        raise ValueError("the kernel columns were computed for other times than t")
     al = spec.alpha
-    mean_r, mean_h = _means(spec.model, np.asarray(r, dtype=float), t)
-    var_r, var_h, cov_rh = _variances(spec.model, t)
-    beta = cov_rh / var_r
-    var_cond = np.maximum(var_h - cov_rh**2 / var_r, 0.0)
+    c = columns
+    mean_r, mean_h = _means_from(spec.model, np.asarray(r, dtype=float), c.e1, c.drift_r, c.one_m_e1, c.drift_h)
     # log of density * exp(alpha mu_cond + alpha^2 var_cond / 2), with
     # mu_cond = mean_h + beta dev; only dev = y - mean_r and base vary with
     # both r and y
-    base = al * mean_h + 0.5 * al**2 * var_cond - 0.5 * np.log(2.0 * math.pi * var_r)
-    scale, shift = -0.5 / var_r, al * beta
+    base = al * mean_h + c.half_var - c.half_log
     y = np.asarray(y, dtype=float)
     shape = np.broadcast_shapes(y.shape, mean_r.shape)
     expo = np.empty(shape) if out is None else out
-    if expo.ndim and t.ndim == expo.ndim and t.size == expo.shape[0] > 1:
-        y = np.broadcast_to(y, shape)
-        cells = min(t.size, max(1, _FILL_FLOATS // max(1, expo[0].size)))
-        dev = np.empty((cells,) + shape[1:])
-        for j0 in range(0, t.size, cells):
-            j = slice(j0, j0 + cells)
-            _fill_kernel(expo[j], dev[: t.size - j0], y[j], mean_r[j], scale[j], shift[j], base[j])
+    if (
+        expo.ndim >= 2
+        and expo.size
+        and expo.flags.c_contiguous
+        and t.ndim == expo.ndim
+        and t.shape[0] == t.size == expo.shape[0]
+        and mean_r.shape[-1] == 1
+        and y.ndim
+        and y.shape[-1] == y.size == expo.shape[-1]
+    ):
+        if y_tile is None:
+            y_tile = kernel_y_tile(y, shape)
+        _fill_kernel_rows(expo, y_tile, mean_r, c.scale, c.shift, base)
     else:
-        _fill_kernel(expo, np.empty(shape), y, mean_r, scale, shift, base)
+        _fill_kernel(expo, np.empty(shape), y, mean_r, c.scale, c.shift, base)
     return expo if expo.ndim else expo[()]
+
+
+def _fill_cells(shape) -> int:
+    """Time cells per fill of a (cells, ..., y) kernel block."""
+    return min(shape[0], max(1, _FILL_FLOATS // max(1, math.prod(shape[1:]))))
+
+
+def kernel_y_tile(y, shape) -> np.ndarray:
+    """The y mesh repeated on each row of one fill of a (cells, ..., y)
+    kernel block: fk_kernel_weight copies it into its dev scratch."""
+    return np.tile(np.asarray(y, dtype=float).reshape(-1), (_fill_cells(shape) * math.prod(shape[1:-1]), 1))
 
 
 def _fill_kernel(out, dev, y, mean_r, scale, shift, base) -> None:
@@ -177,6 +240,41 @@ def _fill_kernel(out, dev, y, mean_r, scale, shift, base) -> None:
     out *= dev
     out += base
     np.exp(out, out=out)
+
+
+def _fill_kernel_rows(out, y_tile, mean_r, scale, shift, base) -> None:
+    """_fill_kernel on a C-contiguous (cells, ..., y) block, whose t-only
+    factors are (cells, 1, ..., 1) columns and whose mean_r and base are
+    constant along y, a few cells at a time.
+
+    The two passes that broadcast a column across each row, y - mean_r and
+    + base, are rank-1 updates (BLAS dger) of a copy of the y tile and of
+    out: the products are by +-1 and so exact, and each entry is rounded
+    once, as _fill_kernel rounds it.
+    """
+    n_y = out.shape[-1]
+    per_cell = out[0].size // n_y  # rows of one time cell
+    cells = _fill_cells(out.shape)
+    mean_r = np.broadcast_to(mean_r, out.shape[:-1] + (1,)).reshape(-1)
+    base = np.broadcast_to(base, out.shape[:-1] + (1,)).reshape(-1)
+    ones = np.ones(n_y)
+    dev = np.empty((cells * per_cell, n_y))
+    for j0 in range(0, out.shape[0], cells):
+        j = slice(j0, j0 + cells)
+        block = out[j]
+        n = block.size // n_y
+        rows = slice(j0 * per_cell, j0 * per_cell + n)
+        d = dev[:n]
+        np.copyto(d, y_tile[:n])
+        # dger updates a in place only when a is Fortran-contiguous, and
+        # silently works on a copy otherwise: a is the transpose of a
+        # C-contiguous block, and each pass goes on from what dger returns
+        d = dger(-1.0, ones, mean_r[rows], a=d.T, overwrite_a=True).T.reshape(block.shape)
+        np.multiply(d, scale[j], out=block)
+        block += shift[j]
+        block *= d
+        summed = dger(1.0, ones, base[rows], a=block.reshape(-1, n_y).T, overwrite_a=True)
+        np.exp(summed.T.reshape(block.shape), out=block)
 
 
 def envelope_rate(spec: ProblemSpec) -> float:

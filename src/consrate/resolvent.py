@@ -22,7 +22,15 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import InsufficientMemory
 from .feasibility import require_finite_N, theta_growth
-from .gaussian import envelope_rate, extend_with_envelope, fk_kernel_weight, ou_moments
+from .gaussian import (
+    _fill_cells,
+    envelope_rate,
+    extend_with_envelope,
+    fk_kernel_weight,
+    kernel_columns,
+    kernel_y_tile,
+    ou_moments,
+)
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, Vasicek, diffusion, drift, state_rate
 from .parallel import fork_map, memory_budget, one_blas_thread, pool_size, shared_empty
@@ -187,6 +195,9 @@ class QuadratureOperator:
             raise ValueError("t_max must cover at least two time cells")
         self.n_steps = n_steps
         self.times = backend.dt * np.arange(1, n_steps + 1)
+        # the kernel's t-only factors, computed here once and inherited by the
+        # workers; each block's fill takes its cells' rows
+        self._columns = kernel_columns(spec, self.times[:, None, None])
 
         first_width = math.sqrt(float(ou_moments(model, 0.0, backend.dt).var_r))
         if backend.dy > 1.3 * first_width:
@@ -234,9 +245,11 @@ class QuadratureOperator:
         build = functools.partial(self._build_tile, coef, ext)
         with one_blas_thread() as pinned:
             self.workers = pool_size(backend.workers, len(tiles)) if pinned else 1
-            # a task's kernel block, accumulator and product with ext
+            # a task's kernel block, accumulator, product with ext, and the
+            # kernel fill's y tile and dev scratch
             width = tile * n_y
-            _check_memory(n_lam * n_r * n_r, self.workers, per_block * width + n_lam * (width + tile * n_r))
+            fill = _fill_cells((per_block, tile, n_y)) * width
+            _check_memory(n_lam * n_r * n_r, self.workers, per_block * width + n_lam * (width + tile * n_r) + 2 * fill)
             self._mats = shared_empty((n_lam, n_r, n_r))
             seconds = fork_map(build, tiles, self.workers)
         self.kernel_s, self.gemm_s = (sum(s) for s in zip(*seconds))
@@ -250,6 +263,8 @@ class QuadratureOperator:
         n_lam, n_y, per_block = coef.shape[0], self.y.size, self.block_cells
         width = (i1 - i0) * n_y
         r = self.nodes[None, i0:i1, None]
+        y = self.y[None, None, :]
+        y_tile = kernel_y_tile(self.y, (per_block, i1 - i0, n_y))
         buf = np.empty(per_block * width)
         # dgemm updates c in place only when c is Fortran-contiguous, and
         # silently works on a copy otherwise: every tile, the ragged last one
@@ -260,7 +275,8 @@ class QuadratureOperator:
             stop = min(start + per_block, self.n_steps)
             block = buf[: (stop - start) * width].reshape(stop - start, i1 - i0, n_y)
             t0 = time.perf_counter()
-            fk_kernel_weight(self.spec, self.times[start:stop, None, None], r, self.y[None, None, :], block)
+            columns = self._columns[start:stop]
+            fk_kernel_weight(self.spec, columns.t, r, y, block, columns=columns, y_tile=y_tile)
             t1 = time.perf_counter()
             # acc^T += coef[:, start:stop] @ block
             acc = scipy.linalg.blas.dgemm(

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from consrate import (
     Constant,
@@ -120,6 +121,67 @@ def test_kernel_fills_a_given_block_with_the_same_values():
     assert np.array_equal(out, fk_kernel_weight(PAPER, t, r, y))
     for j in range(7):
         assert np.array_equal(out[j : j + 1], fk_kernel_weight(PAPER, t[j : j + 1], r, y))
+
+
+def six_pass_kernel(spec, t, r, y):
+    """The kernel at the broadcast shape of t, r and y in one go: the moments,
+    then gaussian._fill_kernel's six numpy passes."""
+    al = spec.alpha
+    mom = ou_moments(spec.model, r, t)
+    beta = mom.cov_rh / mom.var_r
+    var_cond = np.maximum(mom.var_h - mom.cov_rh**2 / mom.var_r, 0.0)
+    base = al * mom.mean_h + 0.5 * al**2 * var_cond - 0.5 * np.log(2.0 * math.pi * mom.var_r)
+    shape = np.broadcast_shapes(np.shape(y), mom.mean_r.shape)
+    out = np.empty(shape)
+    gaussian._fill_kernel(out, np.empty(shape), y, mom.mean_r, -0.5 / mom.var_r, al * beta, base)
+    return out
+
+
+# (cells, nodes, y points, _FILL_FLOATS): a one-node tile; a ragged last fill
+# (7 cells filled 3 at a time); a single cell; paper-like rows of 2451 y
+# points over 106 cells (filled 26 at a time, the last fill holds 2)
+FILL_SHAPES = {
+    "one-node tile": (30, 1, 401, None),
+    "ragged last fill": (7, 5, 101, 3 * 5 * 101),
+    "single cell": (1, 13, 101, None),
+    "paper-like rows": (106, 1, 2451, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILL_SHAPES))
+def test_rank1_fill_bitwise_equals_six_passes(monkeypatch, name):
+    cells, nodes, n_y, fill = FILL_SHAPES[name]
+    if fill is not None:
+        monkeypatch.setattr(gaussian, "_FILL_FLOATS", fill)
+    # from t = 0.001, where most of the y mesh underflows, to t = 0.106
+    t = 0.001 * np.arange(1, cells + 1)[:, None, None]
+    r = np.linspace(-0.05, 0.2, nodes)[None, :, None]
+    y = np.linspace(-0.2, 0.35, n_y)[None, None, :]
+    ref = six_pass_kernel(PAPER, t, r, y)
+    assert np.array_equal(fk_kernel_weight(PAPER, t, r, y), ref)
+    columns = gaussian.kernel_columns(PAPER, t)
+    out = np.full(ref.shape, np.nan)
+    y_tile = gaussian.kernel_y_tile(y, ref.shape)
+    assert fk_kernel_weight(PAPER, t, r, y, out, columns=columns, y_tile=y_tile) is out
+    assert np.array_equal(out, ref)
+    # a block's rows of columns precomputed for more cells, as the operator passes them
+    longer = gaussian.kernel_columns(PAPER, 0.001 * np.arange(1, cells + 4)[:, None, None])
+    assert np.array_equal(fk_kernel_weight(PAPER, t, r, y, columns=longer[:cells]), ref)
+
+
+def test_kernel_rejects_columns_of_other_times():
+    t = 0.01 * np.arange(1, 4)[:, None, None]
+    columns = gaussian.kernel_columns(PAPER, t[1:])
+    with pytest.raises(ValueError, match="other times"):
+        fk_kernel_weight(PAPER, t[:2], 0.05, np.linspace(0.0, 0.1, 11), columns=columns)
+
+
+def test_dger_updates_a_fortran_contiguous_operand_in_place():
+    # the fill's rank-1 passes update the transpose of a C-contiguous block
+    block = np.arange(12.0).reshape(3, 4)
+    a = block.T
+    assert scipy.linalg.blas.dger(-1.0, np.ones(4), np.array([1.0, 2.0, 3.0]), a=a, overwrite_a=True) is a
+    assert np.array_equal(block, np.arange(12.0).reshape(3, 4) - np.array([[1.0], [2.0], [3.0]]))
 
 
 def test_semigroup_alpha_small_preserves_one():

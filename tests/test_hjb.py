@@ -277,8 +277,8 @@ def test_central_window():
 def test_kernel_evaluated_once_per_time_cell(monkeypatch):
     points, ops = [], []
 
-    def counting_kernel(*args):
-        w = fk_kernel_weight(*args)
+    def counting_kernel(*args, **kwargs):
+        w = fk_kernel_weight(*args, **kwargs)
         points.append(w.size)
         return w
 

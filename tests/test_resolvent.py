@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,10 +353,10 @@ def test_build_runs_blas_on_one_thread_and_restores_it(monkeypatch, tmp_path):
     # saw to a file that the test then reads
     log = tmp_path / "blas_threads.txt"
 
-    def recording_kernel(*args):
+    def recording_kernel(*args, **kwargs):
         with open(log, "a", encoding="ascii") as fh:
             fh.write(f"{blas_threads()}\n")
-        return fk_kernel_weight(*args)
+        return fk_kernel_weight(*args, **kwargs)
 
     grid = grid_unit(61)
     lams = (LAM1, 1.5, 4.0)
@@ -380,27 +382,54 @@ def test_build_runs_blas_on_one_thread_and_restores_it(monkeypatch, tmp_path):
 
 def test_quadrature_checks_memory_before_mapping_the_stack(monkeypatch):
     # a patched budget, not a real giant allocation: 3 levels on 61 nodes make
-    # an R(lambda) stack of 3 x 61^2 floats, and the tile buffers come on top
+    # an R(lambda) stack of 3 x 61^2 floats, and each task holds a 34-cell
+    # kernel block of 61 nodes x 123 y points, its accumulator, its product
+    # with ext, and the kernel fill's y tile and dev scratch of 8 cells each
     grid = grid_unit(61)
     lams = (LAM1, 1.5, 4.0)
     backend = quad_backend(t_max=1.0, workers=1)
-    stack = 3 * 61 * 61 * 8
+    width = 61 * 123
+    task = 34 * width + 3 * (width + 61 * 61) + 2 * 8 * width
+    need = 8 * (3 * 61 * 61 + task)
+    tracemalloc.start()
+    try:
+        reference = QuadratureOperator(PAPER, grid, backend, lams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (reference.node_tile, reference.block_cells, reference.y.size) == (61, 34, 123)
+    assert peak <= 8 * task  # the stack is a shared mapping, which tracemalloc does not see
 
     def no_mapping(shape):
         raise AssertionError("the stack was mapped although it does not fit")
 
     with monkeypatch.context() as m:
-        m.setattr(resolvent, "memory_budget", lambda: stack)
+        m.setattr(resolvent, "memory_budget", lambda: need - 1)
         m.setattr(resolvent, "shared_empty", no_mapping)
-        sizes = r"0\.1 MiB of R\(lambda\) and [0-9.]+ MiB of tile buffers for each of 1 workers"
+        sizes = r"needs 3\.2 MiB: 0\.1 MiB of R\(lambda\) and 3\.1 MiB of tile buffers for each of 1 workers"
         with pytest.raises(InsufficientMemory, match=sizes) as info:
             QuadratureOperator(PAPER, grid, backend, lams)
     assert isinstance(info.value, MemoryError)
-    reference = QuadratureOperator(PAPER, grid, backend, lams)
-    for budget in (None, 2**40):  # unreadable, or ample
+    for budget in (None, need):  # unreadable, or just enough
         monkeypatch.setattr(resolvent, "memory_budget", lambda: budget)
         op = QuadratureOperator(PAPER, grid, backend, lams)
         assert np.array_equal(op.resolvent_matrix(1.5)[0], reference.resolvent_matrix(1.5)[0])
+
+
+# R(lambda) of grid_unit(61) at three levels with t_max = 1 (one 61-node
+# tile, blocks of 34 and 16 cells): sha256 of the float.hex of every entry,
+# recorded when the kernel was still filled by six numpy passes; the fill
+# must reproduce them bit for bit
+QUAD_PINNED = {LAM1: "4245ba270c75f6d5", 1.5: "f43c24ef3fe16f24", 4.0: "8457ca3e6f4813bf"}
+
+
+def test_quadrature_resolvent_pinned():
+    op = QuadratureOperator(PAPER, grid_unit(61), quad_backend(t_max=1.0), tuple(QUAD_PINNED))
+    got = {}
+    for lam in QUAD_PINNED:
+        values = op.resolvent_matrix(lam)[0].ravel()
+        got[lam] = hashlib.sha256(" ".join(float(v).hex() for v in values).encode()).hexdigest()[:16]
+    assert got == QUAD_PINNED
 
 
 def test_memory_budget_reads_this_machine():
