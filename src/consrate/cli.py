@@ -344,7 +344,7 @@ def _solve_c(spec: ProblemSpec, solver_cfg: hjb.SolverConfig) -> hjb.Solution:
     grid = solver_cfg.grid
     n_vals = supersolution_N(spec, grid.nodes)
     k = grid.with_values(np.power(n_vals, 1.0 - spec.alpha))
-    policy = k.with_values(np.power(k.values, 1.0 / (spec.alpha - 1.0)))
+    policy = hjb.optimal_consumption(k, spec.alpha)
     return hjb.Solution(
         K=k, N_pow=k.copy(), policy_c=policy, trace=hjb.IterationTrace(), spec=spec, iterates=[k]
     )

@@ -14,11 +14,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.linalg.blas import dger
 
-from .errors import InsufficientMemory
 from .feasibility import require_finite_N, rho_decay
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, Vasicek
-from .parallel import memory_budget
+from .parallel import check_memory, memory_budget
 
 # semigroup_apply: how far the y mesh reaches beyond the grid, in kernel widths
 _PAD_SIGMAS = 6.0
@@ -176,17 +175,18 @@ def fk_kernel_weight(spec: ProblemSpec, t, r, y, out=None, columns=None, y_tile=
     w is the Gaussian transition density of r_t times the conditional
     exponential moment of h_t given r_t = y, so that
     int phi(y) w(t, r, y) dy = E^r[phi(r_t) e^{alpha h_t}].
-    The kernel is singular at t = 0 and rejects t <= 0. ``out``, an array of
-    the broadcast shape, receives the values instead of a new array.
-    ``columns``, kernel_columns(spec, t) computed once by the caller, saves
-    recomputing the factors that depend on t alone.
+    The kernel is singular at t = 0 and rejects t <= 0. ``out``, a
+    C-contiguous array of the broadcast shape, receives the values instead of
+    a new array. ``columns``, kernel_columns(spec, t) computed once by the
+    caller, saves recomputing the factors that depend on t alone.
 
-    When t runs along the leading axis only, r along the middle axes and y
-    along the last, as in a (cells, nodes, y) block, the kernel is filled a
-    few time values at a time (about _FILL_FLOATS values), with the factors
-    that depend on t alone as (cells, 1, 1) columns, so that the temporaries
-    stay small. ``y_tile``, kernel_y_tile(y, shape) made once by a caller
-    that fills many blocks of one shape, saves rebuilding it.
+    The values form a (cells, ..., y) block: t runs along the leading axis
+    only (a t of one value is a one-cell leading axis, not returned), r along
+    the middle axes and y along the last; other layouts raise ValueError.
+    The block is filled a few time cells at a time (about _FILL_FLOATS
+    values), so that the temporaries stay small. ``y_tile``,
+    kernel_y_tile(y, shape) made once by a caller that fills many blocks of
+    one shape, saves rebuilding it.
     """
     t = np.asarray(t, dtype=float)
     if columns is None:
@@ -202,22 +202,19 @@ def fk_kernel_weight(spec: ProblemSpec, t, r, y, out=None, columns=None, y_tile=
     base = al * mean_h + c.half_var - c.half_log
     y = np.asarray(y, dtype=float)
     shape = np.broadcast_shapes(y.shape, mean_r.shape)
+    if t.size > 1 and not (t.ndim == len(shape) > 1 and t.shape[0] == t.size):
+        raise ValueError(f"the kernel needs t along its leading axis only: t {t.shape}, kernel {shape}")
+    if y.size > 1 and y.shape[-1] != y.size or mean_r.ndim and mean_r.shape[-1] > 1:
+        raise ValueError(f"the kernel needs y along its last axis only and r off it: y {y.shape}, kernel {shape}")
     expo = np.empty(shape) if out is None else out
-    if (
-        expo.ndim >= 2
-        and expo.size
-        and expo.flags.c_contiguous
-        and t.ndim == expo.ndim
-        and t.shape[0] == t.size == expo.shape[0]
-        and mean_r.shape[-1] == 1
-        and y.ndim
-        and y.shape[-1] == y.size == expo.shape[-1]
-    ):
+    if expo.shape != shape or not expo.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {shape}")
+    block = expo.reshape(shape if t.size > 1 else (1, *shape))
+    if block.size:
         if y_tile is None:
-            y_tile = kernel_y_tile(y, shape)
-        _fill_kernel_rows(expo, y_tile, mean_r, c.scale, c.shift, base)
-    else:
-        _fill_kernel(expo, np.empty(shape), y, mean_r, c.scale, c.shift, base)
+            y_tile = kernel_y_tile(y, block.shape)
+        cols = (-1,) + (1,) * (block.ndim - 1)
+        _fill_kernel_rows(block, y_tile, mean_r, c.scale.reshape(cols), c.shift.reshape(cols), base)
     return expo if expo.ndim else expo[()]
 
 
@@ -232,25 +229,16 @@ def kernel_y_tile(y, shape) -> np.ndarray:
     return np.tile(np.asarray(y, dtype=float).reshape(-1), (_fill_cells(shape) * math.prod(shape[1:-1]), 1))
 
 
-def _fill_kernel(out, dev, y, mean_r, scale, shift, base) -> None:
-    """out = exp((dev scale + shift) dev + base) with dev = y - mean_r."""
-    np.subtract(y, mean_r, out=dev)
-    np.multiply(dev, scale, out=out)
-    out += shift
-    out *= dev
-    out += base
-    np.exp(out, out=out)
-
-
 def _fill_kernel_rows(out, y_tile, mean_r, scale, shift, base) -> None:
-    """_fill_kernel on a C-contiguous (cells, ..., y) block, whose t-only
-    factors are (cells, 1, ..., 1) columns and whose mean_r and base are
-    constant along y, a few cells at a time.
+    """out = exp((dev scale + shift) dev + base) with dev = y - mean_r, on a
+    C-contiguous (cells, ..., y) block whose t-only factors are
+    (cells, 1, ..., 1) columns and whose mean_r and base are constant along
+    y, a few cells at a time.
 
     The two passes that broadcast a column across each row, y - mean_r and
     + base, are rank-1 updates (BLAS dger) of a copy of the y tile and of
     out: the products are by +-1 and so exact, and each entry is rounded
-    once, as _fill_kernel rounds it.
+    once, as six elementwise numpy passes round it.
     """
     n_y = out.shape[-1]
     per_cell = out[0].size // n_y  # rows of one time cell
@@ -378,7 +366,13 @@ def supersolution_N(spec: ProblemSpec, r):
     rho = rho_decay(spec)
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     t_end = max(80.0 / rho, 10.0 / model.b)
-    _check_n_memory(r_arr.size)
+    check_memory(
+        "the supersolution N",
+        8 * (_N_CHUNK + 1) * (_N_CHUNK_ARRAYS * r_arr.size + _N_CHUNK_COLUMNS),
+        memory_budget(),
+        f" for {_N_CHUNK_ARRAYS} arrays of {_N_CHUNK + 1} time steps x {r_arr.size} nodes and their time columns",
+        "lower grid.n",
+    )
     total = np.zeros_like(r_arr)
     gmax = np.zeros_like(r_arr)
     t0 = 0.0
@@ -395,16 +389,3 @@ def supersolution_N(spec: ProblemSpec, r):
             break
     out = total
     return float(out[0]) if np.ndim(r) == 0 else out
-
-
-def _check_n_memory(nodes: int) -> None:
-    """Raise InsufficientMemory unless supersolution_N's chunk arrays fit in
-    what the process may still take."""
-    need = 8 * (_N_CHUNK + 1) * (_N_CHUNK_ARRAYS * nodes + _N_CHUNK_COLUMNS)
-    budget = memory_budget()
-    if budget is not None and need > budget:
-        mib = 2.0**-20
-        raise InsufficientMemory(
-            f"the supersolution N needs {need * mib:.1f} MiB for {_N_CHUNK_ARRAYS} arrays of {_N_CHUNK + 1} time "
-            f"steps x {nodes} nodes and their time columns, but only {budget * mib:.1f} MiB is available; lower grid.n"
-        )

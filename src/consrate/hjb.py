@@ -149,7 +149,8 @@ def lambda_schedule(spec: ProblemSpec, config: SolverConfig, m: int) -> float:
 
 
 def _extended_nodes(spec: ProblemSpec, grid: GridFunction, pad: float):
-    """Reporting grid extended by ~pad on each side, clipped to the model domain.
+    """Reporting grid extended by ~pad on each side, clipped to the closure of
+    the model domain if the grid lies in it (else left for the domain checks).
 
     Returns (nodes, i0, i1) with the reporting window at [i0, i1]."""
     h = grid.step
@@ -166,6 +167,8 @@ def _extended_nodes(spec: ProblemSpec, grid: GridFunction, pad: float):
             k_hi = min(k, max(int(np.floor((dom.hi - grid.r_max) / h + 1e-9)), 0))
     n = grid.n_nodes + k_lo + k_hi
     nodes = grid.r_min - k_lo * h + h * np.arange(n)
+    if dom.lo <= grid.r_min and grid.r_max <= dom.hi:  # rounding must not carry a node out of the domain
+        np.clip(nodes, dom.lo, dom.hi, out=nodes)
     return nodes, k_lo, k_lo + grid.n_nodes - 1
 
 
@@ -270,7 +273,7 @@ def _package(spec, config, nodes, window, k, upper, trace, snaps) -> Solution:
     if np.any(k_rep.values <= 0):
         raise MonotonicityError("converged K is not strictly positive", trace=trace)
     n_pow = GridFunction(grid.r_min, grid.r_max, upper[window]) if upper is not None else None
-    policy = k_rep.with_values(np.power(k_rep.values, 1.0 / (spec.alpha - 1.0)))
+    policy = optimal_consumption(k_rep, spec.alpha)
     iterates = [GridFunction(grid.r_min, grid.r_max, s[window]) for s in snaps]
     return Solution(K=k_rep, N_pow=n_pow, policy_c=policy, trace=trace, spec=spec, iterates=iterates)
 

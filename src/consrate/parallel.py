@@ -1,5 +1,6 @@
 """Worker processes of the ``--threads`` pools, their shared output memory,
-the memory check before it is mapped, and the BLAS pin of the operator build.
+the memory check before large arrays are allocated, and the BLAS pin of the
+operator build.
 
 estimate_J runs its path blocks and QuadratureOperator its node tiles through
 fork_map, on forked worker processes rather than threads: each worker has its
@@ -29,6 +30,8 @@ import os
 from pathlib import Path
 
 import numpy as np
+
+from .errors import InsufficientMemory
 
 
 def pool_size(requested: int, tasks: int) -> int:
@@ -107,6 +110,19 @@ def memory_budget() -> int | None:
             with contextlib.suppress(OSError, ValueError):
                 budgets.append(int(Path(limit).read_text()) - int(Path(usage).read_text()))
     return min(budgets, default=None)
+
+
+def check_memory(what: str, need: int, budget: int | None, detail: str, advice: str) -> None:
+    """Raise InsufficientMemory, "{what} needs X MiB{detail}, but only Y MiB
+    is available; {advice}", if ``need`` bytes exceed ``budget``, the caller's
+    memory_budget() (None sets no bound)."""
+    if budget is not None and need > budget:
+        raise InsufficientMemory(f"{what} needs {mib(need)}{detail}, but only {mib(budget)} is available; {advice}")
+
+
+def mib(nbytes: float) -> str:
+    """``nbytes`` as a message's "X.X MiB"."""
+    return f"{nbytes * 2.0**-20:.1f} MiB"
 
 
 def _cgroup_memory_files():

@@ -20,7 +20,6 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import InsufficientMemory
 from .feasibility import require_finite_N, theta_growth
 from .gaussian import (
     _fill_cells,
@@ -33,7 +32,7 @@ from .gaussian import (
 )
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, Vasicek, diffusion, drift, state_rate
-from .parallel import fork_map, memory_budget, one_blas_thread, pool_size, shared_empty
+from .parallel import check_memory, fork_map, memory_budget, mib, one_blas_thread, pool_size, shared_empty
 from .simulate import _PATH_BLOCK, _euler_paths, _exact_batch, _path_rngs
 
 
@@ -130,20 +129,6 @@ def _cell_weights(s: float, h: float) -> tuple[float, float]:
 # this many floats (2**18 floats are 2 MB, a common per-core L2 size), so that a
 # tile is built in cache
 _BLOCK_FLOATS = 2**18
-
-
-def _check_memory(stack_floats: int, workers: int, task_floats: int) -> None:
-    """Raise InsufficientMemory unless the R(lambda) stack and ``workers``
-    tasks' buffers fit in what the process may still take."""
-    budget = memory_budget()
-    need = 8 * (stack_floats + workers * task_floats)
-    if budget is not None and need > budget:
-        mib = 2.0**-20
-        raise InsufficientMemory(
-            f"the quadrature operator needs {need * mib:.1f} MiB: {8 * stack_floats * mib:.1f} MiB of R(lambda) "
-            f"and {8 * task_floats * mib:.1f} MiB of tile buffers for each of {workers} workers, but only "
-            f"{budget * mib:.1f} MiB is available; lower grid.n, solver.m_max or --threads"
-        )
 
 
 class QuadratureOperator:
@@ -249,7 +234,14 @@ class QuadratureOperator:
             # kernel fill's y tile and dev scratch
             width = tile * n_y
             fill = _fill_cells((per_block, tile, n_y)) * width
-            _check_memory(n_lam * n_r * n_r, self.workers, per_block * width + n_lam * (width + tile * n_r) + 2 * fill)
+            stack, task = 8 * n_lam * n_r * n_r, 8 * (per_block * width + n_lam * (width + tile * n_r) + 2 * fill)
+            check_memory(
+                "the quadrature operator",
+                stack + self.workers * task,
+                memory_budget(),
+                f": {mib(stack)} of R(lambda) and {mib(task)} of tile buffers for each of {self.workers} workers",
+                "lower grid.n, solver.m_max or --threads",
+            )
             self._mats = shared_empty((n_lam, n_r, n_r))
             seconds = fork_map(build, tiles, self.workers)
         self.kernel_s, self.gemm_s = (sum(s) for s in zip(*seconds))

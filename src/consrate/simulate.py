@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, HorizonError, InsufficientMemory
+from .errors import DivergenceError, HorizonError
 from .feasibility import classify
 from .gaussian import _cov_shape, _int_decay_shape, _var_h_shape, exp_h_moment
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, ShortRateModel, Vasicek, diffusion, domain, drift
-from .parallel import fork_map, memory_budget, pool_size
+from .parallel import check_memory, fork_map, memory_budget, mib, pool_size
 
 # paths per block of estimate_J, estimate_KL_mc and resolvent_mc: one engine call
 # runs a block, and a block is the unit of work of the worker processes. The
@@ -155,17 +155,6 @@ def _exact_filter(model: Vasicek, r0, dt: float, x: np.ndarray, noise_h) -> tupl
     h[:, 0] = 0.0
     np.cumsum(dh, axis=1, out=dh)
     return r, h
-
-
-def _exact_paths(model: Vasicek, r0, dt: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (r, h) paths, shape (batch, n_steps + 1), from start rates r0
-    driven by standard normals z of shape (batch, n_steps, 2); h starts at 0.
-    The normals and their correlated copy are two path-sized arrays each."""
-    noise = z @ _exact_step_params(model, dt)[4].T
-    del z  # callers pass z inline, so this frees the normals before the filter runs
-    x = np.empty((noise.shape[0], noise.shape[1] + 1))
-    x[:, 1:] = noise[:, :, 0]
-    return _exact_filter(model, r0, dt, x, noise[:, :, 1])
 
 
 def _normals(rngs, shape: tuple) -> np.ndarray:
@@ -367,7 +356,7 @@ def estimate_J(
     is bitwise the same for any worker count and any assignment. A worker
     that dies mid-run raises BrokenProcessPool. Before anything is allocated,
     the memory all this needs at cfg.t_max is checked against
-    parallel.memory_budget() (InsufficientMemory, see _check_memory).
+    parallel.memory_budget() (InsufficientMemory names the sizes).
 
     Provably infinite problems are rejected outright; Unknown verdicts are
     allowed through (the estimator is how one probes them) and rely on the
@@ -379,7 +368,20 @@ def estimate_J(
         raise ValueError("the consumption policy must be nonnegative")
     if v <= 0:
         raise ValueError("initial wealth must be positive")
-    _check_memory(cfg)
+    # sized at cfg.t_max, before the horizon is known: _horizon_steps' step arrays, each
+    # worker's three path-sized arrays, and the blocks' results held until the reduction
+    steps = int(round(cfg.t_max / cfg.dt)) + 1
+    horizon = 8 * _HORIZON_ARRAYS * steps
+    per_block = 8 * 3 * min(_PATH_BLOCK, cfg.n_paths) * steps
+    results = 8 * (-(-cfg.n_paths // _PATH_BLOCK) * steps + cfg.n_paths)
+    check_memory(
+        "estimate",
+        horizon + cfg.pool_workers * per_block + results,
+        memory_budget(),
+        f": {mib(horizon)} for the horizon bound, {mib(per_block)} of path arrays for each of "
+        f"{cfg.pool_workers} workers and {mib(results)} of block results",
+        "lower paths.t_max / paths.dt, paths.n_paths or --threads",
+    )
     al, g = spec.alpha, spec.gamma
     n_steps = _horizon_steps(spec, policy_c, r0, cfg)
     times = cfg.dt * np.arange(n_steps + 1)
@@ -411,28 +413,6 @@ def estimate_J(
         tail_bound=float(scale * tail),
         horizon=float(times[-1]),
     )
-
-
-def _check_memory(cfg: PathConfig) -> None:
-    """Raise InsufficientMemory unless estimate_J's arrays, sized for the
-    whole of cfg.t_max before the horizon is known, fit in what the process
-    may still take: _horizon_steps' step arrays, the three path-sized arrays
-    of each worker's block, and the blocks' per-path integrals and profiles
-    held until the reduction."""
-    steps = int(round(cfg.t_max / cfg.dt)) + 1
-    horizon = 8 * _HORIZON_ARRAYS * steps
-    block = 8 * 3 * min(_PATH_BLOCK, cfg.n_paths) * steps
-    results = 8 * (-(-cfg.n_paths // _PATH_BLOCK) * steps + cfg.n_paths)
-    need = horizon + cfg.pool_workers * block + results
-    budget = memory_budget()
-    if budget is not None and need > budget:
-        mib = 2.0**-20
-        raise InsufficientMemory(
-            f"estimate needs {need * mib:.1f} MiB: {horizon * mib:.1f} MiB for the horizon bound, "
-            f"{block * mib:.1f} MiB of path arrays for each of {cfg.pool_workers} workers and "
-            f"{results * mib:.1f} MiB of block results, but only {budget * mib:.1f} MiB is available; "
-            "lower paths.t_max / paths.dt, paths.n_paths or --threads"
-        )
 
 
 def _standard_error(samples: np.ndarray) -> float:
@@ -551,13 +531,17 @@ def joint_moment_sample(
     This is a test oracle, not a path API; it uses one stream for speed.
     """
     dt = t / n_steps
+    chol_t = _exact_step_params(model, dt)[4].T
     rng = np.random.default_rng(seed)
     s = np.zeros(2)
     ss = np.zeros(3)  # sum r^2, sum h^2, sum r h
     done = 0
     while done < n_paths:
         nb = min(_MOMENT_BLOCK, n_paths - done)
-        r, h = _exact_paths(model, r0, dt, rng.standard_normal((nb, n_steps, 2)))
+        noise = rng.standard_normal((nb, n_steps, 2)) @ chol_t
+        x = np.empty((nb, n_steps + 1))
+        x[:, 1:] = noise[:, :, 0]
+        r, h = _exact_filter(model, r0, dt, x, noise[:, :, 1])
         r_end, h_end = r[:, -1], h[:, -1]
         s += [r_end.sum(), h_end.sum()]
         ss += [np.sum(r_end**2), np.sum(h_end**2), np.sum(r_end * h_end)]

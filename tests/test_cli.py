@@ -443,3 +443,17 @@ def test_run_record_reports_worker_peak_rss(tmp_path):
     assert keys[-2:] == ("peak_rss_mb", "peak_rss_children_mb")
     children = float(record["peak_rss_children_mb"])
     assert children > 0 if int(record["operator.workers"]) > 1 else children >= 0
+
+
+def test_interval_solve_on_a_grid_that_reaches_the_endpoint(tmp_path):
+    # the padded grid's last node rounds to 0.20000000000000004 unless kept in [a, b]
+    interval = [
+        "--set", "model.kind=interval", "--set", "model.a=0.0", "--set", "model.b=0.2",
+        "--set", "model.kappa=1.0", "--set", "model.sigma=1.0",
+        "--set", "grid.r_min=0.0", "--set", "grid.r_max=0.2",
+    ]
+    solve = run_cli("--output", "o", *interval, "solve", cwd=tmp_path)
+    assert solve.returncode == 0, solve.stdout + solve.stderr
+    residual = run_cli("--output", "o", *interval, "residual", cwd=tmp_path)
+    assert residual.returncode == 0, residual.stdout + residual.stderr
+    assert float(residual.stdout.split(":")[-1]) < 1e-5

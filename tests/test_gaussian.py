@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -125,16 +126,88 @@ def test_kernel_fills_a_given_block_with_the_same_values():
 
 def six_pass_kernel(spec, t, r, y):
     """The kernel at the broadcast shape of t, r and y in one go: the moments,
-    then gaussian._fill_kernel's six numpy passes."""
+    then out = exp((dev scale + shift) dev + base) with dev = y - mean_r in
+    six elementwise numpy passes, each entry of each pass rounded once."""
     al = spec.alpha
     mom = ou_moments(spec.model, r, t)
     beta = mom.cov_rh / mom.var_r
     var_cond = np.maximum(mom.var_h - mom.cov_rh**2 / mom.var_r, 0.0)
     base = al * mom.mean_h + 0.5 * al**2 * var_cond - 0.5 * np.log(2.0 * math.pi * mom.var_r)
-    shape = np.broadcast_shapes(np.shape(y), mom.mean_r.shape)
-    out = np.empty(shape)
-    gaussian._fill_kernel(out, np.empty(shape), y, mom.mean_r, -0.5 / mom.var_r, al * beta, base)
+    dev = np.subtract(y, mom.mean_r)
+    out = np.multiply(dev, -0.5 / mom.var_r)
+    out += al * beta
+    out *= dev
+    out += base
+    np.exp(out, out=out)
     return out
+
+
+def kernel_pin(values) -> str:
+    """sha256 of the float.hex of every value, first 16 hex digits."""
+    return hashlib.sha256(" ".join(float(v).hex() for v in np.ravel(values)).encode()).hexdigest()[:16]
+
+
+# semigroup_apply of a Gaussian bump on 111 nodes, with dy left at the grid
+# step (the default) and at 0.001, and scalar-t kernels on a y mesh alone and
+# on an (r, y) grid: recorded when a scalar t was still filled by six numpy
+# passes, which the rank-1 fill must reproduce bit for bit
+SEMIGROUP_PINNED = {
+    (0.01, None): "79f2c6306ecb1070",
+    (0.5, None): "1404579c22ae9a9c",
+    (1.0, None): "0167a037d2864d3f",
+    (5.0, None): "8cddcd0459b7b95d",
+    (0.01, 0.001): "224a1ee725046472",
+    (0.5, 0.001): "524d6b9b1c6b4e02",
+    (1.0, 0.001): "230f583d5313d002",
+    (5.0, 0.001): "f07b2f7326919932",
+}
+SCALAR_T_PINNED = {
+    (0.01, "y"): "835021975f8032b8",
+    (0.01, "r, y"): "408fecf4a5753d6f",
+    (1.0, "y"): "ca1c77dcc9b15a93",
+    (1.0, "r, y"): "63ff4d97b65a3c4d",
+}
+
+
+def test_semigroup_pinned():
+    phi = GridFunction.from_callable(-0.2, 0.35, 111, lambda r: np.exp(-(((r - 0.06) / 0.05) ** 2)))
+    got = {(t, dy): kernel_pin(semigroup_apply(PAPER, phi, t, dy=dy).values) for t, dy in SEMIGROUP_PINNED}
+    assert got == SEMIGROUP_PINNED
+
+
+def test_scalar_t_kernel_pinned():
+    ys = np.linspace(-0.2, 0.35, 2001)
+    r = np.linspace(-0.05, 0.2, 26)[:, None]
+    got = {}
+    for t in (0.01, 1.0):
+        got[t, "y"] = kernel_pin(fk_kernel_weight(PAPER, t, 0.05, ys))
+        got[t, "r, y"] = kernel_pin(fk_kernel_weight(PAPER, t, r, ys[None, :]))
+    assert got == SCALAR_T_PINNED
+    point = fk_kernel_weight(PAPER, 0.5, 0.05, 0.06)
+    assert np.ndim(point) == 0 and kernel_pin(point) == "6f93e50fcaae4f32"
+
+
+def test_kernel_rejects_layouts_the_fill_cannot_take():
+    t = 0.01 * np.arange(1, 4)
+    r = np.linspace(0.0, 0.1, 5)
+    y = np.linspace(-0.1, 0.2, 7)
+    with pytest.raises(ValueError, match="t along its leading axis"):
+        fk_kernel_weight(PAPER, t, 0.05, 0.06)  # t along the only axis
+    with pytest.raises(ValueError, match="t along its leading axis"):
+        fk_kernel_weight(PAPER, t[None, :, None], r[:, None, None], y)  # t along a middle axis
+    with pytest.raises(ValueError, match="y along its last axis"):
+        fk_kernel_weight(PAPER, t[:, None, None], 0.05, y[None, :, None])  # y along a middle axis
+    with pytest.raises(ValueError, match="r off it"):
+        fk_kernel_weight(PAPER, 0.5, r, 0.06)  # r along the last axis
+    with pytest.raises(ValueError, match="r off it"):
+        fk_kernel_weight(PAPER, 0.5, y, y)  # r and y paired along one axis
+    block = np.empty((7, 3, 5))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        fk_kernel_weight(PAPER, t[:, None, None], r[:, None], y, block.transpose(1, 2, 0))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        fk_kernel_weight(PAPER, t[:, None, None], r[:, None], y, np.empty((3, 5, 8))[:, :, :7])
+    with pytest.raises(ValueError, match="C-contiguous array of shape"):
+        fk_kernel_weight(PAPER, t[:, None, None], r[:, None], y, np.empty((3, 35)))
 
 
 # (cells, nodes, y points, _FILL_FLOATS): a one-node tile; a ragged last fill

@@ -330,3 +330,21 @@ def test_problem_b_and_kl_pinned(gamma):
     got = {"K": sol.K.values, "N_pow": sol.N_pow.values, "K_L": kl.values}
     assert {name: hex_digest(v) for name, v in got.items()} == digests
     assert [float(v).hex() for v in sol.K.values[[15, 45, 75]]] == k_hex
+
+
+def test_extended_nodes_stay_in_the_domain_closure():
+    # r_min - k_lo h + h arange(n) can round past the domain's end (to
+    # 0.20000000000000004 at n = 76, b = 0.2); Vasicek nodes keep that arithmetic bit for bit
+    overshot = 0
+    for b in (0.1, 0.2, 0.3, 0.7, 0.9):
+        for n in range(3, 120):
+            grid = GridFunction.zeros(0.0, b, n)
+            spec = ProblemSpec(InvariantInterval(0.0, b, 1.0, 1.0), 0.5, 1.0, "A")
+            nodes, i0, i1 = hjb._extended_nodes(spec, grid, 0.05)
+            assert 0.0 <= nodes[0] and nodes[-1] <= b and (i0, i1) == (0, n - 1)
+            overshot += (grid.r_min + grid.step * np.arange(n))[-1] > b
+            vas, k_lo, _ = hjb._extended_nodes(PAPER_A, grid, 0.05)
+            assert np.array_equal(vas, grid.r_min - k_lo * grid.step + grid.step * np.arange(vas.size))
+    assert overshot  # the sweep meets the rounding it guards against
+    outside = GridFunction.zeros(-0.01, 0.2, 76)  # left as it is, for the domain checks to refuse
+    assert hjb._extended_nodes(spec, outside, 0.05)[0][0] == -0.01
