@@ -40,6 +40,7 @@ from .hjb import (
     optimal_consumption,
     solve_problem_a,
     solve_problem_b,
+    solve_problem_c,
 )
 from .models import (
     Constant,

@@ -23,7 +23,6 @@ import numpy as np
 from . import feasibility as feas
 from . import hjb, portfolio, simulate
 from .errors import DivergenceError, InfeasibleProblem, InsufficientMemory, MonotonicityError
-from .gaussian import supersolution_N
 from .grids import GridFunction
 from .models import Constant, DriftedBM, GeometricBM, InvariantInterval, ProblemSpec, Vasicek
 from .resolvent import FiniteDifference, Quadrature
@@ -90,7 +89,10 @@ def _coerce(key: str, raw):
     if isinstance(raw, str):
         raw = raw.strip()
         if isinstance(ref, bool):
-            return raw.lower() in ("1", "true", "yes", "on")
+            spelling = raw.lower()
+            if spelling not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+                raise ValueError(f"{key} must be one of 1/true/yes/on or 0/false/no/off, got {raw!r}")
+            return spelling in ("1", "true", "yes", "on")
         if isinstance(ref, int) and not isinstance(ref, bool):
             return int(raw)
         if isinstance(ref, float):
@@ -299,13 +301,9 @@ def cmd_solve(args, variant: str) -> int:
         print(f"feasibility gate: {report.verdict.value} ({report.reason}); use --force to override")
         return 2 if report.verdict is feas.Feasibility.INFINITE else 3
     solver_cfg = build_solver_config(cfg, spec.model)
+    solve = {"A": hjb.solve_problem_a, "B": hjb.solve_problem_b, "C": hjb.solve_problem_c}[variant]
     try:
-        if variant == "A":
-            sol = hjb.solve_problem_a(spec, solver_cfg, force=args.force)
-        elif variant == "B":
-            sol = hjb.solve_problem_b(spec, solver_cfg, force=args.force)
-        else:
-            sol = _solve_c(spec, solver_cfg)
+        sol = solve(spec, solver_cfg, force=args.force)
     except MonotonicityError as exc:
         print(f"solver aborted: {exc}")
         return 4
@@ -339,25 +337,15 @@ def _peak_rss_mb(who) -> str:
     return f"{resource.getrusage(who).ru_maxrss / 1024:.1f}"
 
 
-def _solve_c(spec: ProblemSpec, solver_cfg: hjb.SolverConfig) -> hjb.Solution:
-    """Problem C has the closed-form profile K = N^{1-alpha}; no iteration."""
-    grid = solver_cfg.grid
-    n_vals = supersolution_N(spec, grid.nodes)
-    k = grid.with_values(np.power(n_vals, 1.0 - spec.alpha))
-    policy = hjb.optimal_consumption(k, spec.alpha)
-    return hjb.Solution(
-        K=k, N_pow=k.copy(), policy_c=policy, trace=hjb.IterationTrace(), spec=spec, iterates=[k]
-    )
-
-
 def _load_solution(out: Path):
+    """K and c_hat of out/solution.csv as grid functions; None, with a note, if it is missing."""
     path = out / "solution.csv"
     if not path.exists():
+        print(f"no solution.csv in {out}; run solve first")
         return None
     data = read_csv(path)
     r = data["r"]
-    mk = lambda col: GridFunction(float(r[0]), float(r[-1]), data[col])
-    return {"r": r, "K": mk("K"), "N_pow": mk("N_pow"), "c_hat": mk("c_hat")}
+    return {col: GridFunction(float(r[0]), float(r[-1]), data[col]) for col in ("K", "c_hat")}
 
 
 def cmd_simulate(args) -> int:
@@ -365,7 +353,6 @@ def cmd_simulate(args) -> int:
     out = _outdir(args)
     sol = _load_solution(out)
     if sol is None:
-        print(f"no solution.csv in {out}; run solve first")
         return 5
     model = build_model(cfg)
     pcfg = build_path_config(cfg)
@@ -381,8 +368,9 @@ def cmd_simulate(args) -> int:
         for name, series in (("r", traj.r), ("V", traj.V), ("C", traj.C), ("c", traj.c)):
             panels.append(Panel(title=name, xlabel="t", ylabel=name).add(traj.times, series))
         write_figure(out / "figure2.svg", panels, ncols=2)
+    # a record of its own: run_record.txt keeps the solve's
     write_record(
-        out / "run_record.txt",
+        out / "simulate.txt",
         cfg,
         {
             "command": "simulate",
@@ -399,7 +387,6 @@ def cmd_estimate(args) -> int:
     out = _outdir(args)
     sol = _load_solution(out)
     if sol is None:
-        print(f"no solution.csv in {out}; run solve first")
         return 5
     spec = build_spec(cfg, "A")
     pcfg = build_path_config(cfg)
@@ -441,7 +428,6 @@ def cmd_residual(args) -> int:
     out = _outdir(args)
     sol = _load_solution(out)
     if sol is None:
-        print(f"no solution.csv in {out}; run solve first")
         return 5
     variant = args.variant.upper()
     spec = build_spec(cfg, "A" if variant == "B" else variant)
@@ -465,6 +451,17 @@ def _add_common(parser, suppress: bool) -> None:
     parser.add_argument("--force", action="store_true", default=d(False), help="solve despite a non-finite feasibility verdict")
 
 
+COMMANDS = {
+    "feasibility": cmd_feasibility,
+    "solve": lambda args: cmd_solve(args, "A"),
+    "solve-b": lambda args: cmd_solve(args, "B"),
+    "solve-c": lambda args: cmd_solve(args, "C"),
+    "simulate": cmd_simulate,
+    "estimate": cmd_estimate,
+    "residual": cmd_residual,
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="consrate",
@@ -473,28 +470,13 @@ def main(argv=None) -> int:
     _add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
     # flags are also accepted after the subcommand
-    for name in ("feasibility", "solve", "solve-b", "solve-c", "simulate", "estimate"):
+    for name in COMMANDS:
         _add_common(sub.add_parser(name), suppress=True)
-    res = sub.add_parser("residual")
-    _add_common(res, suppress=True)
-    res.add_argument("--variant", default="A", choices=["A", "B", "C", "a", "b", "c"])
+    sub.choices["residual"].add_argument("--variant", default="A", choices=["A", "B", "C", "a", "b", "c"])
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "feasibility":
-            code = cmd_feasibility(args)
-        elif args.command == "solve":
-            code = cmd_solve(args, "A")
-        elif args.command == "solve-b":
-            code = cmd_solve(args, "B")
-        elif args.command == "solve-c":
-            code = cmd_solve(args, "C")
-        elif args.command == "simulate":
-            code = cmd_simulate(args)
-        elif args.command == "estimate":
-            code = cmd_estimate(args)
-        else:
-            code = cmd_residual(args)
+        code = COMMANDS[args.command](args)
     except InfeasibleProblem as exc:
         print(f"infeasible: {exc}")
         code = 2

@@ -81,7 +81,7 @@ def ou_moments(model: Vasicek, r, t) -> JointMoments:
     cross-validated against a path-simulation oracle in the test suite.
     """
     t = _checked_times(model, t)
-    mean_r, mean_h = _means(model, np.asarray(r, dtype=float), t)
+    mean_r, mean_h = _means_from(model, np.asarray(r, dtype=float), *_mean_factors(model, t))
     var_r, var_h, cov_rh = _variances(model, t)
     return JointMoments(
         mean_r=mean_r,
@@ -101,11 +101,6 @@ def _checked_times(model, t) -> np.ndarray:
     return t
 
 
-def _means(model: Vasicek, r: np.ndarray, t: np.ndarray):
-    """(mean_r, mean_h) at the broadcast shape of r and t."""
-    return _means_from(model, r, *_mean_factors(model, t))
-
-
 def _mean_factors(model: Vasicek, t: np.ndarray):
     """The t-only factors of the means, at the shape of t: e^{-bt},
     (a/b)(1 - e^{-bt}), 1 - e^{-bt} and (a/b^2) b(t - (1 - e^{-bt})/b)."""
@@ -116,7 +111,8 @@ def _mean_factors(model: Vasicek, t: np.ndarray):
 
 
 def _means_from(model: Vasicek, r, e1, drift_r, one_m_e1, drift_h):
-    """(mean_r, mean_h) from r and the factors of _mean_factors."""
+    """(mean_r, mean_h), at the broadcast shape of r and t, from r and the
+    factors of _mean_factors."""
     return r * e1 + drift_r, r * one_m_e1 / model.b + drift_h
 
 
@@ -334,7 +330,7 @@ def _n_integrand(spec: ProblemSpec, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     shaped (len(t), len(r)); var_h depends on t only and stays a column."""
     al, g = spec.alpha, spec.gamma
     t = t[:, None]
-    _, mean_h = _means(spec.model, r[None, :], t)
+    _, mean_h = _means_from(spec.model, r[None, :], *_mean_factors(spec.model, t))
     _, var_h, _ = _variances(spec.model, t)
     expo = (-g * t + al * mean_h) / (1.0 - al) + 0.5 * (al / (1.0 - al)) ** 2 * var_h
     return np.exp(expo)

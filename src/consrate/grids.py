@@ -56,6 +56,3 @@ class GridFunction:
     def with_values(self, values) -> "GridFunction":
         """Same grid, new values."""
         return GridFunction(self.r_min, self.r_max, np.asarray(values, dtype=float))
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.r_min, self.r_max, self.values.copy())

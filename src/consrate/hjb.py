@@ -4,6 +4,7 @@ Builds K(r) (value profile Phi = K v^alpha) for Problems A and B as the limit
 of K^m_n, where each inner step is one resolvent application of the
 Lipschitz-clamped nonlinearity, and audits the result: monotonicity in n and
 m, domination by the supersolution profile, and the pointwise HJB residual.
+Problem C has the closed form K = N^{1-alpha} and no iteration.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class TraceStep:
     min_increment: float
     max_bound_violation: float
     seconds: float
-    lam: float = float("nan")  # the clamp level's lambda; NaN where not recorded
+    lam: float  # the clamp level's lambda
 
 
 @dataclass
@@ -90,12 +91,6 @@ class IterationTrace:
     @property
     def worst_bound_violation(self) -> float:
         return max((s.max_bound_violation for s in self.steps), default=0.0)
-
-    def rows(self) -> list[tuple]:
-        return [
-            (s.m, s.n, s.sup_increment, s.min_increment, s.max_bound_violation, s.seconds)
-            for s in self.steps
-        ]
 
 
 @dataclass
@@ -217,7 +212,7 @@ def _iterate(
             if lower is not None:
                 viol = max(viol, float(np.max(lower[window] - k_new[window])))
             viol = max(viol, 0.0)
-            trace.append(TraceStep(m, n, sup_inc, min_inc, viol, dt_step, lam=lam))
+            trace.append(TraceStep(m, n, sup_inc, min_inc, viol, dt_step, lam))
             if min_inc < -10.0 * _TOLERANCE:
                 raise MonotonicityError(
                     f"iterate decreased by {-min_inc:.3g} at m={m}, n={n} "
@@ -265,6 +260,20 @@ def solve_problem_a(spec: ProblemSpec, config: SolverConfig, *, force: bool = Fa
     if isinstance(op, QuadratureOperator):
         sol.operator = op.telemetry()
     return sol
+
+
+def solve_problem_c(spec: ProblemSpec, config: SolverConfig, *, force: bool = False) -> Solution:
+    """Problem C: the closed-form profile K = N^{1-alpha}, with no iteration.
+
+    N is taken on the reporting grid itself, without the pad: its time
+    cutoff stops on all nodes at once, so extra nodes could move its bits."""
+    if spec.variant != "C":
+        raise ValueError("solve_problem_c requires a variant-C spec")
+    if not force:
+        classify(spec).require()
+    nodes = config.grid.nodes
+    k = _upper_profile(spec, nodes, False)
+    return _package(spec, config, nodes, slice(None), k, k, IterationTrace(), [k])
 
 
 def _package(spec, config, nodes, window, k, upper, trace, snaps) -> Solution:

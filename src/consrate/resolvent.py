@@ -361,13 +361,48 @@ class TridiagSystem:
         return dgttrs(*self._factors, np.asarray_chkfinite(rhs), overwrite_b=True)[0]
 
 
-class _Stencil:
-    """The lambda-independent part of an fd_system assembly: off-diagonals,
-    the ``offset`` that the stencil and boundary folds add to c0 on the
-    diagonal, and the Dirichlet values of fixed rows."""
+def fd_system(spec: ProblemSpec, nodes: np.ndarray, c0: np.ndarray, left_bc: tuple, right_bc: tuple) -> TridiagSystem:
+    """Assemble c0 u - Q u (model drift/volatility) on a uniform grid.
 
-    def __init__(self, spec: ProblemSpec, nodes: np.ndarray, left_bc: tuple, right_bc: tuple):
-        nodes = np.asarray(nodes, dtype=float)
+    Interior rows use central differences, switching the drift term to the
+    upwind side wherever the cell Peclet number |mu| h / sigma^2 exceeds 1
+    (inevitable near the degenerate endpoints of the interval model); this
+    keeps the matrix an M-matrix. Refuses non-M-matrix assemblies.
+    """
+    return FDOperator(spec, nodes, (left_bc, right_bc)).system(c0)
+
+
+def _auto_bcs(spec: ProblemSpec, nodes: np.ndarray) -> tuple[tuple, tuple]:
+    model = spec.model
+    if isinstance(model, Vasicek):
+        rate = robin_rate(spec)
+        left_rate = rate if nodes[0] >= 0 else -rate
+        return ("robin", left_rate), ("robin", rate)
+    if isinstance(model, InvariantInterval):
+        if abs(nodes[0] - model.a) > 1e-9 or abs(nodes[-1] - model.b) > 1e-9:
+            raise ValueError("interval-model FD grids must span [a, b] where the volatility degenerates")
+        return ("degenerate",), ("degenerate",)
+    if isinstance(model, Constant):
+        return ("diagonal",), ("diagonal",)
+    raise ValueError(f"no truncation boundary rule for {type(model).__name__}")
+
+
+class FDOperator:
+    """Finite-difference resolvent (lambda + gamma - A)^{-1} on a fixed node set.
+
+    ``bcs`` is the (left, right) boundary-rule pair of fd_system, by default
+    the model's truncation rules. The lambda-independent stencil is assembled
+    once, here: the off-diagonals, the ``offset`` that the stencil and the
+    boundary folds add to c0 on the diagonal, and the Dirichlet values of
+    fixed rows. Each lambda's system is formed from it and checked on the
+    first apply at that lambda, and factored by that apply's solve, so every
+    further apply is one dgttrs.
+    """
+
+    def __init__(self, spec: ProblemSpec, nodes: np.ndarray, bcs: tuple[tuple, tuple] | None = None):
+        self.spec = spec
+        self.nodes = nodes = np.asarray(nodes, dtype=float)
+        self.bcs = _auto_bcs(spec, nodes) if bcs is None else bcs
         h = nodes[1] - nodes[0]
         mu = np.asarray(drift(spec.model, nodes), dtype=float)
         c2 = 0.5 * np.asarray(diffusion(spec.model, nodes), dtype=float) ** 2
@@ -408,71 +443,26 @@ class _Stencil:
                 return None
             raise ValueError(f"unknown boundary rule {bc!r}")
 
-        self.sub, self.offset, self.sup = sub, offset, sup
-        self.dirichlet_left = _fold(-1, left_bc)
-        self.dirichlet_right = _fold(+1, right_bc)
+        self._sub, self._offset, self._sup = sub, offset, sup
+        self._dirichlet = _fold(-1, self.bcs[0]), _fold(+1, self.bcs[1])
+        self._alpha_r = spec.alpha * state_rate(spec.model, nodes)
+        self._systems: dict[float, TridiagSystem] = {}
 
     def system(self, c0: np.ndarray) -> TridiagSystem:
         """The system with diagonal c0 + offset (Dirichlet rows 1); refuses
         non-M-matrix assemblies and a diagonal that is not positive."""
-        diag = np.asarray(c0, dtype=float) + self.offset
-        if self.dirichlet_left is not None:
+        diag = np.asarray(c0, dtype=float) + self._offset
+        left, right = self._dirichlet
+        if left is not None:
             diag[0] = 1.0
-        if self.dirichlet_right is not None:
+        if right is not None:
             diag[-1] = 1.0
         tol = 1e-12 * max(1.0, float(np.max(np.abs(diag))))
-        if np.any(self.sub[1:] > tol) or np.any(self.sup[:-1] > tol):
+        if np.any(self._sub[1:] > tol) or np.any(self._sup[:-1] > tol):
             raise ValueError("finite-difference assembly is not an M-matrix (drift-dominated stencil); refine the grid")
         if not np.all(diag > 0):
             raise ValueError("finite-difference diagonal is not positive; increase lambda/gamma or shrink the window")
-        return TridiagSystem(self.sub, diag, self.sup, self.dirichlet_left, self.dirichlet_right)
-
-
-def fd_system(spec: ProblemSpec, nodes: np.ndarray, c0: np.ndarray, left_bc: tuple, right_bc: tuple) -> TridiagSystem:
-    """Assemble c0 u - Q u (model drift/volatility) on a uniform grid.
-
-    Interior rows use central differences, switching the drift term to the
-    upwind side wherever the cell Peclet number |mu| h / sigma^2 exceeds 1
-    (inevitable near the degenerate endpoints of the interval model); this
-    keeps the matrix an M-matrix. Refuses non-M-matrix assemblies. The
-    stencil does not depend on c0: FDOperator assembles it once and forms
-    each lambda's system from it, bitwise as this function does.
-    """
-    return _Stencil(spec, nodes, left_bc, right_bc).system(c0)
-
-
-def _auto_bcs(spec: ProblemSpec, nodes: np.ndarray) -> tuple[tuple, tuple]:
-    model = spec.model
-    if isinstance(model, Vasicek):
-        rate = robin_rate(spec)
-        left_rate = rate if nodes[0] >= 0 else -rate
-        return ("robin", left_rate), ("robin", rate)
-    if isinstance(model, InvariantInterval):
-        if abs(nodes[0] - model.a) > 1e-9 or abs(nodes[-1] - model.b) > 1e-9:
-            raise ValueError("interval-model FD grids must span [a, b] where the volatility degenerates")
-        return ("degenerate",), ("degenerate",)
-    if isinstance(model, Constant):
-        return ("diagonal",), ("diagonal",)
-    raise ValueError(f"no truncation boundary rule for {type(model).__name__}")
-
-
-class FDOperator:
-    """Finite-difference resolvent (lambda + gamma - A)^{-1} on a fixed node set.
-
-    ``bcs`` is the (left, right) boundary-rule pair of fd_system, by default
-    the model's truncation rules. The lambda-independent stencil is assembled
-    once, here; each lambda's system is formed from it and checked on the
-    first apply at that lambda, and factored by that apply's solve, so every
-    further apply is one dgttrs.
-    """
-
-    def __init__(self, spec: ProblemSpec, nodes: np.ndarray, bcs: tuple[tuple, tuple] | None = None):
-        self.spec = spec
-        self.nodes = nodes
-        self.bcs = _auto_bcs(spec, nodes) if bcs is None else bcs
-        self._stencil = _Stencil(spec, nodes, *self.bcs)
-        self._alpha_r = spec.alpha * state_rate(spec.model, nodes)
-        self._systems: dict[float, TridiagSystem] = {}
+        return TridiagSystem(self._sub, diag, self._sup, left, right)
 
     def apply(self, lam: float, psi_values: np.ndarray) -> np.ndarray:
         system = self._systems.get(lam)
@@ -483,7 +473,7 @@ class FDOperator:
                     "lambda + gamma - alpha r must stay positive on the window; "
                     "increase lambda or shrink the window"
                 )
-            system = self._systems[lam] = self._stencil.system(c0)
+            system = self._systems[lam] = self.system(c0)
         return system.solve(psi_values)
 
 
@@ -543,7 +533,8 @@ def resolvent_mc(
     gamma must be large enough that the discarded tail beyond t_max is below
     the intended tolerance.
     """
-    _check_mc_applicable(spec)
+    if not isinstance(spec.model, (Vasicek, InvariantInterval, Constant)):
+        raise ValueError(f"Monte Carlo resolvent not defined for {type(spec.model).__name__}")
     s = lam + spec.gamma
     if s <= 0:
         raise ValueError("lambda + gamma must be positive")
@@ -597,8 +588,3 @@ def resolvent_mc(
     se = np.sqrt(integrals.var(axis=0, ddof=1) / n)
     return psi.with_values(mean), psi.with_values(se)
 
-
-def _check_mc_applicable(spec: ProblemSpec) -> None:
-    if isinstance(spec.model, (Vasicek, InvariantInterval, Constant)):
-        return
-    raise ValueError(f"Monte Carlo resolvent not defined for {type(spec.model).__name__}")

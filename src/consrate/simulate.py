@@ -86,7 +86,7 @@ class JEstimate:
     mean: float
     se: float
     tail_bound: float
-    horizon: float = math.nan
+    horizon: float
 
 
 @dataclass(frozen=True)

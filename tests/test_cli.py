@@ -457,3 +457,43 @@ def test_interval_solve_on_a_grid_that_reaches_the_endpoint(tmp_path):
     residual = run_cli("--output", "o", *interval, "residual", cwd=tmp_path)
     assert residual.returncode == 0, residual.stdout + residual.stderr
     assert float(residual.stdout.split(":")[-1]) < 1e-5
+
+
+def test_commands_read_a_forced_solution_without_N(tmp_path):
+    # gamma <= alpha b: N is infinite, so a forced solve writes N_pow=nan,
+    # a column that simulate, estimate and residual do not read
+    interval = [
+        "--set", "model.kind=interval", "--set", "model.a=0.0", "--set", "model.b=0.2",
+        "--set", "model.kappa=1.0", "--set", "model.sigma=1.0",
+        "--set", "grid.r_min=0.0", "--set", "grid.r_max=0.2", "--set", "problem.gamma=0.05",
+    ]
+    solve = run_cli("--output", "o", *interval, "--force", "solve", cwd=tmp_path)
+    assert solve.returncode == 0, solve.stdout + solve.stderr
+    assert np.all(np.isnan(read_csv(tmp_path / "o" / "solution.csv")["N_pow"]))
+    paths = ["--set", "paths.dt=0.01", "--set", "paths.t_max=5", "--set", "paths.n_paths=20"]
+    for command in ("residual", "simulate"):
+        r = run_cli("--output", "o", *interval, *paths, command, cwd=tmp_path)
+        assert r.returncode == 0, r.stdout + r.stderr
+    r = run_cli("--output", "o", *interval, *paths, "estimate", cwd=tmp_path)
+    assert "J_estimate=" in r.stdout, r.stdout + r.stderr
+
+
+def test_simulate_keeps_the_solve_record(tmp_path):
+    assert run_cli("--output", "o", *FAST_SOLVE, "solve", cwd=tmp_path).returncode == 0
+    paths = ["--set", "paths.dt=0.01", "--set", "paths.t_max=5", "--set", "paths.n_paths=20"]
+    assert run_cli("--output", "o", *paths, "simulate", cwd=tmp_path).returncode == 0
+    record = (tmp_path / "o" / "run_record.txt").read_text()
+    assert "\nvariant=A\nresolvent=quadrature\n" in record and "command=" not in record
+    simulated = (tmp_path / "o" / "simulate.txt").read_text()
+    assert "\ncommand=simulate\ntau_hit=" in simulated and "\nV_min=" in simulated
+
+
+def test_boolean_keys_take_two_sets_of_spellings_and_reject_others(tmp_path):
+    for spelling in ("1", "true", "Yes", "ON"):
+        assert cli._coerce("output.emit_plots", spelling) is True
+    for spelling in ("0", "False", "no", "OFF"):
+        assert cli._coerce("output.emit_plots", spelling) is False
+    r = run_cli("--output", "o", "--set", "output.emit_plots=ture", *FAST_SOLVE, "solve", cwd=tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "error: output.emit_plots must be one of" in r.stdout and "'ture'" in r.stdout
+    assert not (tmp_path / "o" / "solution.csv").exists()

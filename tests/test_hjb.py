@@ -25,7 +25,7 @@ from consrate import (
 )
 from consrate import hjb, resolvent
 from consrate.gaussian import fk_kernel_weight
-from consrate.hjb import IterationTrace, TraceStep, _iterate, central_window
+from consrate.hjb import _iterate, central_window
 
 VAS = Vasicek(0.03, 0.5, 0.02)
 PAPER_A = ProblemSpec(VAS, 0.5, 1.5304, "A")
@@ -258,13 +258,6 @@ def test_interval_model_solve():
     assert np.all(sol.K.values <= sol.N_pow.values + 1e-6)
     raw, rel = hjb_residual(spec, sol.K)
     assert np.max(np.abs(central_window(rel).values)) <= 1e-6
-
-
-def test_trace_rows_schema():
-    trace = IterationTrace()
-    trace.append(TraceStep(1, 1, 0.5, 0.0, 0.0, 0.01))
-    rows = trace.rows()
-    assert rows == [(1, 1, 0.5, 0.0, 0.0, 0.01)]
 
 
 def test_central_window():
