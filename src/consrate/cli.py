@@ -12,6 +12,7 @@ may still take.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import resource
 import sys
@@ -93,10 +94,12 @@ def _coerce(key: str, raw):
             if spelling not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
                 raise ValueError(f"{key} must be one of 1/true/yes/on or 0/false/no/off, got {raw!r}")
             return spelling in ("1", "true", "yes", "on")
-        if isinstance(ref, int) and not isinstance(ref, bool):
-            return int(raw)
-        if isinstance(ref, float):
-            return float(raw)
+        if isinstance(ref, (int, float)):
+            try:
+                return type(ref)(raw)
+            except ValueError:
+                noun = "an integer" if isinstance(ref, int) else "a number"
+                raise ValueError(f"{key} must be {noun}, got {raw!r}") from None
         return raw
     return raw
 
@@ -135,19 +138,15 @@ def resolve_config(args) -> dict:
     return cfg
 
 
+MODELS = {"vasicek": Vasicek, "interval": InvariantInterval, "bm": DriftedBM, "gbm": GeometricBM, "constant": Constant}
+
+
 def build_model(cfg: dict):
+    """The model named by model.kind (any case), each field from its model.<field> key."""
     kind = cfg["model.kind"].lower()
-    if kind == "vasicek":
-        return Vasicek(cfg["model.a"], cfg["model.b"], cfg["model.sigma"])
-    if kind == "interval":
-        return InvariantInterval(cfg["model.a"], cfg["model.b"], cfg["model.kappa"], cfg["model.sigma"])
-    if kind == "bm":
-        return DriftedBM(cfg["model.mu"], cfg["model.sigma"])
-    if kind == "gbm":
-        return GeometricBM(cfg["model.mu"], cfg["model.sigma"])
-    if kind == "constant":
-        return Constant(cfg["model.r"])
-    raise ValueError(f"unknown model kind {kind!r}")
+    if kind not in MODELS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return MODELS[kind](**{f.name: cfg[f"model.{f.name}"] for f in dataclasses.fields(MODELS[kind])})
 
 
 def build_spec(cfg: dict, variant: str) -> ProblemSpec:
@@ -190,13 +189,13 @@ def build_solver_config(cfg: dict, model) -> hjb.SolverConfig:
     )
 
 
-def build_path_config(cfg: dict) -> simulate.PathConfig:
+def build_path_config(cfg: dict, model) -> simulate.PathConfig:
     return simulate.PathConfig(
         dt=cfg["paths.dt"],
         t_max=cfg["paths.t_max"],
         n_paths=cfg["paths.n_paths"],
         seed=cfg["seed"],
-        scheme=cfg["paths.scheme"] if cfg["model.kind"] == "vasicek" else "euler",
+        scheme=cfg["paths.scheme"] if isinstance(model, Vasicek) else "euler",  # exact sampling is Vasicek-only
         workers=cfg["threads"],
     )
 
@@ -242,8 +241,7 @@ def _outdir(args) -> Path:
 # commands
 
 
-def cmd_feasibility(args) -> int:
-    cfg = resolve_config(args)
+def cmd_feasibility(args, cfg: dict) -> int:
     spec = build_spec(cfg, "A")
     report = feas.classify(spec)
     print(f"verdict: {report.verdict.value}")
@@ -269,7 +267,7 @@ def cmd_feasibility(args) -> int:
     ]
 
 
-def _emit_solution(out: Path, cfg: dict, sol: hjb.Solution, emit_plots: bool) -> None:
+def _emit_solution(out: Path, sol: hjb.Solution, emit_plots: bool) -> None:
     grid = sol.K
     n_pow = sol.N_pow.values if sol.N_pow is not None else np.full(grid.n_nodes, np.nan)
     write_csv(
@@ -290,10 +288,11 @@ def _emit_solution(out: Path, cfg: dict, sol: hjb.Solution, emit_plots: bool) ->
         if sol.N_pow is not None:
             panel.add(grid.nodes, n_pow, stroke="#b03a2e", width=1.4, dash="6,4")
         write_figure(out / "figure1.svg", [panel])
+    else:  # an earlier run's figure would not match these results
+        (out / "figure1.svg").unlink(missing_ok=True)
 
 
-def cmd_solve(args, variant: str) -> int:
-    cfg = resolve_config(args)
+def cmd_solve(args, cfg: dict, variant: str) -> int:
     out = _outdir(args)
     spec = build_spec(cfg, variant)
     report = feas.classify(spec)
@@ -307,7 +306,7 @@ def cmd_solve(args, variant: str) -> int:
     except MonotonicityError as exc:
         print(f"solver aborted: {exc}")
         return 4
-    _emit_solution(out, cfg, sol, cfg["output.emit_plots"])
+    _emit_solution(out, sol, cfg["output.emit_plots"])
     # the resolvent that ran: only the quadrature operator leaves telemetry,
     # and Problem B and the non-Vasicek models use FD whatever solver.backend says
     ran = "none" if variant == "C" else "quadrature" if sol.operator else "fd"
@@ -348,14 +347,13 @@ def _load_solution(out: Path):
     return {col: GridFunction(float(r[0]), float(r[-1]), data[col]) for col in ("K", "c_hat")}
 
 
-def cmd_simulate(args) -> int:
-    cfg = resolve_config(args)
+def cmd_simulate(args, cfg: dict) -> int:
     out = _outdir(args)
     sol = _load_solution(out)
     if sol is None:
         return 5
     model = build_model(cfg)
-    pcfg = build_path_config(cfg)
+    pcfg = build_path_config(cfg, model)
     path = simulate.sample_path(model, cfg["sim.r0"], pcfg)
     traj = simulate.wealth_trajectory(path, sol["c_hat"], cfg["sim.v"])
     write_csv(
@@ -368,6 +366,8 @@ def cmd_simulate(args) -> int:
         for name, series in (("r", traj.r), ("V", traj.V), ("C", traj.C), ("c", traj.c)):
             panels.append(Panel(title=name, xlabel="t", ylabel=name).add(traj.times, series))
         write_figure(out / "figure2.svg", panels, ncols=2)
+    else:
+        (out / "figure2.svg").unlink(missing_ok=True)
     # a record of its own: run_record.txt keeps the solve's
     write_record(
         out / "simulate.txt",
@@ -382,14 +382,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_estimate(args) -> int:
-    cfg = resolve_config(args)
+def cmd_estimate(args, cfg: dict) -> int:
     out = _outdir(args)
     sol = _load_solution(out)
     if sol is None:
         return 5
     spec = build_spec(cfg, "A")
-    pcfg = build_path_config(cfg)
+    pcfg = build_path_config(cfg, spec.model)
     t0 = time.perf_counter()
     try:
         est = simulate.estimate_J(spec, sol["c_hat"], cfg["sim.r0"], cfg["sim.v"], pcfg)
@@ -423,8 +422,7 @@ def cmd_estimate(args) -> int:
     return 0 if abs(z) <= 3.0 else 1
 
 
-def cmd_residual(args) -> int:
-    cfg = resolve_config(args)
+def cmd_residual(args, cfg: dict) -> int:
     out = _outdir(args)
     sol = _load_solution(out)
     if sol is None:
@@ -453,9 +451,9 @@ def _add_common(parser, suppress: bool) -> None:
 
 COMMANDS = {
     "feasibility": cmd_feasibility,
-    "solve": lambda args: cmd_solve(args, "A"),
-    "solve-b": lambda args: cmd_solve(args, "B"),
-    "solve-c": lambda args: cmd_solve(args, "C"),
+    "solve": lambda args, cfg: cmd_solve(args, cfg, "A"),
+    "solve-b": lambda args, cfg: cmd_solve(args, cfg, "B"),
+    "solve-c": lambda args, cfg: cmd_solve(args, cfg, "C"),
     "simulate": cmd_simulate,
     "estimate": cmd_estimate,
     "residual": cmd_residual,
@@ -476,7 +474,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        code = COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args, resolve_config(args))
     except InfeasibleProblem as exc:
         print(f"infeasible: {exc}")
         code = 2

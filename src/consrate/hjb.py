@@ -81,9 +81,6 @@ class TraceStep:
 class IterationTrace:
     steps: list[TraceStep] = field(default_factory=list)
 
-    def append(self, step: TraceStep) -> None:
-        self.steps.append(step)
-
     @property
     def worst_min_increment(self) -> float:
         return min((s.min_increment for s in self.steps), default=0.0)
@@ -212,7 +209,7 @@ def _iterate(
             if lower is not None:
                 viol = max(viol, float(np.max(lower[window] - k_new[window])))
             viol = max(viol, 0.0)
-            trace.append(TraceStep(m, n, sup_inc, min_inc, viol, dt_step, lam))
+            trace.steps.append(TraceStep(m, n, sup_inc, min_inc, viol, dt_step, lam))
             if min_inc < -10.0 * _TOLERANCE:
                 raise MonotonicityError(
                     f"iterate decreased by {-min_inc:.3g} at m={m}, n={n} "

@@ -552,9 +552,7 @@ def resolvent_mc(
         b = spec.model.b
         r_shift = nodes[None, :] * np.exp(-b * times)[:, None]
         h_shift = nodes[None, :] * (-np.expm1(-b * times) / b)[:, None]
-
-        def psi_at(r):
-            return extend_with_envelope(psi, ext_rate, r)
+        psi_at = functools.partial(extend_with_envelope, psi, ext_rate)
 
         def node_paths(rngs):
             r, h = _exact_batch(spec.model, 0.0, dt, n_steps, rngs)
@@ -563,9 +561,7 @@ def resolvent_mc(
 
     else:
         r_start = state_rate(spec.model, nodes)
-
-        def psi_at(r):
-            return psi(r)
+        psi_at = psi
 
         def node_paths(rngs):
             for rng in rngs:

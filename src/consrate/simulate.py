@@ -97,26 +97,18 @@ class KLEstimate:
     truncated_weight: float
 
 
-def _unit_noise_chol(b: float, dt: float) -> np.ndarray:
-    """Cholesky factor of the unit-volatility (X, Y) increment covariance."""
+def _exact_step_params(model: Vasicek, dt: float):
+    """One exact step's phi, m_r, c_h, m_h and the Cholesky factor of its (rate, h) noise."""
+    b = model.b
     x = b * dt
+    phi = math.exp(-x)
+    m_r = (model.a / b) * -math.expm1(-x)
+    c_h = -math.expm1(-x) / b
+    m_h = (model.a / b**2) * float(_int_decay_shape(x))
     var_x = -np.expm1(-2.0 * x) / (2.0 * b)
     var_y = float(_var_h_shape(x)) / b**3
     cov = float(_cov_shape(x)) / b**2
-    cov_mat = np.array([[var_x, cov], [cov, var_y]])
-    return np.linalg.cholesky(cov_mat)
-
-
-# cached: the K_L estimator and the MC resolvent call the engine once per
-# chunk or path with the same (model, dt), and this costs about 0.15 ms
-@functools.lru_cache(maxsize=32)
-def _exact_step_params(model: Vasicek, dt: float):
-    phi = math.exp(-model.b * dt)
-    m_r = (model.a / model.b) * -math.expm1(-model.b * dt)
-    c_h = -math.expm1(-model.b * dt) / model.b
-    m_h = (model.a / model.b**2) * float(_int_decay_shape(model.b * dt))
-    chol = model.sigma * _unit_noise_chol(model.b, dt)
-    chol.setflags(write=False)
+    chol = model.sigma * np.linalg.cholesky(np.array([[var_x, cov], [cov, var_y]]))
     return phi, m_r, c_h, m_h, chol
 
 

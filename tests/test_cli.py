@@ -497,3 +497,49 @@ def test_boolean_keys_take_two_sets_of_spellings_and_reject_others(tmp_path):
     assert r.returncode == 2, r.stdout + r.stderr
     assert "error: output.emit_plots must be one of" in r.stdout and "'ture'" in r.stdout
     assert not (tmp_path / "o" / "solution.csv").exists()
+
+
+def test_a_bad_number_names_its_key(tmp_path):
+    for setting, message in (
+        ("grid.n=7.5", "grid.n must be an integer, got '7.5'"),
+        ("quad.dt=abc", "quad.dt must be a number, got 'abc'"),
+    ):
+        r = run_cli("--output", "o", "--set", setting, "solve", cwd=tmp_path)
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert f"error: {message}" in r.stdout
+    (tmp_path / "bad.cfg").write_text("paths.n_paths = many\n")
+    r = run_cli("--output", "o", "--config", "bad.cfg", "estimate", cwd=tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "error: paths.n_paths must be an integer, got 'many'" in r.stdout
+    assert not (tmp_path / "o").exists()
+
+
+def test_plots_off_deletes_each_commands_earlier_figure(tmp_path):
+    paths = ["--set", "paths.dt=0.01", "--set", "paths.t_max=5", "--set", "paths.n_paths=20"]
+    off = ["--set", "output.emit_plots=0"]
+    out = tmp_path / "o"
+    assert run_cli("--output", "o", *FAST_SOLVE, "solve", cwd=tmp_path).returncode == 0
+    assert run_cli("--output", "o", *paths, "simulate", cwd=tmp_path).returncode == 0
+    assert (out / "figure1.svg").exists() and (out / "figure2.svg").exists()
+    assert run_cli("--output", "o", *off, *FAST_SOLVE, "solve", cwd=tmp_path).returncode == 0
+    assert not (out / "figure1.svg").exists() and (out / "figure2.svg").exists()
+    assert run_cli("--output", "o", *off, *paths, "simulate", cwd=tmp_path).returncode == 0
+    assert not (out / "figure2.svg").exists()
+
+
+def test_model_kind_ignores_case_for_the_path_scheme(tmp_path):
+    # exact Vasicek paths stop at the discount horizon; Euler paths would run to paths.t_max
+    assert run_cli("--output", "o", *FAST_SOLVE, "solve", cwd=tmp_path).returncode == 0
+    records, trajectories = {}, {}
+    for kind in ("vasicek", "Vasicek"):
+        common = ["--output", "o", "--threads", "1", "--set", f"model.kind={kind}"]
+        r = run_cli(*common, "--set", "paths.n_paths=300", "estimate", cwd=tmp_path)
+        assert r.returncode in (0, 1), r.stdout + r.stderr
+        lines = (tmp_path / "o" / "estimate.txt").read_text().splitlines()
+        records[kind] = [line for line in lines if line.split("=", 1)[0] in ("J", "SE", "horizon")]
+        assert run_cli(*common, "--set", "paths.t_max=5", "simulate", cwd=tmp_path).returncode == 0
+        trajectories[kind] = (tmp_path / "o" / "trajectory.csv").read_bytes()
+    assert len(records["vasicek"]) == 3
+    assert records["Vasicek"] == records["vasicek"]
+    assert float(records["vasicek"][2].split("=")[1]) < 40.0
+    assert trajectories["Vasicek"] == trajectories["vasicek"]
