@@ -94,6 +94,8 @@ def _coerce(key: str, raw):
             if spelling not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
                 raise ValueError(f"{key} must be one of 1/true/yes/on or 0/false/no/off, got {raw!r}")
             return spelling in ("1", "true", "yes", "on")
+        if key in ("quad.y_halfwidth", "solver.theta") and raw:
+            ref = 0.0  # optional numbers: the empty default means none
         if isinstance(ref, (int, float)):
             try:
                 return type(ref)(raw)
@@ -190,12 +192,15 @@ def build_solver_config(cfg: dict, model) -> hjb.SolverConfig:
 
 
 def build_path_config(cfg: dict, model) -> simulate.PathConfig:
+    scheme = cfg["paths.scheme"].lower()
+    if scheme not in ("exact", "euler"):
+        raise ValueError(f"paths.scheme must be 'exact' or 'euler', got {cfg['paths.scheme']!r}")
     return simulate.PathConfig(
         dt=cfg["paths.dt"],
         t_max=cfg["paths.t_max"],
         n_paths=cfg["paths.n_paths"],
         seed=cfg["seed"],
-        scheme=cfg["paths.scheme"] if isinstance(model, Vasicek) else "euler",  # exact sampling is Vasicek-only
+        scheme=scheme if isinstance(model, Vasicek) else "euler",  # exact sampling is Vasicek-only
         workers=cfg["threads"],
     )
 

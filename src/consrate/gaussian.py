@@ -22,15 +22,16 @@ from .parallel import check_memory, memory_budget
 # semigroup_apply: how far the y mesh reaches beyond the grid, in kernel widths
 _PAD_SIGMAS = 6.0
 # supersolution_N: time step and relative cutoff of the Vasicek integral, the
-# time steps of one chunk, and what a chunk holds at its peak: (chunk, nodes)
-# arrays (_n_integrand's output, the vstack block and the trapezoid's
-# temporaries) and (chunk,) time columns; a tracemalloc peak holds 5 arrays
-# and about 7 columns at 1 to 1000 nodes
+# time steps of one chunk (the unit of the stop test), and the values of one
+# in-cache sub-block of a chunk; a sub-block holds (rows + 1, nodes) arrays
+# (the trapezoid terms, the last values, _n_integrand's output and temporaries)
+# and (rows,) time columns: a tracemalloc peak holds 5.3 arrays at 9 to 5000 nodes
 _N_DT = 1e-3
 _N_CUTOFF = 1e-14
 _N_CHUNK = 4096
-_N_CHUNK_ARRAYS = 5
-_N_CHUNK_COLUMNS = 8
+_N_FLOATS = 2**15
+_N_SUB_ARRAYS = 6
+_N_SUB_COLUMNS = 8
 # fk_kernel_weight: floats per fill when t runs along the leading axis (whole
 # time cells, at least one); each ufunc call is then long enough that the
 # per-call overhead is small, while the temporaries (the dev scratch and the
@@ -340,13 +341,15 @@ def supersolution_N(spec: ProblemSpec, r):
     """The integral supersolution N(r) = E^r int_0^inf e^{(-gamma t + alpha h_t)/(1-alpha)} dt.
 
     Raises InfeasibleProblem unless feasibility.n_condition holds. Vasicek:
-    adaptive trapezoid in t using the closed-form Gaussian exponent, truncated
-    once the integrand falls below _N_CUTOFF times its running maximum at
-    every node (the tail decays like e^{-rho t}). Constant: exact closed form.
-    Invariant interval: finite-difference solution of the linear equation
-    Q N + ((alpha r - gamma)/(1-alpha)) N + 1 = 0. Before the Vasicek loop,
-    its chunk arrays are checked against parallel.memory_budget(), and
-    InsufficientMemory names the sizes if they do not fit.
+    trapezoid in t using the closed-form Gaussian exponent, truncated after the
+    first _N_CHUNK-step chunk that ends below _N_CUTOFF times the running
+    maximum at every node (the tail decays like e^{-rho t}); each chunk
+    streams through sub-blocks of about _N_FLOATS values, summed in one
+    np.trapezoid's order. Constant: exact closed form. Invariant interval:
+    finite-difference solution of Q N + ((alpha r - gamma)/(1-alpha)) N + 1 = 0.
+    Before the Vasicek loop, its sub-block arrays are checked against
+    parallel.memory_budget(), and InsufficientMemory names the sizes if they
+    do not fit.
     """
     require_finite_N(spec)
     model = spec.model
@@ -362,26 +365,37 @@ def supersolution_N(spec: ProblemSpec, r):
     rho = rho_decay(spec)
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     t_end = max(80.0 / rho, 10.0 / model.b)
+    rows = max(1, min(_N_CHUNK, _N_FLOATS // r_arr.size))
     check_memory(
         "the supersolution N",
-        8 * (_N_CHUNK + 1) * (_N_CHUNK_ARRAYS * r_arr.size + _N_CHUNK_COLUMNS),
+        8 * (rows + 1) * (_N_SUB_ARRAYS * r_arr.size + _N_SUB_COLUMNS),
         memory_budget(),
-        f" for {_N_CHUNK_ARRAYS} arrays of {_N_CHUNK + 1} time steps x {r_arr.size} nodes and their time columns",
+        f" for {_N_SUB_ARRAYS} sub-block arrays of {rows + 1} time steps x {r_arr.size} nodes and their time columns",
         "lower grid.n",
     )
+    # np.trapezoid's terms, (y[1:] + y[:-1]) * dx / 2, summed row after row
+    # as its axis-0 sum does: row 0 carries the chunk's running sum
+    terms = np.empty((rows + 1, r_arr.size))
     total = np.zeros_like(r_arr)
-    gmax = np.zeros_like(r_arr)
     t0 = 0.0
     g_prev = _n_integrand(spec, r_arr, np.array([0.0]))[0]
+    gmax = g_prev.copy()
     while t0 < t_end:
-        ts = t0 + _N_DT * np.arange(1, _N_CHUNK + 1)
-        vals = _n_integrand(spec, r_arr, ts)
-        block = np.vstack([g_prev, vals])
-        total += np.trapezoid(block, dx=_N_DT, axis=0)
-        gmax = np.maximum(gmax, block.max(axis=0))
-        g_prev = vals[-1]
+        for k0 in range(0, _N_CHUNK, rows):
+            ts = t0 + _N_DT * np.arange(k0 + 1, min(k0 + rows, _N_CHUNK) + 1)
+            vals = _n_integrand(spec, r_arr, ts)
+            block = terms[: ts.size + 1]
+            np.add(vals[0], g_prev, out=block[1])
+            np.add(vals[1:], vals[:-1], out=block[2:])
+            block[1:] *= _N_DT
+            block[1:] /= 2.0
+            if k0 > 0:
+                block[0] = chunk_sum
+            chunk_sum = np.add.reduce(block if k0 > 0 else block[1:], axis=0)
+            np.maximum(gmax, vals.max(axis=0), out=gmax)
+            g_prev = vals[-1]
+        total += chunk_sum
         t0 = float(ts[-1])
         if np.all(g_prev <= _N_CUTOFF * gmax):
             break
-    out = total
-    return float(out[0]) if np.ndim(r) == 0 else out
+    return float(total[0]) if np.ndim(r) == 0 else total

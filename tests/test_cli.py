@@ -413,12 +413,12 @@ def test_solve_exits_6_when_the_operator_does_not_fit(tmp_path, monkeypatch, cap
 
 def test_solve_exits_6_when_the_supersolution_does_not_fit(tmp_path, monkeypatch, capsys):
     # in process, so that the memory budget can be patched
-    monkeypatch.setattr(gaussian, "memory_budget", lambda: 2**20)
+    monkeypatch.setattr(gaussian, "memory_budget", lambda: 2**19)
     code = cli.main(["--output", str(tmp_path / "o"), *FAST_SOLVE, "solve"])
     out = capsys.readouterr().out
     assert code == 6, out
-    assert "out of memory: the supersolution N needs" in out and "arrays of 4097 time steps x" in out
-    assert "only 1.0 MiB is available" in out
+    assert "out of memory: the supersolution N needs" in out and "sub-block arrays of" in out
+    assert "only 0.5 MiB is available" in out
     assert not (tmp_path / "o" / "solution.csv").exists()
 
 
@@ -514,6 +514,22 @@ def test_a_bad_number_names_its_key(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_optional_numbers_name_their_key(tmp_path):
+    for setting, message in (
+        ("quad.y_halfwidth=abc", "quad.y_halfwidth must be a number, got 'abc'"),
+        ("solver.theta=x", "solver.theta must be a number, got 'x'"),
+    ):
+        r = run_cli("--output", "o", "--set", setting, "solve", cwd=tmp_path)
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert f"error: {message}" in r.stdout
+    assert not (tmp_path / "o").exists()
+    # the empty default still means none
+    assert cli._coerce("quad.y_halfwidth", " ") == "" and cli._coerce("solver.theta", "0.5") == 0.5
+    cfg = dict(DEFAULTS, **{"solver.theta": ""})
+    assert cli.build_solver_config(cfg, cli.build_model(cfg)).theta_bound is None
+    assert cli.build_backend(cfg).y_halfwidth is None
+
+
 def test_plots_off_deletes_each_commands_earlier_figure(tmp_path):
     paths = ["--set", "paths.dt=0.01", "--set", "paths.t_max=5", "--set", "paths.n_paths=20"]
     off = ["--set", "output.emit_plots=0"]
@@ -543,3 +559,19 @@ def test_model_kind_ignores_case_for_the_path_scheme(tmp_path):
     assert records["Vasicek"] == records["vasicek"]
     assert float(records["vasicek"][2].split("=")[1]) < 40.0
     assert trajectories["Vasicek"] == trajectories["vasicek"]
+
+
+def test_path_scheme_ignores_case_and_names_its_key(tmp_path):
+    assert run_cli("--output", "o", *FAST_SOLVE, "solve", cwd=tmp_path).returncode == 0
+    records = {}
+    for scheme in ("exact", "Exact"):
+        common = ["--output", "o", "--threads", "1", "--set", f"paths.scheme={scheme}"]
+        r = run_cli(*common, "--set", "paths.n_paths=300", "estimate", cwd=tmp_path)
+        assert r.returncode in (0, 1), r.stdout + r.stderr
+        lines = (tmp_path / "o" / "estimate.txt").read_text().splitlines()
+        records[scheme] = [line for line in lines if line.split("=", 1)[0] in ("J", "SE", "horizon")]
+    assert len(records["exact"]) == 3
+    assert records["Exact"] == records["exact"]
+    r = run_cli("--output", "o", "--set", "paths.scheme=milstein", "estimate", cwd=tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "error: paths.scheme must be 'exact' or 'euler', got 'milstein'" in r.stdout

@@ -334,7 +334,8 @@ def test_supersolution_interval_bounds():
 
 def test_supersolution_peak_memory_on_mid_nodes():
     # the 251 nodes of the mid solve (grid.n=151 padded by 0.05 each side):
-    # var_h depends on t only, so no (chunk, nodes) array should hold it
+    # the time integral streams through sub-blocks of about 2**15 values, so
+    # no (chunk, nodes) array of 4097 time steps is ever held
     nodes = GridFunction.zeros(-0.05, 0.2, 251).nodes
     tracemalloc.start()
     try:
@@ -342,7 +343,31 @@ def test_supersolution_peak_memory_on_mid_nodes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 55 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# N on the desk, mid and paper solves' padded grids (126, 251 and 1251 nodes
+# on [-0.05, 0.2]), at one scalar r, and at two gammas whose loops run 24 and
+# 202 chunks: recorded when each chunk was integrated by one np.trapezoid call
+# over 4097 time steps, which the streamed sub-blocks must reproduce bit for bit
+N_PINNED = {
+    (126, 1.5304): "a2ac7e607ea8a554",
+    (251, 1.5304): "63d2d43e0b8a02b1",
+    (1251, 1.5304): "2c79e91f67345995",
+    (None, 1.5304): "e1fd360ff9be1aca",
+    (251, 0.2): "0f3c1be54c8a589b",
+    (26, 0.05): "906f813989f28c26",
+}
+
+
+def test_supersolution_pinned():
+    got = {}
+    for n, gamma in N_PINNED:
+        r = 0.05 if n is None else GridFunction.zeros(-0.05, 0.2, n).nodes
+        value = supersolution_N(ProblemSpec(VAS, 0.5, gamma, "A"), r)
+        assert isinstance(value, float) == (n is None)
+        got[n, gamma] = kernel_pin(value)
+    assert got == N_PINNED
 
 
 def test_supersolution_infeasible_raises():
@@ -370,7 +395,7 @@ def test_gamma_thresholds_vanishing_vol_limit():
 
 def test_supersolution_checks_memory_before_its_loop(monkeypatch):
     # a patched budget, not a real giant allocation; the sizing must cover
-    # what a chunk really holds on the mid solve's 251 nodes
+    # what a sub-block really holds on the mid solve's 251 nodes
     nodes = GridFunction.zeros(-0.05, 0.2, 251).nodes
     tracemalloc.start()
     try:
@@ -378,11 +403,13 @@ def test_supersolution_checks_memory_before_its_loop(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    need = 8 * 4097 * (5 * 251 + 8)
+    need = 8 * 131 * (6 * 251 + 8)
     assert peak <= need
     monkeypatch.setattr(gaussian, "_n_integrand", None)  # the loop must not start
     monkeypatch.setattr(gaussian, "memory_budget", lambda: need - 1)
-    sizes = r"needs 39\.5 MiB for 5 arrays of 4097 time steps x 251 nodes and their time columns, but only 39\.5 MiB"
+    sizes = (
+        r"needs 1\.5 MiB for 6 sub-block arrays of 131 time steps x 251 nodes and their time columns, but only 1\.5 MiB"
+    )
     with pytest.raises(InsufficientMemory, match=sizes) as info:
         supersolution_N(PAPER, nodes)
     assert isinstance(info.value, MemoryError)

@@ -325,6 +325,23 @@ def test_problem_b_and_kl_pinned(gamma):
     assert [float(v).hex() for v in sol.K.values[[15, 45, 75]]] == k_hex
 
 
+def test_kl_doubling_loop_runs_once_per_problem_b_case():
+    # solve_problem_b and compute_KL on one spec and grid share one K_L solve;
+    # compute_KL hands out a copy, so its caller cannot change the cached one
+    cfg = SolverConfig(grid=GridFunction.zeros(0.0, 0.15, 76), backend=FiniteDifference(), m_max=16, n_max=40)
+    hjb._kl_extended.cache_clear()
+    sol = solve_problem_b(PAPER_B, cfg)
+    kl = compute_KL(PAPER_B, cfg)
+    info = hjb._kl_extended.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    expect = kl.values.copy()
+    kl.values[:] = 0.0
+    assert np.array_equal(compute_KL(PAPER_B, cfg).values, expect)
+    assert np.all(sol.K.values >= expect - 1e-9)
+    nodes, u = hjb._kl_extended(PAPER_B, 0.0, 0.15, 76, cfg.tol_n)
+    assert not nodes.flags.writeable and not u.flags.writeable
+
+
 def test_extended_nodes_stay_in_the_domain_closure():
     # r_min - k_lo h + h arange(n) can round past the domain's end (to
     # 0.20000000000000004 at n = 76, b = 0.2); Vasicek nodes keep that arithmetic bit for bit
