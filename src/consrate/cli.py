@@ -5,8 +5,8 @@ Exit codes: feasibility 0=finite 2=infinite 3=unknown; solve 4 on a solver
 abort (2/3 when the feasibility gate blocks an infeasible/unknown spec);
 simulate/estimate/residual 5 when no solution file is present; estimate 0 when
 |z| <= 3, 1 otherwise, 2 on a divergence signal; 6 when solve's quadrature
-operator or estimate's path arrays would need more memory than the process
-may still take.
+operator, estimate's or simulate's path arrays would need more memory than
+the process may still take.
 """
 
 from __future__ import annotations

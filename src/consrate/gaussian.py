@@ -328,10 +328,12 @@ def semigroup_apply(
 
 def _n_integrand(spec: ProblemSpec, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     """exp((-gamma t + alpha mean_h)/(1-alpha) + alpha^2 var_h / (2 (1-alpha)^2)),
-    shaped (len(t), len(r)); var_h depends on t only and stays a column."""
+    shaped (len(t), len(r)); var_h depends on t only and stays a column. Of
+    the means only mean_h is formed, as _means_from forms it."""
     al, g = spec.alpha, spec.gamma
     t = t[:, None]
-    _, mean_h = _means_from(spec.model, r[None, :], *_mean_factors(spec.model, t))
+    _, _, one_m_e1, drift_h = _mean_factors(spec.model, t)
+    mean_h = r[None, :] * one_m_e1 / spec.model.b + drift_h
     _, var_h, _ = _variances(spec.model, t)
     expo = (-g * t + al * mean_h) / (1.0 - al) + 0.5 * (al / (1.0 - al)) ** 2 * var_h
     return np.exp(expo)

@@ -527,7 +527,7 @@ def resolvent_mc(
     (so common random numbers are exact and make node-to-node noise smooth);
     other models step all nodes as one Euler batch with a common shock. Path k
     draws from seed + k. The exact paths are simulated in blocks of
-    simulate._PATH_BLOCK, one engine call per block, which holds three
+    simulate._PATH_BLOCK, one engine call per block, which holds two
     (paths, n_steps + 1) arrays at its peak; each path's integrals are then
     formed and summed in path order, as one path at a time would. lambda +
     gamma must be large enough that the discarded tail beyond t_max is below

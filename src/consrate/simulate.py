@@ -33,6 +33,20 @@ _MOMENT_BLOCK = 100_000
 # float arrays of one value per time step that _horizon_steps holds at its peak
 # (tracemalloc: 9.1-10.0 at 16001 and 160001 steps)
 _HORIZON_ARRAYS = 10
+# floats in one row chunk of a block's work beside its two path-sized arrays:
+# the engine's h increments and _j_block's policy values and running
+# trapezoid are formed a chunk of rows at a time (6 rows at 4967 steps;
+# 2**15 and 2**16 timed the same)
+_CHUNK_FLOATS = 2**15
+# floats per time step that a block holds beside its path-sized arrays and
+# row chunks: the engine's column views (128 bytes each) and one path's
+# correlated (n_steps, 2) noise (tracemalloc: 18.0-18.3 at 16001 and 100001 steps)
+_STEP_FLOATS = 18
+# float arrays of one value per time step that sample_path and wealth_trajectory
+# hold at their peaks (tracemalloc: 21.0 for one exact path, 16 of them the
+# engine's column views, and 6.1 for the wealth beside the path's three)
+_SAMPLE_ARRAYS = 22
+_WEALTH_ARRAYS = 7
 
 
 @dataclass(frozen=True)
@@ -112,11 +126,17 @@ def _exact_step_params(model: Vasicek, dt: float):
     return phi, m_r, c_h, m_h, chol
 
 
-def _exact_filter(model: Vasicek, r0, dt: float, x: np.ndarray, noise_h) -> tuple[np.ndarray, np.ndarray]:
+def _chunk_rows(steps: int) -> int:
+    """Rows of a path block in one chunk of about _CHUNK_FLOATS values."""
+    return max(1, _CHUNK_FLOATS // steps)
+
+
+def _exact_filter(model: Vasicek, r0, dt: float, x: np.ndarray, noise_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact (r, h) paths, shape (batch, n_steps + 1), from start rates r0 (a
     scalar or one per path) and the rate and h parts of the correlated noise
-    z @ chol.T: x[:, 1:] holds the rate part and noise_h, shape
-    (batch, n_steps), the h part. Every Vasicek sampler goes through here.
+    z @ chol.T: x[:, 1:] holds the rate part and noise_h[:, 1:] the h part,
+    with noise_h's column 0 unused; a noise_h of shape (batch, n_steps) is
+    the h part alone. Every Vasicek sampler goes through here.
 
     The rate is the AR(1) recurrence r_k = x_k + phi r_{k-1} from r_0 = r0,
     run in place on x as a loop over time: one multiply and one add per step,
@@ -124,8 +144,9 @@ def _exact_filter(model: Vasicek, r0, dt: float, x: np.ndarray, noise_h) -> tupl
     lfilter([1], [1, -phi]) and bitwise equal to it. A step costs a few
     microseconds of call overhead whatever the batch, so callers hand over
     whole blocks of paths, never one path per call in a loop. x is returned
-    as r and h is new, so the engine holds three path-sized arrays at its
-    peak: r, noise_h and h.
+    as r, and a full-width noise_h as h: the drift r c_h + m_h is added into
+    it a chunk of rows at a time (noise + drift is bitwise drift + noise), so
+    the engine holds two path-sized arrays at its peak.
     """
     phi, m_r, c_h, m_h, _ = _exact_step_params(model, dt)
     x[:, 1:] += m_r
@@ -139,13 +160,19 @@ def _exact_filter(model: Vasicek, r0, dt: float, x: np.ndarray, noise_h) -> tupl
     for prev, col in zip(columns, columns[1:]):
         np.multiply(prev, phi_col, step)
         np.add(col, step, col)
-    r, h = x, np.empty_like(x)
-    dh = h[:, 1:]
-    np.multiply(r[:, :-1], c_h, out=dh)
-    dh += m_h
-    dh += noise_h
+    del columns
+    r, h = x, noise_h
+    if h.shape[1] < x.shape[1]:
+        h = np.empty_like(x)
+        h[:, 1:] = noise_h
+    rows = _chunk_rows(x.shape[1])
+    for lo in range(0, x.shape[0], rows):
+        drift_h = r[lo : lo + rows, :-1] * c_h
+        drift_h += m_h
+        h[lo : lo + rows, 1:] += drift_h
+        del drift_h
     h[:, 0] = 0.0
-    np.cumsum(dh, axis=1, out=dh)
+    np.cumsum(h[:, 1:], axis=1, out=h[:, 1:])
     return r, h
 
 
@@ -160,16 +187,16 @@ def _normals(rngs, shape: tuple) -> np.ndarray:
 def _exact_batch(model: Vasicek, r0, dt: float, n_steps: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     """Exact (r, h) paths, shape (batch, n_steps + 1), from start rates r0 (a
     scalar or one per path), one rng per path. Each path's correlated noise
-    goes straight into the filter's buffers, so no (batch, n_steps, 2) array
-    of normals is ever held, and the block peaks at the filter's three
-    path-sized arrays."""
+    goes straight into the filter's buffers, the h part into columns 1: of
+    the array that becomes h, so no (batch, n_steps, 2) array of normals is
+    ever held, and the block peaks at the filter's two path-sized arrays."""
     chol_t = _exact_step_params(model, dt)[4].T
     x = np.empty((len(rngs), n_steps + 1))
-    noise_h = np.empty((len(rngs), n_steps))
+    noise_h = np.empty_like(x)
     for i, rng in enumerate(rngs):
         noise = rng.standard_normal((n_steps, 2)) @ chol_t
         x[i, 1:] = noise[:, 0]
-        noise_h[i] = noise[:, 1]
+        noise_h[i, 1:] = noise[:, 1]
     return _exact_filter(model, r0, dt, x, noise_h)
 
 
@@ -232,12 +259,23 @@ def _first_zero_crossing(times: np.ndarray, r: np.ndarray) -> float | None:
     return float(times[i - 1] + frac * (times[i] - times[i - 1]))
 
 
+def _check_step_arrays(what: str, arrays: int, steps: int) -> None:
+    """Raise InsufficientMemory if arrays float arrays of steps values do not
+    fit in parallel.memory_budget()."""
+    need = 8 * arrays * steps
+    detail = f" for {arrays} arrays of {steps} time steps"
+    check_memory(what, need, memory_budget(), detail, "lower paths.t_max / paths.dt")
+
+
 def sample_path(model: ShortRateModel, r0: float, cfg: PathConfig) -> Trajectory:
-    """One (r, h) path. The exact scheme requires the Vasicek model."""
+    """One (r, h) path. The exact scheme requires the Vasicek model. Before
+    anything is allocated, the path's step arrays are checked against
+    parallel.memory_budget() (InsufficientMemory names the sizes)."""
     dom = domain(model)
     if not (dom.contains_closure(r0) if not isinstance(model, Constant) else True):
         raise ValueError("r0 outside the model domain")
     n_steps = int(round(cfg.t_max / cfg.dt))
+    _check_step_arrays("the sampled path", _SAMPLE_ARRAYS, n_steps + 1)
     times = cfg.dt * np.arange(n_steps + 1)
     r, h, clamps = _scheme_batch(model, r0, cfg, n_steps, _path_rngs(cfg.seed, 0, 1))
     return Trajectory(times=times, r=r[0], h=h[0], clamp_count=int(clamps[0]))
@@ -245,11 +283,13 @@ def sample_path(model: ShortRateModel, r0: float, cfg: PathConfig) -> Trajectory
 
 def wealth_trajectory(path: Trajectory, policy_c: GridFunction, v: float) -> Trajectory:
     """Wealth, consumption, and relative consumption along a rate path under a
-    proportional feedback policy: V_t = v exp(int (r - c)), C = c V."""
+    proportional feedback policy: V_t = v exp(int (r - c)), C = c V. Its
+    step arrays are checked against parallel.memory_budget() first."""
     if v <= 0:
         raise ValueError("initial wealth must be positive")
     if np.any(policy_c.values < 0):
         raise ValueError("the consumption policy must be nonnegative")
+    _check_step_arrays("the wealth trajectory", _WEALTH_ARRAYS, path.times.size)
     c = np.maximum(policy_c(path.r), 0.0)
     dt = np.diff(path.times)
     f = path.r - c
@@ -303,28 +343,32 @@ def _j_block(spec: ProblemSpec, policy_c: GridFunction, r0: float, cfg: PathConf
     block of paths start, ..., start + _PATH_BLOCK - 1 (fewer in the last block).
 
     integrand = exp(-g t + al (h - int c)) c^al, with int c the trapezoid of c,
-    is formed in place, and r and h are dropped as soon as they are used, so
-    the block, like the exact engine, peaks at three path-sized arrays."""
+    is formed in place in h a chunk of rows at a time, with the chunk's c and
+    int c as temporaries, so the block, like the exact engine, peaks at two
+    path-sized arrays: r and h."""
     al, g = spec.alpha, spec.gamma
     nb = min(_PATH_BLOCK, cfg.n_paths - start)
     r, h, _ = _scheme_batch(spec.model, r0, cfg, times.size - 1, _path_rngs(cfg.seed, start, nb))
-    c = policy_c(r)
-    del r
-    np.maximum(c, 0.0, out=c)
-    integrand = np.zeros_like(c)
-    int_c = integrand[:, 1:]
-    np.add(c[:, 1:], c[:, :-1], out=int_c)
-    int_c *= 0.5
-    int_c *= cfg.dt
-    np.cumsum(int_c, axis=1, out=int_c)
-    np.subtract(h, integrand, out=integrand)
-    del h
-    integrand *= al
-    integrand += -g * times
-    np.exp(integrand, out=integrand)
-    integrand *= np.power(c, al, out=c)
-    del c
-    return np.trapezoid(integrand, dx=cfg.dt, axis=1), integrand.sum(axis=0)
+    decay = -g * times
+    j = np.empty(nb)
+    rows = _chunk_rows(times.size)
+    for lo in range(0, nb, rows):
+        c = policy_c(r[lo : lo + rows])
+        np.maximum(c, 0.0, out=c)
+        int_c = c[:, 1:] + c[:, :-1]
+        int_c *= 0.5
+        int_c *= cfg.dt
+        np.cumsum(int_c, axis=1, out=int_c)
+        integrand = h[lo : lo + rows]
+        integrand[:, 1:] -= int_c
+        del int_c
+        integrand *= al
+        integrand += decay
+        np.exp(integrand, out=integrand)
+        integrand *= np.power(c, al, out=c)
+        del c
+        j[lo : lo + rows] = np.trapezoid(integrand, dx=cfg.dt, axis=1)
+    return j, h.sum(axis=0)
 
 
 def estimate_J(
@@ -361,10 +405,11 @@ def estimate_J(
     if v <= 0:
         raise ValueError("initial wealth must be positive")
     # sized at cfg.t_max, before the horizon is known: _horizon_steps' step arrays, each
-    # worker's three path-sized arrays, and the blocks' results held until the reduction
+    # worker's two path-sized arrays, two row chunks and _STEP_FLOATS per step, and the
+    # blocks' results held until the reduction
     steps = int(round(cfg.t_max / cfg.dt)) + 1
     horizon = 8 * _HORIZON_ARRAYS * steps
-    per_block = 8 * 3 * min(_PATH_BLOCK, cfg.n_paths) * steps
+    per_block = 8 * (2 * min(_PATH_BLOCK, cfg.n_paths) + 2 * _chunk_rows(steps) + _STEP_FLOATS) * steps
     results = 8 * (-(-cfg.n_paths // _PATH_BLOCK) * steps + cfg.n_paths)
     check_memory(
         "estimate",
@@ -480,7 +525,7 @@ def estimate_KL_mc(spec: ProblemSpec, r0: float, cfg: PathConfig, *, chunk: int 
     at t_max exceeds 1%.
 
     The paths run in blocks of _PATH_BLOCK on cfg.pool_workers worker processes
-    (parallel.fork_map), chunk steps per engine call, so a block holds three
+    (parallel.fork_map), chunk steps per engine call, so a block holds two
     (paths, chunk + 1) arrays at its peak. The per-path results are summed in
     path order, so the estimate is bitwise the same for any worker count.
     """

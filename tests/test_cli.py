@@ -434,6 +434,19 @@ def test_estimate_exits_6_when_the_paths_do_not_fit(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "o" / "estimate.txt").exists()
 
 
+def test_simulate_exits_6_when_the_path_does_not_fit(tmp_path, monkeypatch, capsys):
+    # in process, so that the memory budget can be patched; the desk path of
+    # 16001 steps needs 2.7 MiB, so nothing large is allocated either way
+    assert run_cli("--output", "o", *FAST_SOLVE, "solve", cwd=tmp_path).returncode == 0
+    monkeypatch.setattr(simulate, "memory_budget", lambda: 2**20)
+    code = cli.main(["--output", str(tmp_path / "o"), "simulate"])
+    out = capsys.readouterr().out
+    assert code == 6, out
+    assert "out of memory: the sampled path needs 2.7 MiB for 22 arrays of 16001 time steps" in out
+    assert "only 1.0 MiB is available; lower paths.t_max / paths.dt" in out
+    assert not (tmp_path / "o" / "trajectory.csv").exists()
+
+
 def test_run_record_reports_worker_peak_rss(tmp_path):
     # the desk grid with FAST_SOLVE's steps: two node tiles, so two workers where there are two cores
     r = run_cli("--output", "o", "--threads", "2", "--set", "grid.n=76", *FAST_SOLVE[2:], "solve", cwd=tmp_path)

@@ -231,6 +231,47 @@ def test_exact_batch_peak_memory():
     assert peak < 6 * 256 * (n_steps + 1) * 8
 
 
+def peak_path_arrays(run, n_paths, n_steps):
+    """tracemalloc peak of run() in (n_paths, n_steps + 1) float arrays."""
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * n_paths * (n_steps + 1))
+
+
+def test_exact_batch_peaks_at_two_path_arrays():
+    # r and h: the h noise is summed into the array that becomes h, one row
+    # chunk of drift at a time; a new h beside the noise made three
+    _exact_batch(VAS, 0.05, 0.0025, 10, _path_rngs(1, 0, 2))  # imports and caches outside the window
+    peak = peak_path_arrays(lambda: _exact_batch(VAS, 0.05, 0.0025, 2000, _path_rngs(1, 0, 256)), 256, 2000)
+    assert peak < 2.3
+
+
+def test_j_block_peaks_at_two_path_arrays():
+    # the integrand is formed in h a row chunk at a time; a whole-block
+    # policy array and integrand beside h made three
+    cfg = PathConfig(dt=0.0025, t_max=5.0, n_paths=256, seed=1)
+    times = cfg.dt * np.arange(2001)
+    policy = GridFunction(0.0, 0.15, np.linspace(2.0, 4.0, 76))
+    simulate._j_block(PAPER_A, policy, 0.05, cfg, times[:11], 0)  # imports and caches outside the window
+    peak = peak_path_arrays(lambda: simulate._j_block(PAPER_A, policy, 0.05, cfg, times, 0), 256, 2000)
+    assert peak < 2.3
+
+
+def test_sampled_paths_check_memory_before_allocating(monkeypatch):
+    cfg = PathConfig(dt=0.01, t_max=2.0, n_paths=1, seed=42)
+    path = sample_path(VAS, 0.05, cfg)
+    monkeypatch.setattr(simulate, "memory_budget", lambda: 2**10)
+    monkeypatch.setattr(simulate, "_scheme_batch", lambda *args: pytest.fail("sample_path allocated its path"))
+    with pytest.raises(InsufficientMemory, match=r"the sampled path needs .* for 22 arrays of 201 time steps"):
+        sample_path(VAS, 0.05, cfg)
+    with pytest.raises(InsufficientMemory, match=r"the wealth trajectory needs .*; lower paths\.t_max / paths\.dt"):
+        wealth_trajectory(path, flat_policy(0.5), 1.0)
+
+
 def test_estimate_j_infeasible_gate():
     spec = ProblemSpec(Constant(0.5), 0.5, 0.1, "A")
     cfg = PathConfig(dt=0.01, t_max=10.0, n_paths=20, seed=19, scheme="euler")
@@ -458,7 +499,7 @@ def test_sample_path_pinned():
 
 def test_estimate_j_checks_memory_before_allocating(monkeypatch):
     # a patched budget, not a real giant allocation: the desk path settings
-    # need 194 MiB on two workers, before the horizon is known
+    # need 137 MiB on two workers, before the horizon is known
     def never(*args):
         raise AssertionError("estimate_J allocated although its arrays do not fit")
 
@@ -469,7 +510,7 @@ def test_estimate_j_checks_memory_before_allocating(monkeypatch):
         m.setattr(simulate, "_horizon_steps", never)
         m.setattr(simulate, "fork_map", never)
         sizes = (
-            r"estimate needs 193\.7 MiB: 1\.2 MiB for the horizon bound, 93\.8 MiB of path arrays for "
+            r"estimate needs 136\.6 MiB: 1\.2 MiB for the horizon bound, 65\.2 MiB of path arrays for "
             r"each of 2 workers and 5\.0 MiB of block results, but only 1\.0 MiB is available"
         )
         with pytest.raises(InsufficientMemory, match=sizes):
