@@ -3,17 +3,20 @@ orchestration, and CSV/SVG artifact emission.
 
 Exit codes: feasibility 0=finite 2=infinite 3=unknown; solve 4 on a solver
 abort (2/3 when the feasibility gate blocks an infeasible/unknown spec);
-simulate/estimate/residual 5 when no solution file is present; estimate 0 when
-|z| <= 3, 1 otherwise, 2 on a divergence signal; 6 when solve's quadrature
-operator, estimate's or simulate's path arrays would need more memory than
-the process may still take.
+simulate/estimate/residual 5 when their configuration is valid but no solution
+file is present; estimate 0 when |z| <= 3, 1 otherwise, 2 on a divergence
+signal; 6 when solve's quadrature operator, estimate's or simulate's path
+arrays would need more memory than the process may still take. A bad value
+of a key that feeds a settings object (see KEYS) exits 2 with an error that
+names the key, before the command creates --output or reads solution.csv.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import inspect
 import math
+import re
 import resource
 import sys
 import time
@@ -29,43 +32,57 @@ from .models import Constant, DriftedBM, GeometricBM, InvariantInterval, Problem
 from .resolvent import FiniteDifference, Quadrature
 from .svgfig import Panel, write_figure
 
-DEFAULTS: dict = {
-    "model.kind": "vasicek",
-    "model.a": 0.03,
-    "model.b": 0.5,
-    "model.sigma": 0.02,
-    "model.kappa": 1.0,
-    "model.mu": 0.0,
-    "model.r": 0.05,
-    "problem.alpha": 0.5,
-    "problem.gamma": 1.5304,
-    "grid.r_min": 0.0,
-    "grid.r_max": 0.15,
-    "grid.n": 76,
-    "solver.backend": "quadrature",
-    "solver.m_max": 16,
-    "solver.n_max": 10,
-    "solver.eps1": 1e-3,
-    "solver.eps2": 1e-5,
-    "solver.theta": "",
-    "solver.tol_n": 1e-6,
-    "solver.tol_m": 1e-4,
-    "solver.pad": 0.05,
-    "quad.dt": 0.01,
-    "quad.t_max": 12.0,
-    "quad.dy": 0.002,
-    "quad.y_halfwidth": "",
-    "paths.scheme": "exact",
-    "paths.dt": 0.0025,
-    "paths.t_max": 40.0,
-    "paths.n_paths": 10000,
-    "sim.r0": 0.05,
-    "sim.v": 3.0,
-    "portfolio.varsigma": 1.0,
-    "seed": 20240501,
-    "threads": 0,
-    "output.emit_plots": True,
+MODELS = {"vasicek": Vasicek, "interval": InvariantInterval, "bm": DriftedBM, "gbm": GeometricBM, "constant": Constant}
+BACKENDS = {"quadrature": Quadrature, "fd": FiniteDifference}
+OPTIONAL = float | None
+
+# Every configuration key: its default, its kind, and the settings fields it
+# feeds. A kind is bool (yes/no), int, float, OPTIONAL (a number, or the
+# empty default for none), the allowed values of a choice, or str (a name,
+# which SolverConfig checks); choices and names ignore case. A field is
+# object.field, where the objects are the model, spec (ProblemSpec), grid
+# (GridFunction.zeros), quad (Quadrature), solver (hjb.SolverConfig) and
+# paths (simulate.PathConfig). A key that feeds no field is read by its
+# command.
+KEYS: dict = {
+    "model.kind": ("vasicek", tuple(MODELS), "spec.model"),
+    "model.a": (0.03, float, "model.a"),
+    "model.b": (0.5, float, "model.b"),
+    "model.sigma": (0.02, float, "model.sigma"),
+    "model.kappa": (1.0, float, "model.kappa"),
+    "model.mu": (0.0, float, "model.mu"),
+    "model.r": (0.05, float, "model.r"),
+    "problem.alpha": (0.5, float, "spec.alpha"),
+    "problem.gamma": (1.5304, float, "spec.gamma"),
+    "grid.r_min": (0.0, float, "grid.r_min"),
+    "grid.r_max": (0.15, float, "grid.r_max"),
+    "grid.n": (76, int, "grid.n_nodes"),
+    "solver.backend": ("quadrature", str, "solver.backend"),
+    "solver.m_max": (16, int, "solver.m_max"),
+    "solver.n_max": (10, int, "solver.n_max"),
+    "solver.eps1": (1e-3, float, "solver.eps1"),
+    "solver.eps2": (1e-5, float, "solver.eps2"),
+    "solver.theta": ("", OPTIONAL, "solver.theta_bound"),
+    "solver.tol_n": (1e-6, float, "solver.tol_n"),
+    "solver.tol_m": (1e-4, float, "solver.tol_m"),
+    "solver.pad": (0.05, float, "solver.pad"),
+    "quad.dt": (0.01, float, "quad.dt"),
+    "quad.t_max": (12.0, float, "quad.t_max"),
+    "quad.dy": (0.002, float, "quad.dy"),
+    "quad.y_halfwidth": ("", OPTIONAL, "quad.y_halfwidth"),
+    "paths.scheme": ("exact", ("exact", "euler"), "paths.scheme"),
+    "paths.dt": (0.0025, float, "paths.dt"),
+    "paths.t_max": (40.0, float, "paths.t_max"),
+    "paths.n_paths": (10000, int, "paths.n_paths"),
+    "sim.r0": (0.05, float, ""),
+    "sim.v": (3.0, float, ""),
+    "portfolio.varsigma": (1.0, float, ""),
+    "seed": (20240501, int, "paths.seed"),
+    "threads": (0, int, "quad.workers paths.workers"),
+    "output.emit_plots": (True, bool, ""),
 }
+DEFAULTS: dict = {key: default for key, (default, _, _) in KEYS.items()}
+YES, NO = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 # the defaults above are the desk profile; paper matches the reference run
 PROFILES = {
@@ -83,27 +100,26 @@ PROFILES = {
 }
 
 
-def _coerce(key: str, raw):
-    if key not in DEFAULTS:
+def _coerce(key: str, raw: str):
+    """The value of key that the text raw spells, by the key's kind."""
+    if key not in KEYS:
         raise KeyError(f"unknown configuration key {key!r}")
-    ref = DEFAULTS[key]
-    if isinstance(raw, str):
-        raw = raw.strip()
-        if isinstance(ref, bool):
-            spelling = raw.lower()
-            if spelling not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-                raise ValueError(f"{key} must be one of 1/true/yes/on or 0/false/no/off, got {raw!r}")
-            return spelling in ("1", "true", "yes", "on")
-        if key in ("quad.y_halfwidth", "solver.theta") and raw:
-            ref = 0.0  # optional numbers: the empty default means none
-        if isinstance(ref, (int, float)):
-            try:
-                return type(ref)(raw)
-            except ValueError:
-                noun = "an integer" if isinstance(ref, int) else "a number"
-                raise ValueError(f"{key} must be {noun}, got {raw!r}") from None
-        return raw
-    return raw
+    kind = KEYS[key][1]
+    raw = raw.strip()
+    if kind is bool:
+        if raw.lower() not in YES + NO:
+            raise ValueError(f"{key} must be one of 1/true/yes/on or 0/false/no/off, got {raw!r}")
+        return raw.lower() in YES
+    if kind in (int, float, OPTIONAL):
+        if kind == OPTIONAL and not raw:
+            return ""
+        try:
+            return (int if kind is int else float)(raw)
+        except ValueError:
+            raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {raw!r}") from None
+    if isinstance(kind, tuple) and raw.lower() not in kind:
+        raise ValueError(f"{key} must be {', '.join(map(repr, kind[:-1]))} or {kind[-1]!r}, got {raw!r}")
+    return raw.lower()
 
 
 def parse_config_file(path: str) -> dict:
@@ -123,14 +139,12 @@ def parse_config_file(path: str) -> dict:
 def resolve_config(args) -> dict:
     cfg = dict(DEFAULTS)
     cfg.update(PROFILES[args.profile])
-    if args.config:
-        for k, v in parse_config_file(args.config).items():
-            cfg[k] = _coerce(k, v)
-    for item in args.set or []:
+    pairs = list(parse_config_file(args.config).items()) if args.config else []
+    for item in args.set or []:  # after the file, so that --set wins
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
-        k, v = item.split("=", 1)
-        cfg[k.strip()] = _coerce(k.strip(), v)
+        pairs.append(item.split("=", 1))
+    cfg.update((k.strip(), _coerce(k.strip(), v)) for k, v in pairs)
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.threads is not None:
@@ -140,69 +154,50 @@ def resolve_config(args) -> dict:
     return cfg
 
 
-MODELS = {"vasicek": Vasicek, "interval": InvariantInterval, "bm": DriftedBM, "gbm": GeometricBM, "constant": Constant}
+def _fill(make, cfg: dict, obj: str, **given):
+    """make(**given), with each other parameter of make from the key that
+    feeds obj.<parameter> (the empty value meaning None). A ValueError from
+    make is re-raised naming the keys whose fields it mentions, or all the
+    keys that fed make if it mentions none, unless it names one already."""
+    params = inspect.signature(make).parameters
+    fed = {f: key for key, (_, _, feeds) in KEYS.items() for o, f in (t.split(".") for t in feeds.split())
+           if o == obj and f in params}
+    try:
+        return make(**{f: None if cfg[key] == "" else cfg[key] for f, key in fed.items() if f not in given}, **given)
+    except ValueError as exc:
+        words = set(re.findall(r"\w+", str(exc)))
+        keys = [key for f, key in fed.items() if f in words] or list(fed.values())
+        if any(key in str(exc) for key in keys):
+            raise
+        raise ValueError(f"{', '.join(keys)}: {exc}") from None
 
 
 def build_model(cfg: dict):
-    """The model named by model.kind (any case), each field from its model.<field> key."""
-    kind = cfg["model.kind"].lower()
-    if kind not in MODELS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    return MODELS[kind](**{f.name: cfg[f"model.{f.name}"] for f in dataclasses.fields(MODELS[kind])})
+    """The model that model.kind names, each field from its model.<field> key."""
+    return _fill(MODELS[cfg["model.kind"]], cfg, "model")
 
 
 def build_spec(cfg: dict, variant: str) -> ProblemSpec:
-    return ProblemSpec(build_model(cfg), cfg["problem.alpha"], cfg["problem.gamma"], variant)
+    return _fill(ProblemSpec, cfg, "spec", model=build_model(cfg), variant=variant)
 
 
 def build_backend(cfg: dict):
-    name = cfg["solver.backend"].lower()
-    if name == "quadrature":
-        hw = cfg["quad.y_halfwidth"]
-        return Quadrature(
-            dt=cfg["quad.dt"],
-            t_max=cfg["quad.t_max"],
-            dy=cfg["quad.dy"],
-            y_halfwidth=None if hw in ("", None) else float(hw),
-            workers=cfg["threads"],
-        )
-    if name == "fd":
-        return FiniteDifference()
-    raise ValueError(f"unknown backend {name!r}")
+    """The resolvent that solver.backend names, the quadrature's settings
+    from the quad.* keys; another name is passed on for SolverConfig to reject."""
+    name = cfg["solver.backend"]
+    return _fill(BACKENDS[name], cfg, "quad") if name in BACKENDS else name
 
 
 def build_solver_config(cfg: dict, model) -> hjb.SolverConfig:
-    grid = GridFunction.zeros(cfg["grid.r_min"], cfg["grid.r_max"], cfg["grid.n"])
     backend = build_backend(cfg)
     if not isinstance(model, Vasicek) and isinstance(backend, Quadrature):
         backend = FiniteDifference()  # the kernel quadrature is Vasicek-only
-    theta = cfg["solver.theta"]
-    return hjb.SolverConfig(
-        grid=grid,
-        backend=backend,
-        m_max=cfg["solver.m_max"],
-        n_max=cfg["solver.n_max"],
-        eps1=cfg["solver.eps1"],
-        eps2=cfg["solver.eps2"],
-        theta_bound=None if theta in ("", None) else float(theta),
-        tol_n=cfg["solver.tol_n"],
-        tol_m=cfg["solver.tol_m"],
-        pad=cfg["solver.pad"],
-    )
+    return _fill(hjb.SolverConfig, cfg, "solver", grid=_fill(GridFunction.zeros, cfg, "grid"), backend=backend)
 
 
 def build_path_config(cfg: dict, model) -> simulate.PathConfig:
-    scheme = cfg["paths.scheme"].lower()
-    if scheme not in ("exact", "euler"):
-        raise ValueError(f"paths.scheme must be 'exact' or 'euler', got {cfg['paths.scheme']!r}")
-    return simulate.PathConfig(
-        dt=cfg["paths.dt"],
-        t_max=cfg["paths.t_max"],
-        n_paths=cfg["paths.n_paths"],
-        seed=cfg["seed"],
-        scheme=scheme if isinstance(model, Vasicek) else "euler",  # exact sampling is Vasicek-only
-        workers=cfg["threads"],
-    )
+    euler = {} if isinstance(model, Vasicek) else {"scheme": "euler"}  # exact sampling is Vasicek-only
+    return _fill(simulate.PathConfig, cfg, "paths", **euler)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +225,7 @@ def read_csv(path: Path) -> dict[str, np.ndarray]:
 
 def write_record(path: Path, cfg: dict, extra: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for k in sorted(cfg):
-            fh.write(f"{k}={cfg[k]}\n")
-        for k, v in extra.items():
+        for k, v in [*sorted(cfg.items()), *extra.items()]:
             fh.write(f"{k}={v}\n")
 
 
@@ -298,13 +291,13 @@ def _emit_solution(out: Path, sol: hjb.Solution, emit_plots: bool) -> None:
 
 
 def cmd_solve(args, cfg: dict, variant: str) -> int:
-    out = _outdir(args)
     spec = build_spec(cfg, variant)
+    solver_cfg = build_solver_config(cfg, spec.model)
+    out = _outdir(args)
     report = feas.classify(spec)
     if report.verdict is not feas.Feasibility.FINITE and not args.force:
         print(f"feasibility gate: {report.verdict.value} ({report.reason}); use --force to override")
         return 2 if report.verdict is feas.Feasibility.INFINITE else 3
-    solver_cfg = build_solver_config(cfg, spec.model)
     solve = {"A": hjb.solve_problem_a, "B": hjb.solve_problem_b, "C": hjb.solve_problem_c}[variant]
     try:
         sol = solve(spec, solver_cfg, force=args.force)
@@ -341,24 +334,24 @@ def _peak_rss_mb(who) -> str:
     return f"{resource.getrusage(who).ru_maxrss / 1024:.1f}"
 
 
-def _load_solution(out: Path):
-    """K and c_hat of out/solution.csv as grid functions; None, with a note, if it is missing."""
-    path = out / "solution.csv"
-    if not path.exists():
+def _load_solution(args):
+    """The output directory, and K and c_hat of its solution.csv as grid
+    functions; None for them, with a note, if the file is missing."""
+    out = _outdir(args)
+    if not (out / "solution.csv").exists():
         print(f"no solution.csv in {out}; run solve first")
-        return None
-    data = read_csv(path)
+        return out, None
+    data = read_csv(out / "solution.csv")
     r = data["r"]
-    return {col: GridFunction(float(r[0]), float(r[-1]), data[col]) for col in ("K", "c_hat")}
+    return out, {col: GridFunction(float(r[0]), float(r[-1]), data[col]) for col in ("K", "c_hat")}
 
 
 def cmd_simulate(args, cfg: dict) -> int:
-    out = _outdir(args)
-    sol = _load_solution(out)
-    if sol is None:
-        return 5
     model = build_model(cfg)
     pcfg = build_path_config(cfg, model)
+    out, sol = _load_solution(args)
+    if sol is None:
+        return 5
     path = simulate.sample_path(model, cfg["sim.r0"], pcfg)
     traj = simulate.wealth_trajectory(path, sol["c_hat"], cfg["sim.v"])
     write_csv(
@@ -388,12 +381,11 @@ def cmd_simulate(args, cfg: dict) -> int:
 
 
 def cmd_estimate(args, cfg: dict) -> int:
-    out = _outdir(args)
-    sol = _load_solution(out)
-    if sol is None:
-        return 5
     spec = build_spec(cfg, "A")
     pcfg = build_path_config(cfg, spec.model)
+    out, sol = _load_solution(args)
+    if sol is None:
+        return 5
     t0 = time.perf_counter()
     try:
         est = simulate.estimate_J(spec, sol["c_hat"], cfg["sim.r0"], cfg["sim.v"], pcfg)
@@ -428,12 +420,11 @@ def cmd_estimate(args, cfg: dict) -> int:
 
 
 def cmd_residual(args, cfg: dict) -> int:
-    out = _outdir(args)
-    sol = _load_solution(out)
-    if sol is None:
-        return 5
     variant = args.variant.upper()
     spec = build_spec(cfg, "A" if variant == "B" else variant)
+    out, sol = _load_solution(args)
+    if sol is None:
+        return 5
     res_fn = portfolio.bonds_hjb_residual if variant == "C" else hjb.hjb_residual
     raw, rel = res_fn(spec, sol["K"])
     write_csv(out / "residual.csv", ["r", "residual", "residual_rel"], [raw.nodes, raw.values, rel.values])

@@ -4,8 +4,8 @@ A is the weighted generator Q + alpha r. The solver has two backends, each an
 operator with ``apply(lam, psi_values)``: QuadratureOperator integrates the
 closed-form Gaussian kernel in time and rate (the primary method, Vasicek
 only), and FDOperator solves the equivalent linear ODE on the window. The
-Monte Carlo resolvent averages the probabilistic representation; it is a
-cross-check of the two, not a solver backend.
+Monte Carlo resolvent (Vasicek only) averages the probabilistic
+representation; it is a cross-check of the two, not a solver backend.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .gaussian import (
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, Vasicek, diffusion, drift, state_rate
 from .parallel import check_memory, fork_map, memory_budget, mib, one_blas_thread, pool_size, shared_empty
-from .simulate import _PATH_BLOCK, _euler_paths, _exact_batch, _path_rngs
+from .simulate import _PATH_BLOCK, _exact_batch, _path_rngs
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class MonteCarlo:
 
     def __post_init__(self):
         if self.paths < 100:
-            raise ValueError("Monte Carlo backend needs at least 100 paths")
+            raise ValueError("the Monte Carlo resolvent needs at least 100 paths")
         if self.dt <= 0 or self.t_max < self.dt:
             raise ValueError("Monte Carlo step and horizon must be positive")
 
@@ -522,18 +522,17 @@ def resolvent_mc(
 ) -> tuple[GridFunction, GridFunction]:
     """Monte Carlo resolvent with per-node standard errors.
 
-    Vasicek paths share one exact path from r = 0 per sample, moved onto every
-    grid node by the affine OU map r + node e^{-bt}, h + node (1 - e^{-bt})/b
-    (so common random numbers are exact and make node-to-node noise smooth);
-    other models step all nodes as one Euler batch with a common shock. Path k
-    draws from seed + k. The exact paths are simulated in blocks of
-    simulate._PATH_BLOCK, one engine call per block, which holds two
-    (paths, n_steps + 1) arrays at its peak; each path's integrals are then
-    formed and summed in path order, as one path at a time would. lambda +
-    gamma must be large enough that the discarded tail beyond t_max is below
-    the intended tolerance.
+    Vasicek only. The paths share one exact path from r = 0 per sample,
+    moved onto every grid node by the affine OU map r + node e^{-bt},
+    h + node (1 - e^{-bt})/b (so common random numbers are exact and make
+    node-to-node noise smooth). Path k draws from seed + k. The paths are
+    simulated in blocks of simulate._PATH_BLOCK, one engine call per block,
+    which holds two (paths, n_steps + 1) arrays at its peak; each path's
+    integrals are then formed and summed in path order, as one path at a time
+    would. lambda + gamma must be large enough that the discarded tail beyond
+    t_max is below the intended tolerance.
     """
-    if not isinstance(spec.model, (Vasicek, InvariantInterval, Constant)):
+    if not isinstance(spec.model, Vasicek):
         raise ValueError(f"Monte Carlo resolvent not defined for {type(spec.model).__name__}")
     s = lam + spec.gamma
     if s <= 0:
@@ -546,27 +545,10 @@ def resolvent_mc(
     trap_t[0] *= 0.5
     trap_t[-1] *= 0.5
     disc = np.exp(-s * times)
-
-    if isinstance(spec.model, Vasicek):
-        ext_rate = envelope_rate(spec)
-        b = spec.model.b
-        r_shift = nodes[None, :] * np.exp(-b * times)[:, None]
-        h_shift = nodes[None, :] * (-np.expm1(-b * times) / b)[:, None]
-        psi_at = functools.partial(extend_with_envelope, psi, ext_rate)
-
-        def node_paths(rngs):
-            r, h = _exact_batch(spec.model, 0.0, dt, n_steps, rngs)
-            for r_k, h_k in zip(r, h):
-                yield r_k[:, None] + r_shift, h_k[:, None] + h_shift
-
-    else:
-        r_start = state_rate(spec.model, nodes)
-        psi_at = psi
-
-        def node_paths(rngs):
-            for rng in rngs:
-                r, h, _ = _euler_paths(spec.model, r_start, dt, rng.standard_normal((1, n_steps)))
-                yield np.ascontiguousarray(r.T), np.ascontiguousarray(h.T)
+    b = spec.model.b
+    r_shift = nodes[None, :] * np.exp(-b * times)[:, None]
+    h_shift = nodes[None, :] * (-np.expm1(-b * times) / b)[:, None]
+    ext_rate = envelope_rate(spec)
 
     # the variance is taken about the mean of the kept path integrals: a
     # one-pass total_sq / n - mean^2 cancels to rounding noise once they are
@@ -575,8 +557,9 @@ def resolvent_mc(
     integrals = np.empty((backend.paths, nodes.size))
     for start in range(0, backend.paths, _PATH_BLOCK):
         rngs = _path_rngs(backend.seed, start, min(_PATH_BLOCK, backend.paths - start))
-        for k, (r_mat, h_mat) in enumerate(node_paths(rngs), start):
-            g = psi_at(r_mat) * np.exp(spec.alpha * h_mat) * disc[:, None]
+        r, h = _exact_batch(spec.model, 0.0, dt, n_steps, rngs)
+        for k, (r_k, h_k) in enumerate(zip(r, h), start):
+            g = extend_with_envelope(psi, ext_rate, r_k[:, None] + r_shift) * np.exp(spec.alpha * (h_k[:, None] + h_shift)) * disc[:, None]
             integrals[k] = trap_t @ g
             total += integrals[k]
     n = backend.paths

@@ -203,7 +203,7 @@ def _exact_batch(model: Vasicek, r0, dt: float, n_steps: int, rngs) -> tuple[np.
 def _euler_paths(model: ShortRateModel, r0: np.ndarray, dt: float, z: np.ndarray):
     """Euler (r, h) paths, shape (batch, n_steps + 1), with trapezoid h, from
     start rates r0 of shape (batch,) driven by standard normals z of shape
-    (batch, n_steps), or (1, n_steps) for one shock stream shared by the batch.
+    (batch, n_steps).
     Interval paths are clamped just inside (a, b) if a step exits, with a
     per-path clamp counter kept."""
     batch = r0.size

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from tests.conftest import child_env
 from consrate import cli, gaussian, resolvent, simulate
@@ -588,3 +589,47 @@ def test_path_scheme_ignores_case_and_names_its_key(tmp_path):
     r = run_cli("--output", "o", "--set", "paths.scheme=milstein", "estimate", cwd=tmp_path)
     assert r.returncode == 2, r.stdout + r.stderr
     assert "error: paths.scheme must be 'exact' or 'euler', got 'milstein'" in r.stdout
+
+
+# bad values that the library's settings objects reject: six on solve, and
+# two on simulate and estimate, which read a solution first
+SOLVE_PROBES = ["quad.dt=-0.01", "grid.n=1", "problem.alpha=1.5", "grid.r_max=-1", "solver.m_max=0", "model.sigma=0"]
+PATH_PROBES = ["paths.n_paths=0", "paths.dt=0"]
+
+
+@pytest.fixture(scope="module")
+def solved(tmp_path_factory):
+    cwd = tmp_path_factory.mktemp("solved")
+    assert run_cli("--output", "o", *FAST_SOLVE, "solve", cwd=cwd).returncode == 0
+    return cwd
+
+
+@pytest.mark.parametrize(
+    "command, setting",
+    [("solve", s) for s in SOLVE_PROBES] + [(c, s) for c in ("simulate", "estimate") for s in PATH_PROBES],
+)
+def test_every_bad_value_names_its_key_before_writing(request, tmp_path, command, setting):
+    cwd = tmp_path if command == "solve" else request.getfixturevalue("solved")
+    out = cwd / "o"
+    before = {p.name: p.stat().st_mtime_ns for p in out.iterdir()} if out.exists() else None
+    r = run_cli("--output", "o", "--set", setting, command, cwd=cwd)
+    assert r.returncode == 2, r.stdout + r.stderr
+    error = [line for line in r.stdout.splitlines() if line.startswith("error: ")]
+    assert len(error) == 1 and setting.split("=")[0] in error[0], r.stdout
+    after = {p.name: p.stat().st_mtime_ns for p in out.iterdir()} if out.exists() else None
+    assert after == before
+
+
+def test_a_bad_value_leaves_no_output_directory(tmp_path):
+    r = run_cli("--output", "o", "--set", "model.sigma=0", "solve", cwd=tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "error: model.a, model.b, model.sigma: " in r.stdout
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_bad_value_is_reported_before_a_missing_solution(tmp_path):
+    # no solution.csv: a load before the check would exit 5 and hide the bad value
+    r = run_cli("--output", "o", "--set", "paths.dt=0", "estimate", cwd=tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "error: paths.dt, paths.t_max: " in r.stdout and not (tmp_path / "o").exists()
+    assert run_cli("--output", "o", "--set", "paths.dt=0.01", "estimate", cwd=tmp_path).returncode == 5

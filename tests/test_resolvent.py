@@ -176,13 +176,10 @@ def test_resolvent_identity_all_backends():
     assert np.max(_identity_defect(PAPER, umc, psi, lam, inner)) <= 1e-3
 
 
-def test_mc_constant_model():
+def test_mc_rejects_models_other_than_vasicek():
     spec = ProblemSpec(Constant(0.05), 0.5, 0.1, "A")
-    psi = grid_unit(21)
-    lam = 1.0
-    u, se = resolvent_mc(spec, psi, lam, MonteCarlo(paths=200, dt=0.005, t_max=30.0, seed=4))
-    truth = 1.0 / (lam + 0.1 - 0.5 * 0.05)
-    assert np.all(np.abs(u.values - truth) <= 3.0 * se.values + 2e-4 * truth)
+    with pytest.raises(ValueError, match="not defined for Constant"):
+        resolvent_mc(spec, grid_unit(21), 1.0, MonteCarlo(paths=100, dt=0.01, t_max=1.0, seed=0))
 
 
 def test_mc_pure_discounting_limit():
