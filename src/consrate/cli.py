@@ -5,10 +5,11 @@ Exit codes: feasibility 0=finite 2=infinite 3=unknown; solve 4 on a solver
 abort (2/3 when the feasibility gate blocks an infeasible/unknown spec);
 simulate/estimate/residual 5 when their configuration is valid but no solution
 file is present; estimate 0 when |z| <= 3, 1 otherwise, 2 on a divergence
-signal; 6 when solve's quadrature operator, estimate's or simulate's path
-arrays would need more memory than the process may still take. A bad value
-of a key that feeds a settings object (see KEYS) exits 2 with an error that
-names the key, before the command creates --output or reads solution.csv.
+signal or a sim.r0 outside the solved grid; 6 when solve's quadrature
+operator, estimate's or simulate's path arrays would need more memory than
+the process may still take. A bad value of a key that feeds a field (see
+KEYS) exits 2 with an error that names the key, before the command creates
+--output or reads solution.csv.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import feasibility as feas
 from . import hjb, portfolio, simulate
 from .errors import DivergenceError, InfeasibleProblem, InsufficientMemory, MonotonicityError
 from .grids import GridFunction
-from .models import Constant, DriftedBM, GeometricBM, InvariantInterval, ProblemSpec, Vasicek
+from .models import Constant, DriftedBM, GeometricBM, InvariantInterval, ProblemSpec, Vasicek, domain
 from .resolvent import FiniteDifference, Quadrature
 from .svgfig import Panel, write_figure
 
@@ -41,8 +42,9 @@ OPTIONAL = float | None
 # empty default for none), the allowed values of a choice, or str (a name,
 # which SolverConfig checks); choices and names ignore case. A field is
 # object.field, where the objects are the model, spec (ProblemSpec), grid
-# (GridFunction.zeros), quad (Quadrature), solver (hjb.SolverConfig) and
-# paths (simulate.PathConfig). A key that feeds no field is read by its
+# (GridFunction.zeros), quad (Quadrature), solver (hjb.SolverConfig), paths
+# (simulate.PathConfig), sim (the start state, _check_start) and portfolio
+# (portfolio.eta_from_beta). A key that feeds no field is read by its
 # command.
 KEYS: dict = {
     "model.kind": ("vasicek", tuple(MODELS), "spec.model"),
@@ -74,9 +76,9 @@ KEYS: dict = {
     "paths.dt": (0.0025, float, "paths.dt"),
     "paths.t_max": (40.0, float, "paths.t_max"),
     "paths.n_paths": (10000, int, "paths.n_paths"),
-    "sim.r0": (0.05, float, ""),
-    "sim.v": (3.0, float, ""),
-    "portfolio.varsigma": (1.0, float, ""),
+    "sim.r0": (0.05, float, "sim.r0"),
+    "sim.v": (3.0, float, "sim.v"),
+    "portfolio.varsigma": (1.0, float, "portfolio.varsigma"),
     "seed": (20240501, int, "paths.seed"),
     "threads": (0, int, "quad.workers paths.workers"),
     "output.emit_plots": (True, bool, ""),
@@ -200,6 +202,16 @@ def build_path_config(cfg: dict, model) -> simulate.PathConfig:
     return _fill(simulate.PathConfig, cfg, "paths", **euler)
 
 
+def _check_start(model, r0: float, v: float) -> None:
+    """The checks of the start rate and wealth that sample_path,
+    wealth_trajectory and estimate_J make, so that simulate and estimate
+    can make them before reading solution.csv."""
+    if not isinstance(model, Constant) and not domain(model).contains_closure(r0):
+        raise ValueError("r0 outside the model domain")
+    if not v > 0:
+        raise ValueError("the initial wealth v must be positive")
+
+
 # ---------------------------------------------------------------------------
 # file I/O
 
@@ -293,6 +305,11 @@ def _emit_solution(out: Path, sol: hjb.Solution, emit_plots: bool) -> None:
 def cmd_solve(args, cfg: dict, variant: str) -> int:
     spec = build_spec(cfg, variant)
     solver_cfg = build_solver_config(cfg, spec.model)
+    if variant == "C" and isinstance(spec.model, Vasicek):
+        # bank-weight recovery needs the affine bond loading, so Vasicek only
+        grid = solver_cfg.grid
+        beta = portfolio.beta_hat(spec, 0.5 * (grid.r_min + grid.r_max))
+        pol = _fill(portfolio.eta_from_beta, cfg, "portfolio", beta=beta, b=spec.model.b)
     out = _outdir(args)
     report = feas.classify(spec)
     if report.verdict is not feas.Feasibility.FINITE and not args.force:
@@ -310,12 +327,6 @@ def cmd_solve(args, cfg: dict, variant: str) -> int:
     ran = "none" if variant == "C" else "quadrature" if sol.operator else "fd"
     extra = {"variant": variant, "resolvent": ran, "K_min": fmt(sol.K.values.min()), "K_max": fmt(sol.K.values.max())}
     if variant == "C" and isinstance(spec.model, Vasicek):
-        # bank-weight recovery needs the affine bond loading, so Vasicek only
-        pol = portfolio.eta_from_beta(
-            portfolio.beta_hat(spec, 0.5 * (sol.K.r_min + sol.K.r_max)),
-            cfg["portfolio.varsigma"],
-            spec.model.b,
-        )
         extra.update(
             beta_mid=fmt(pol.beta), eta_mid=fmt(pol.eta), upsilon=fmt(pol.upsilon), varsigma=fmt(pol.varsigma)
         )
@@ -349,6 +360,7 @@ def _load_solution(args):
 def cmd_simulate(args, cfg: dict) -> int:
     model = build_model(cfg)
     pcfg = build_path_config(cfg, model)
+    _fill(_check_start, cfg, "sim", model=model)
     out, sol = _load_solution(args)
     if sol is None:
         return 5
@@ -383,9 +395,13 @@ def cmd_simulate(args, cfg: dict) -> int:
 def cmd_estimate(args, cfg: dict) -> int:
     spec = build_spec(cfg, "A")
     pcfg = build_path_config(cfg, spec.model)
+    _fill(_check_start, cfg, "sim", model=spec.model)
     out, sol = _load_solution(args)
     if sol is None:
         return 5
+    grid = sol["K"]
+    if not grid.r_min <= cfg["sim.r0"] <= grid.r_max:  # K is held at its edge value outside the grid
+        raise ValueError(f"sim.r0={fmt(cfg['sim.r0'])} lies outside the solved grid [{fmt(grid.r_min)}, {fmt(grid.r_max)}]")
     t0 = time.perf_counter()
     try:
         est = simulate.estimate_J(spec, sol["c_hat"], cfg["sim.r0"], cfg["sim.v"], pcfg)

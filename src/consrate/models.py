@@ -134,36 +134,29 @@ def _match(r, out):
     return float(out) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
 
 
+def _coefficients(model: ShortRateModel, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drift mu(r) and volatility sigma(r) of the short-rate SDE on an array
+    of rates, with no domain check: the one definition of each model's
+    coefficients, which drift, diffusion and the Euler engine share."""
+    if isinstance(model, Vasicek):
+        return model.a - model.b * arr, np.full_like(arr, model.sigma)
+    if isinstance(model, InvariantInterval):
+        return model.kappa * (0.5 * (model.a + model.b) - arr), model.sigma * (arr - model.a) * (model.b - arr)
+    if isinstance(model, DriftedBM):
+        return np.full_like(arr, model.mu), np.full_like(arr, model.sigma)
+    if isinstance(model, GeometricBM):
+        return model.mu * arr, model.sigma * arr
+    return np.zeros_like(arr), np.zeros_like(arr)  # Constant
+
+
 def drift(model: ShortRateModel, r):
     """Drift coefficient mu(r) of the short-rate SDE."""
-    arr = _check_rates(model, r)
-    if isinstance(model, Vasicek):
-        out = model.a - model.b * arr
-    elif isinstance(model, InvariantInterval):
-        out = model.kappa * (0.5 * (model.a + model.b) - arr)
-    elif isinstance(model, DriftedBM):
-        out = np.full_like(arr, model.mu)
-    elif isinstance(model, GeometricBM):
-        out = model.mu * arr
-    else:  # Constant
-        out = np.zeros_like(arr)
-    return _match(r, out)
+    return _match(r, _coefficients(model, _check_rates(model, r))[0])
 
 
 def diffusion(model: ShortRateModel, r):
     """Volatility coefficient sigma(r) of the short-rate SDE."""
-    arr = _check_rates(model, r)
-    if isinstance(model, Vasicek):
-        out = np.full_like(arr, model.sigma)
-    elif isinstance(model, InvariantInterval):
-        out = model.sigma * (arr - model.a) * (model.b - arr)
-    elif isinstance(model, DriftedBM):
-        out = np.full_like(arr, model.sigma)
-    elif isinstance(model, GeometricBM):
-        out = model.sigma * arr
-    else:  # Constant
-        out = np.zeros_like(arr)
-    return _match(r, out)
+    return _match(r, _coefficients(model, _check_rates(model, r))[1])
 
 
 def state_rate(model: ShortRateModel, r):

@@ -11,6 +11,7 @@ workers.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ from .errors import DivergenceError, HorizonError
 from .feasibility import classify
 from .gaussian import _cov_shape, _int_decay_shape, _var_h_shape, exp_h_moment
 from .grids import GridFunction
-from .models import Constant, InvariantInterval, ProblemSpec, ShortRateModel, Vasicek, diffusion, domain, drift
+from .models import Constant, InvariantInterval, ProblemSpec, ShortRateModel, Vasicek, _check_rates, _coefficients, domain
 from .parallel import check_memory, fork_map, memory_budget, mib, pool_size
 
 # paths per block of estimate_J, estimate_KL_mc and resolvent_mc: one engine call
@@ -34,18 +35,19 @@ _MOMENT_BLOCK = 100_000
 # (tracemalloc: 9.1-10.0 at 16001 and 160001 steps)
 _HORIZON_ARRAYS = 10
 # floats in one row chunk of a block's work beside its two path-sized arrays:
-# the engine's h increments and _j_block's policy values and running
+# the exact engine's h drift and _j_block's policy values and running
 # trapezoid are formed a chunk of rows at a time (6 rows at 4967 steps;
 # 2**15 and 2**16 timed the same)
 _CHUNK_FLOATS = 2**15
 # floats per time step that a block holds beside its path-sized arrays and
-# row chunks: the engine's column views (128 bytes each) and one path's
-# correlated (n_steps, 2) noise (tracemalloc: 18.0-18.3 at 16001 and 100001 steps)
-_STEP_FLOATS = 18
+# row chunks: one exact path's normals and their correlated (n_steps, 2) copy
+# (tracemalloc: 6.0-7.7 at 100001 and 16001 steps, the engine's own row chunk
+# included; an Euler block holds 1.7)
+_STEP_FLOATS = 8
 # float arrays of one value per time step that sample_path and wealth_trajectory
-# hold at their peaks (tracemalloc: 21.0 for one exact path, 16 of them the
-# engine's column views, and 6.1 for the wealth beside the path's three)
-_SAMPLE_ARRAYS = 22
+# hold at their peaks (tracemalloc: 7.0 for one exact path, 3.0 for one Euler
+# path, and 6.1 for the wealth beside the path's three)
+_SAMPLE_ARRAYS = 8
 _WEALTH_ARRAYS = 7
 
 
@@ -88,7 +90,6 @@ class Trajectory:
     C: np.ndarray | None = None
     c: np.ndarray | None = None
     tau_hit: float | None = None
-    clamp_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -154,13 +155,11 @@ def _exact_filter(model: Vasicek, r0, dt: float, x: np.ndarray, noise_h: np.ndar
     # the loop runs on strided column views of x, measured as fast as on a
     # time-major copy with its two transposes. Per call, an array phi and a
     # positional out save about 0.3 and 0.2 us against a float and out=.
-    columns = list(x.T)
     phi_col = np.full(x.shape[0], phi)
     step = np.empty(x.shape[0])
-    for prev, col in zip(columns, columns[1:]):
+    for prev, col in itertools.pairwise(x.T):
         np.multiply(prev, phi_col, step)
         np.add(col, step, col)
-    del columns
     r, h = x, noise_h
     if h.shape[1] < x.shape[1]:
         h = np.empty_like(x)
@@ -174,14 +173,6 @@ def _exact_filter(model: Vasicek, r0, dt: float, x: np.ndarray, noise_h: np.ndar
     h[:, 0] = 0.0
     np.cumsum(h[:, 1:], axis=1, out=h[:, 1:])
     return r, h
-
-
-def _normals(rngs, shape: tuple) -> np.ndarray:
-    """Standard normals of the given shape from each rng, stacked on a new first axis."""
-    z = np.empty((len(rngs), *shape))
-    for i, rng in enumerate(rngs):
-        rng.standard_normal(out=z[i])
-    return z
 
 
 def _exact_batch(model: Vasicek, r0, dt: float, n_steps: int, rngs) -> tuple[np.ndarray, np.ndarray]:
@@ -200,47 +191,44 @@ def _exact_batch(model: Vasicek, r0, dt: float, n_steps: int, rngs) -> tuple[np.
     return _exact_filter(model, r0, dt, x, noise_h)
 
 
-def _euler_paths(model: ShortRateModel, r0: np.ndarray, dt: float, z: np.ndarray):
+def _euler_batch(model: ShortRateModel, r0: float, dt: float, n_steps: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     """Euler (r, h) paths, shape (batch, n_steps + 1), with trapezoid h, from
-    start rates r0 of shape (batch,) driven by standard normals z of shape
-    (batch, n_steps).
-    Interval paths are clamped just inside (a, b) if a step exits, with a
-    per-path clamp counter kept."""
-    batch = r0.size
-    n_steps = z.shape[1]
-    r = np.empty((batch, n_steps + 1))
+    r0, one rng per path. Each path's standard normals are drawn into its row
+    of r, and each step overwrites the column of normals it has used with the
+    next rate. Interval paths are clamped just inside (a, b) if a step exits.
+    The rates are checked against the model's domain once, after the loop
+    and before h is allocated, and h is summed in place, so the block, like
+    the exact one, peaks at two path-sized arrays."""
+    r = np.empty((len(rngs), n_steps + 1))
+    for i, rng in enumerate(rngs):
+        rng.standard_normal(out=r[i, 1:])
     r[:, 0] = r0
-    clamp = isinstance(model, InvariantInterval)
     dom = domain(model)
+    clamp = isinstance(model, InvariantInterval)
     sqdt = math.sqrt(dt)
-    clamp_counts = np.zeros(batch, dtype=int)
     for j in range(n_steps):
-        cur = r[:, j]
-        nxt = cur + drift(model, cur) * dt + diffusion(model, cur) * sqdt * z[:, j]
+        mu, sig = _coefficients(model, r[:, j])
+        nxt = r[:, j] + mu * dt + sig * sqdt * r[:, j + 1]
         if clamp:
-            lo, hi = dom.lo + 1e-12, dom.hi - 1e-12
-            out = (nxt < lo) | (nxt > hi)
-            clamp_counts += out
-            nxt = np.clip(nxt, lo, hi)
+            np.clip(nxt, dom.lo + 1e-12, dom.hi - 1e-12, out=nxt)
         r[:, j + 1] = nxt
-    dh = 0.5 * (r[:, 1:] + r[:, :-1]) * dt
-    h = np.concatenate([np.zeros((batch, 1)), np.cumsum(dh, axis=1)], axis=1)
-    return r, h, clamp_counts
+    _check_rates(model, r[:, :-1])  # the rates the steps started from
+    h = np.empty_like(r)
+    np.add(r[:, 1:], r[:, :-1], out=h[:, 1:])
+    h[:, 1:] *= 0.5
+    h[:, 1:] *= dt
+    h[:, 0] = 0.0
+    np.cumsum(h[:, 1:], axis=1, out=h[:, 1:])
+    return r, h
 
 
-def _euler_batch(model: ShortRateModel, r0: float, dt: float, n_steps: int, rngs):
-    """Euler (r, h, clamp counts) paths from r0, one rng per path."""
-    return _euler_paths(model, np.full(len(rngs), float(r0)), dt, _normals(rngs, (n_steps,)))
-
-
-def _scheme_batch(model: ShortRateModel, r0: float, cfg: PathConfig, n_steps: int, rngs):
-    """(r, h, clamp counts) for one block of paths under cfg.scheme."""
+def _scheme_batch(model: ShortRateModel, r0: float, cfg: PathConfig, n_steps: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """(r, h) for one block of paths under cfg.scheme."""
     if cfg.scheme == "euler":
         return _euler_batch(model, r0, cfg.dt, n_steps, rngs)
     if not isinstance(model, Vasicek):
         raise ValueError("the exact scheme applies to the Vasicek model only")
-    r, h = _exact_batch(model, r0, cfg.dt, n_steps, rngs)
-    return r, h, np.zeros(len(rngs), dtype=int)
+    return _exact_batch(model, r0, cfg.dt, n_steps, rngs)
 
 
 def _path_rngs(seed: int, start: int, count: int):
@@ -277,8 +265,8 @@ def sample_path(model: ShortRateModel, r0: float, cfg: PathConfig) -> Trajectory
     n_steps = int(round(cfg.t_max / cfg.dt))
     _check_step_arrays("the sampled path", _SAMPLE_ARRAYS, n_steps + 1)
     times = cfg.dt * np.arange(n_steps + 1)
-    r, h, clamps = _scheme_batch(model, r0, cfg, n_steps, _path_rngs(cfg.seed, 0, 1))
-    return Trajectory(times=times, r=r[0], h=h[0], clamp_count=int(clamps[0]))
+    r, h = _scheme_batch(model, r0, cfg, n_steps, _path_rngs(cfg.seed, 0, 1))
+    return Trajectory(times=times, r=r[0], h=h[0])
 
 
 def wealth_trajectory(path: Trajectory, policy_c: GridFunction, v: float) -> Trajectory:
@@ -303,7 +291,6 @@ def wealth_trajectory(path: Trajectory, policy_c: GridFunction, v: float) -> Tra
         C=c * V,
         c=c,
         tau_hit=_first_zero_crossing(path.times, path.r),
-        clamp_count=path.clamp_count,
     )
 
 
@@ -348,7 +335,7 @@ def _j_block(spec: ProblemSpec, policy_c: GridFunction, r0: float, cfg: PathConf
     path-sized arrays: r and h."""
     al, g = spec.alpha, spec.gamma
     nb = min(_PATH_BLOCK, cfg.n_paths - start)
-    r, h, _ = _scheme_batch(spec.model, r0, cfg, times.size - 1, _path_rngs(cfg.seed, start, nb))
+    r, h = _scheme_batch(spec.model, r0, cfg, times.size - 1, _path_rngs(cfg.seed, start, nb))
     decay = -g * times
     j = np.empty(nb)
     rows = _chunk_rows(times.size)

@@ -437,14 +437,14 @@ def test_estimate_exits_6_when_the_paths_do_not_fit(tmp_path, monkeypatch, capsy
 
 def test_simulate_exits_6_when_the_path_does_not_fit(tmp_path, monkeypatch, capsys):
     # in process, so that the memory budget can be patched; the desk path of
-    # 16001 steps needs 2.7 MiB, so nothing large is allocated either way
+    # 16001 steps needs 1.0 MiB, so nothing large is allocated either way
     assert run_cli("--output", "o", *FAST_SOLVE, "solve", cwd=tmp_path).returncode == 0
-    monkeypatch.setattr(simulate, "memory_budget", lambda: 2**20)
+    monkeypatch.setattr(simulate, "memory_budget", lambda: 2**19)
     code = cli.main(["--output", str(tmp_path / "o"), "simulate"])
     out = capsys.readouterr().out
     assert code == 6, out
-    assert "out of memory: the sampled path needs 2.7 MiB for 22 arrays of 16001 time steps" in out
-    assert "only 1.0 MiB is available; lower paths.t_max / paths.dt" in out
+    assert "out of memory: the sampled path needs 1.0 MiB for 8 arrays of 16001 time steps" in out
+    assert "only 0.5 MiB is available; lower paths.t_max / paths.dt" in out
     assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 
@@ -633,3 +633,30 @@ def test_a_bad_value_is_reported_before_a_missing_solution(tmp_path):
     assert r.returncode == 2, r.stdout + r.stderr
     assert "error: paths.dt, paths.t_max: " in r.stdout and not (tmp_path / "o").exists()
     assert run_cli("--output", "o", "--set", "paths.dt=0.01", "estimate", cwd=tmp_path).returncode == 5
+
+
+# the keys that feed no library settings object, each on a command that reads it
+@pytest.mark.parametrize(
+    "command, setting",
+    [("estimate", "sim.v=-1"), ("simulate", "sim.v=-1"), ("simulate", "sim.r0=nan"), ("solve-c", "portfolio.varsigma=0")],
+)
+def test_a_bad_start_or_portfolio_value_names_its_key_before_writing(tmp_path, command, setting):
+    # no solution.csv: a check after the load would exit 5, and solve-c would
+    # write its results before the portfolio step rejected the value
+    r = run_cli("--output", "o", "--set", "grid.n=39", "--set", setting, command, cwd=tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    error = [line for line in r.stdout.splitlines() if line.startswith("error: ")]
+    assert len(error) == 1 and error[0].startswith(f"error: {setting.split('=')[0]}: "), r.stdout
+    assert not (tmp_path / "o").exists()
+
+
+def test_estimate_refuses_a_start_rate_outside_the_solved_grid(solved, monkeypatch, capsys):
+    # K is held at its edge value beyond the grid, so the |z| gate would blame the Monte Carlo
+    monkeypatch.setattr(simulate, "estimate_J", lambda *args: pytest.fail("estimate drew paths"))
+    out = solved / "o"
+    before = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+    code = cli.main(["--output", str(out), "--set", "sim.r0=5", "--set", "paths.n_paths=200", "estimate"])
+    printed = capsys.readouterr().out
+    assert code == 2, printed
+    assert "error: sim.r0=5 lies outside the solved grid [0, 0.15]" in printed
+    assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()} == before

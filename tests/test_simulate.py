@@ -30,11 +30,13 @@ from consrate import (
     wealth_trajectory,
 )
 from consrate.resolvent import MonteCarlo, resolvent_mc
-from consrate.simulate import _exact_batch, _horizon_steps, _normals, _path_rngs, joint_moment_sample
+from consrate.simulate import _exact_batch, _horizon_steps, _path_rngs, joint_moment_sample
 
 VAS = Vasicek(0.03, 0.5, 0.02)
 PAPER_A = ProblemSpec(VAS, 0.5, 1.5304, "A")
 PAPER_B = ProblemSpec(VAS, 0.5, 1.5304, "B")
+# the paper's invariant-interval example, which runs on the Euler engine
+BOX_A = ProblemSpec(InvariantInterval(0.0, 0.2, 1.0, 1.0), 0.5, 1.5304, "A")
 
 
 def flat_policy(level, lo=-1.0, hi=1.0):
@@ -87,7 +89,7 @@ def test_euler_agrees_with_exact_in_mean():
         if scheme == "exact":
             r, _ = _exact_batch(VAS, 0.05, cfg.dt, int(t / cfg.dt), rngs)
         else:
-            r, _, _ = _euler_batch(VAS, 0.05, cfg.dt, int(t / cfg.dt), rngs)
+            r, _ = _euler_batch(VAS, 0.05, cfg.dt, int(t / cfg.dt), rngs)
         out[:] = r[:, -1]
     se = r_ex.std(ddof=1) / math.sqrt(n)
     assert abs(r_ex.mean() - r_eu.mean()) <= 5 * se
@@ -98,7 +100,6 @@ def test_interval_paths_stay_inside():
     cfg = PathConfig(dt=0.01, t_max=5.0, n_paths=1, seed=3, scheme="euler")
     path = sample_path(box, 0.05, cfg)
     assert np.all(path.r > 0.0) and np.all(path.r < 0.1)
-    assert path.clamp_count >= 0
 
 
 def test_wealth_without_consumption_grows_by_h():
@@ -261,12 +262,24 @@ def test_j_block_peaks_at_two_path_arrays():
     assert peak < 2.3
 
 
+def test_euler_j_block_peaks_at_two_path_arrays():
+    # normals drawn into r and h summed in place: the Euler block peaks at r
+    # and h, like the exact one; separate normals, increments and their
+    # cumulative sum made five
+    cfg = PathConfig(dt=0.0025, t_max=5.0, n_paths=256, seed=1, scheme="euler")
+    times = cfg.dt * np.arange(2001)
+    policy = GridFunction(0.0, 0.2, np.linspace(2.0, 4.0, 76))
+    simulate._j_block(BOX_A, policy, 0.05, cfg, times[:11], 0)  # imports and caches outside the window
+    peak = peak_path_arrays(lambda: simulate._j_block(BOX_A, policy, 0.05, cfg, times, 0), 256, 2000)
+    assert peak < 2.3
+
+
 def test_sampled_paths_check_memory_before_allocating(monkeypatch):
     cfg = PathConfig(dt=0.01, t_max=2.0, n_paths=1, seed=42)
     path = sample_path(VAS, 0.05, cfg)
     monkeypatch.setattr(simulate, "memory_budget", lambda: 2**10)
     monkeypatch.setattr(simulate, "_scheme_batch", lambda *args: pytest.fail("sample_path allocated its path"))
-    with pytest.raises(InsufficientMemory, match=r"the sampled path needs .* for 22 arrays of 201 time steps"):
+    with pytest.raises(InsufficientMemory, match=r"the sampled path needs .* for 8 arrays of 201 time steps"):
         sample_path(VAS, 0.05, cfg)
     with pytest.raises(InsufficientMemory, match=r"the wealth trajectory needs .*; lower paths\.t_max / paths\.dt"):
         wealth_trajectory(path, flat_policy(0.5), 1.0)
@@ -299,12 +312,6 @@ def test_estimate_j_se_resolves_near_deterministic_paths():
         se[alpha] = estimate_J(ProblemSpec(VAS, alpha, 1.5304, "A"), flat_policy(0.5), 0.05, 1.0, cfg).se
     assert se[1e-6] > 0 and se[2e-6] > 0
     assert 0.49 <= se[1e-6] / se[2e-6] <= 0.51
-
-
-def test_normals_fill_each_path_from_its_own_stream():
-    z = _normals(_path_rngs(3, 0, 4), (50, 2))
-    ref = np.stack([np.random.default_rng(3 + k).standard_normal((50, 2)) for k in range(4)])
-    assert np.array_equal(z, ref)
 
 
 @pytest.fixture(scope="module")
@@ -446,6 +453,21 @@ def test_estimate_j_pinned():
     )
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_euler_estimate_j_pinned_at_any_worker_count(workers, monkeypatch):
+    # recorded, like test_euler_sample_path_pinned, with the Euler engine that
+    # checked the domain twice per step and kept a clamp count; 300 paths make
+    # blocks of 256 and 44, and both go to a worker of their own at 2
+    monkeypatch.setattr(simulate, "pool_size", lambda requested, tasks: min(requested, tasks))
+    cfg = PathConfig(dt=0.01, t_max=30.0, n_paths=300, seed=5, scheme="euler", workers=workers)
+    assert cfg.pool_workers == workers
+    est = estimate_J(BOX_A, GridFunction(0.0, 0.2, np.linspace(2.0, 4.0, 9)), 0.05, 3.0, cfg)
+    assert_hex(
+        (est.mean, est.se, est.tail_bound, est.horizon),
+        ["0x1.ff0c35e543670p-1", "0x1.650a5c2c727e4p-15", "0x1.41227110212d3p-128", "0x1.e000000000000p+4"],
+    )
+
+
 # paths from 0.05 that hit zero within a few time units, some only after t_max
 FAST_HIT_B = ProblemSpec(Vasicek(0.001, 0.5, 0.05), 0.5, 1.5304, "B")
 
@@ -497,9 +519,15 @@ def test_sample_path_pinned():
     assert_hex(path.h[[1, 100, 200]], ["0x1.04b86fb722a3cp-11", "0x1.a71cd51e67d25p-5", "0x1.bc3a8f66664b2p-4"])
 
 
+def test_euler_sample_path_pinned():
+    path = sample_path(BOX_A.model, 0.05, PathConfig(dt=0.01, t_max=2.0, n_paths=1, seed=42, scheme="euler"))
+    assert_hex(path.r[[1, 100, 200]], ["0x1.9f91745bbef16p-5", "0x1.3785c4dc22554p-4", "0x1.78903515f322dp-4"])
+    assert_hex(path.h[[1, 100, 200]], ["0x1.080dc706d4a76p-11", "0x1.1acc5d682140dp-4", "0x1.37a96a62cb0b7p-3"])
+
+
 def test_estimate_j_checks_memory_before_allocating(monkeypatch):
     # a patched budget, not a real giant allocation: the desk path settings
-    # need 137 MiB on two workers, before the horizon is known
+    # need 134 MiB on two workers, before the horizon is known
     def never(*args):
         raise AssertionError("estimate_J allocated although its arrays do not fit")
 
@@ -510,7 +538,7 @@ def test_estimate_j_checks_memory_before_allocating(monkeypatch):
         m.setattr(simulate, "_horizon_steps", never)
         m.setattr(simulate, "fork_map", never)
         sizes = (
-            r"estimate needs 136\.6 MiB: 1\.2 MiB for the horizon bound, 65\.2 MiB of path arrays for "
+            r"estimate needs 134\.1 MiB: 1\.2 MiB for the horizon bound, 64\.0 MiB of path arrays for "
             r"each of 2 workers and 5\.0 MiB of block results, but only 1\.0 MiB is available"
         )
         with pytest.raises(InsufficientMemory, match=sizes):
