@@ -1,0 +1,45 @@
+"""The four BLAS and LAPACK routines consrate calls, from scipy's f2py
+extension modules scipy.linalg._fblas and _flapack, loaded from their files.
+
+``import scipy.linalg`` costs about 0.2 s and 25 MB on every command, nearly
+all of it in modules consrate never calls; the two files load in about 10 ms.
+Each module is registered in sys.modules under its own name, so a later
+``import scipy.linalg`` finds it there, and the routines are the very objects
+scipy.linalg.blas and scipy.linalg.lapack hand out. Where a file cannot be
+found, its module is imported the usual way.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
+
+def scipy_dir() -> str | None:
+    """scipy's package directory, found without importing scipy; None if
+    scipy is not on the path as a package."""
+    spec = importlib.util.find_spec("scipy")
+    return spec.submodule_search_locations[0] if spec is not None and spec.submodule_search_locations else None
+
+
+def _load(name: str, root: str | None):
+    """The extension module ``name`` (scipy.linalg._*): the one in
+    sys.modules, or else loaded from its file under scipy's directory
+    ``root`` and registered there, or else imported."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(root, "linalg")]) if root else None
+    if spec is None:
+        return importlib.import_module(name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_fblas, _flapack = (_load(f"scipy.linalg.{name}", scipy_dir()) for name in ("_fblas", "_flapack"))
+dger, dgemm = _fblas.dger, _fblas.dgemm
+dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs

@@ -4,12 +4,12 @@ orchestration, and CSV/SVG artifact emission.
 Exit codes: feasibility 0=finite 2=infinite 3=unknown; solve 4 on a solver
 abort (2/3 when the feasibility gate blocks an infeasible/unknown spec);
 simulate/estimate/residual 5 when their configuration is valid but no solution
-file is present; estimate 0 when |z| <= 3, 1 otherwise, 2 on a divergence
-signal or a sim.r0 outside the solved grid; 6 when solve's quadrature
-operator, estimate's or simulate's path arrays would need more memory than
-the process may still take. A bad value of a key that feeds a field (see
-KEYS) exits 2 with an error that names the key, before the command creates
---output or reads solution.csv.
+file is present; simulate and estimate 2 on a sim.r0 outside the solved
+grid; estimate 0 when |z| <= 3, 1 otherwise, 2 on a divergence signal; 6 when
+solve's quadrature operator, estimate's or simulate's path arrays would need
+more memory than the process may still take. A bad value of a key that feeds
+a field (see KEYS) exits 2 with an error that names the key, before the
+command creates --output or reads solution.csv.
 """
 
 from __future__ import annotations
@@ -357,11 +357,21 @@ def _load_solution(args):
     return out, {col: GridFunction(float(r[0]), float(r[-1]), data[col]) for col in ("K", "c_hat")}
 
 
+def _load_start_solution(args, cfg: dict):
+    """_load_solution, refusing (ValueError) a sim.r0 outside the solved
+    grid, where K and c_hat would be read at the grid's edge."""
+    out, sol = _load_solution(args)
+    grid = sol and sol["K"]
+    if grid is not None and not grid.r_min <= cfg["sim.r0"] <= grid.r_max:
+        raise ValueError(f"sim.r0={fmt(cfg['sim.r0'])} lies outside the solved grid [{fmt(grid.r_min)}, {fmt(grid.r_max)}]")
+    return out, sol
+
+
 def cmd_simulate(args, cfg: dict) -> int:
     model = build_model(cfg)
     pcfg = build_path_config(cfg, model)
     _fill(_check_start, cfg, "sim", model=model)
-    out, sol = _load_solution(args)
+    out, sol = _load_start_solution(args, cfg)
     if sol is None:
         return 5
     path = simulate.sample_path(model, cfg["sim.r0"], pcfg)
@@ -396,12 +406,9 @@ def cmd_estimate(args, cfg: dict) -> int:
     spec = build_spec(cfg, "A")
     pcfg = build_path_config(cfg, spec.model)
     _fill(_check_start, cfg, "sim", model=spec.model)
-    out, sol = _load_solution(args)
+    out, sol = _load_start_solution(args, cfg)
     if sol is None:
         return 5
-    grid = sol["K"]
-    if not grid.r_min <= cfg["sim.r0"] <= grid.r_max:  # K is held at its edge value outside the grid
-        raise ValueError(f"sim.r0={fmt(cfg['sim.r0'])} lies outside the solved grid [{fmt(grid.r_min)}, {fmt(grid.r_max)}]")
     t0 = time.perf_counter()
     try:
         est = simulate.estimate_J(spec, sol["c_hat"], cfg["sim.r0"], cfg["sim.v"], pcfg)

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg.blas import dger
 
+from .blas import dger
 from .feasibility import require_finite_N, rho_decay
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, Vasicek

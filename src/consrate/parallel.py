@@ -4,14 +4,14 @@ operator build.
 
 estimate_J runs its path blocks and QuadratureOperator its node tiles through
 fork_map, on forked worker processes rather than threads: each worker has its
-own interpreter lock, so the Python between ufuncs, scipy's GEMM wrapper and
-the per-path generators run side by side. Both take the number of workers
-from the ``threads`` key through pool_size, which caps it at the cores the
-process may use and at the number of tasks. fork_map is the standard
-library's process pool on the fork start method: the workers are forked, not
-spawned, so that they read the caller's operands without pickling them; the
-only other threads of a consrate process are OpenBLAS's, which stops them
-around a fork itself. A task goes to whichever worker is free, and its small
+own interpreter lock, so the Python between ufuncs, the GEMM wrapper of
+scipy's f2py BLAS module (consrate.blas) and the per-path generators run side
+by side. Both take the number of workers from the ``threads`` key through
+pool_size, which caps it at the cores the process may use and at the number
+of tasks. fork_map is the standard library's process pool on the fork start
+method: the workers are forked, not spawned, so that they read the caller's
+operands without pickling them; the only other threads of a consrate process
+are OpenBLAS's, which stops them around a fork itself. A task goes to whichever worker is free, and its small
 result comes back pickled; the results are returned in task order, so what
 the callers reduce does not depend on which worker ran what. The operator's
 rows, which are large, go into a shared mapping (shared_empty) made before
@@ -140,14 +140,18 @@ def _cgroup_memory_files():
 
 @functools.cache
 def _openblas_set_threads():
-    """``openblas_set_num_threads_local`` of the OpenBLAS bundled with scipy,
-    the library behind scipy.linalg.blas, or None where it cannot be found."""
+    """``openblas_set_num_threads_local`` of the OpenBLAS bundled with scipy
+    (scipy.libs, found without importing scipy), the library behind the
+    routines of consrate.blas, or None where it cannot be found."""
     import ctypes
     import glob
 
-    import scipy
+    from .blas import scipy_dir
 
-    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+    root = scipy_dir()
+    if root is None:
+        return None
+    libs = os.path.join(os.path.dirname(root), "scipy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
         try:
             fn = ctypes.CDLL(path).openblas_set_num_threads_local

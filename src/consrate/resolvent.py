@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgttrf, dgttrs
 
+from .blas import dgemm, dgttrf, dgttrs
 from .feasibility import require_finite_N, theta_growth
 from .gaussian import (
     _fill_cells,
@@ -131,6 +130,69 @@ def _cell_weights(s: float, h: float) -> tuple[float, float]:
 _BLOCK_FLOATS = 2**18
 
 
+class _Extension:
+    """The extension matrix E (y mesh x nodes) of QuadratureOperator, which
+    has at most two entries per y point; times(x) is x @ E, bit for bit what
+    scipy.sparse computes for x @ csr_array(E): each node's terms x_j E_ji
+    summed one at a time in y order, from 0. Step k adds the k-th terms of
+    all nodes that have one, gathered from columns of x; the envelope tails
+    (rows of E flagged in ``tails``), node 0's first terms and the last
+    node's last, are added one y point at a time.
+    """
+
+    @staticmethod
+    def matrix(y: np.ndarray, grid: GridFunction, rate: float) -> tuple[np.ndarray, np.ndarray]:
+        """E as a dense array, and the flags of its envelope tails' rows: the
+        extension of a grid function onto the y mesh (linear interpolation
+        inside the window, frozen edge value times the envelope e^{rate |y|}
+        outside), with the y trapezoid weights folded in."""
+        n_r = grid.n_nodes
+        ext = np.zeros((y.size, n_r))
+        below, above = y < grid.r_min, y > grid.r_max
+        ext[below, 0] = np.exp(rate * (np.abs(y[below]) - abs(grid.r_min)))
+        ext[above, -1] = np.exp(rate * (np.abs(y[above]) - abs(grid.r_max)))
+        inside = np.flatnonzero(~(below | above))
+        pos = (y[inside] - grid.r_min) / grid.step
+        i = np.minimum(pos.astype(int), n_r - 2)
+        ext[inside, i] = 1.0 - (pos - i)
+        ext[inside, i + 1] = pos - i
+        trap_y = np.full(y.size, y[1] - y[0])
+        trap_y[0] *= 0.5
+        trap_y[-1] *= 0.5
+        return ext * trap_y[:, None], below | above
+
+    def __init__(self, ext: np.ndarray, tails: np.ndarray):
+        self.n_r = ext.shape[1]
+        node, j = np.nonzero(ext.T)  # by node, each in y order
+        w = ext[j, node]
+        head, tail = tails[j] & (node == 0), tails[j] & (node == self.n_r - 1)
+        self.steps = [(0, j[head], w[head])]
+        last = (self.n_r - 1, j[tail], w[tail])
+        node, j, w = (a[~(head | tail)] for a in (node, j, w))
+        rank = np.arange(node.size) - np.searchsorted(node, node)
+        for k in range(rank.max(initial=-1) + 1):
+            nodes = node[rank == k]
+            if nodes[-1] - nodes[0] == nodes.size - 1:  # a run of nodes: a slice, not a scatter
+                nodes = slice(nodes[0], nodes[-1] + 1)
+            self.steps.append((nodes, j[rank == k], w[rank == k]))
+        self.steps.append(last)
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """x @ E, for x of shape (rows, y mesh)."""
+        out = np.zeros((self.n_r, x.shape[0]))
+        for nodes, cols, w in self.steps:
+            # numpy gathers the columns into a column-major array, so each
+            # term's row of the transpose, like each row of out, is contiguous
+            terms = x[:, cols].T
+            terms *= w[:, None]
+            if isinstance(nodes, int):  # an envelope tail: one node's terms in turn
+                for term in terms:
+                    out[nodes] += term
+            else:
+                out[nodes] += terms
+        return out.T
+
+
 class QuadratureOperator:
     """Resolvent matrices R(lambda) on a grid for a fixed set of lambdas.
 
@@ -197,29 +259,8 @@ class QuadratureOperator:
         y_hi = max(grid.r_max, long_mean) + hw
         n_y = int(math.ceil((y_hi - y_lo) / backend.dy)) + 1
         self.y = np.linspace(y_lo, y_hi, n_y)
-        trap_y = np.full(n_y, self.y[1] - self.y[0])
-        trap_y[0] *= 0.5
-        trap_y[-1] *= 0.5
-
-        # extension of a grid function onto the y mesh: linear interpolation
-        # inside the window, frozen edge value times the envelope outside. It
-        # has at most two entries per y point, so it is applied as a sparse
-        # matrix, with the y trapezoid weights folded in (scipy.sparse is
-        # imported here so that `import consrate.cli` does not load it).
-        from scipy.sparse import csr_array
-
-        rate = envelope_rate(spec)
+        ext = _Extension(*_Extension.matrix(self.y, grid, envelope_rate(spec)))
         n_r = self.nodes.size
-        ext = np.zeros((n_y, n_r))
-        below, above = self.y < grid.r_min, self.y > grid.r_max
-        ext[below, 0] = np.exp(rate * (np.abs(self.y[below]) - abs(grid.r_min)))
-        ext[above, -1] = np.exp(rate * (np.abs(self.y[above]) - abs(grid.r_max)))
-        inside = np.flatnonzero(~(below | above))
-        pos = (self.y[inside] - grid.r_min) / grid.step
-        i = np.minimum(pos.astype(int), n_r - 2)
-        ext[inside, i] = 1.0 - (pos - i)
-        ext[inside, i + 1] = pos - i
-        ext = csr_array(ext * trap_y[:, None])
 
         coef = np.array([self._coefficients(lam) for lam in lams])
         n_lam = len(lams)
@@ -248,7 +289,7 @@ class QuadratureOperator:
         self._level = {lam: i for i, lam in enumerate(lams)}
         self.build_s = time.perf_counter() - started
 
-    def _build_tile(self, coef: np.ndarray, ext, nodes: tuple[int, int]) -> tuple[float, float]:
+    def _build_tile(self, coef: np.ndarray, ext: _Extension, nodes: tuple[int, int]) -> tuple[float, float]:
         """Write rows i0:i1 of every R(lambda); return the seconds spent in
         kernel fills and in GEMMs."""
         i0, i1 = nodes
@@ -271,13 +312,13 @@ class QuadratureOperator:
             fk_kernel_weight(self.spec, columns.t, r, y, block, columns=columns, y_tile=y_tile)
             t1 = time.perf_counter()
             # acc^T += coef[:, start:stop] @ block
-            acc = scipy.linalg.blas.dgemm(
+            acc = dgemm(
                 1.0, block.reshape(stop - start, width).T, coef[:, start:stop].T, beta=1.0, c=acc, overwrite_c=True
             )
             t2 = time.perf_counter()
             kernel_s += t1 - t0
             gemm_s += t2 - t1
-        self._mats[:, i0:i1] = (acc.T.reshape(n_lam * (i1 - i0), n_y) @ ext).reshape(n_lam, i1 - i0, self.nodes.size)
+        self._mats[:, i0:i1] = ext.times(acc.T.reshape(n_lam * (i1 - i0), n_y)).reshape(n_lam, i1 - i0, self.nodes.size)
         return kernel_s, gemm_s
 
     def telemetry(self) -> dict:

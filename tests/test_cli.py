@@ -320,6 +320,36 @@ def test_cli_import_does_not_load_scipy_signal(tmp_path):
     assert (tmp_path / "o" / "estimate.txt").exists()
 
 
+def test_commands_load_only_scipys_blas_and_lapack_modules(tmp_path):
+    # consrate takes its four BLAS and LAPACK routines from scipy's two f2py
+    # modules; the scipy.linalg and scipy.sparse packages are never imported.
+    # On one worker every command runs inline, so what it imports is here.
+    runs = [
+        ["--output", "q", "feasibility"],
+        ["--output", "q", *FAST_SOLVE, "solve"],
+        ["--output", "fd", *FAST_SOLVE, "--set", "solver.backend=fd", "solve"],
+        ["--output", "b", *FAST_SOLVE, "solve-b"],
+        ["--output", "q", "--set", "paths.n_paths=20", "--set", "paths.t_max=5", "estimate"],
+    ]
+    code = (
+        "import sys, consrate.cli\n"
+        "loaded = lambda: sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        f"for argv in {runs!r}:\n"
+        "    print(consrate.cli.main(['--threads', '1', *argv]))\n"
+        "print(loaded())"
+    )
+    r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    blas_lapack = "['scipy.linalg._fblas', 'scipy.linalg._flapack']"
+    assert lines[0] == blas_lapack and lines[-1] == blas_lapack, r.stdout
+    codes = [line for line in lines if line in ("0", "1")]
+    assert codes[:4] == ["0"] * 4 and len(codes) == 5, r.stdout  # estimate exits 1 when |z| > 3
+    for name in ("q/solution.csv", "fd/solution.csv", "b/solution.csv", "q/estimate.txt"):
+        assert (tmp_path / name).exists()
+
+
 def test_trace_csv_records_lambda(tmp_path):
     r = run_cli("--output", "o", *FAST_SOLVE, "solve", cwd=tmp_path)
     assert r.returncode == 0, r.stdout + r.stderr
@@ -656,6 +686,19 @@ def test_estimate_refuses_a_start_rate_outside_the_solved_grid(solved, monkeypat
     out = solved / "o"
     before = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
     code = cli.main(["--output", str(out), "--set", "sim.r0=5", "--set", "paths.n_paths=200", "estimate"])
+    printed = capsys.readouterr().out
+    assert code == 2, printed
+    assert "error: sim.r0=5 lies outside the solved grid [0, 0.15]" in printed
+    assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()} == before
+
+
+def test_simulate_refuses_a_start_rate_outside_the_solved_grid(solved, monkeypatch, capsys):
+    # c_hat is held at its edge value beyond the grid: such a path would
+    # consume at one constant rate throughout
+    monkeypatch.setattr(simulate, "sample_path", lambda *args: pytest.fail("simulate drew a path"))
+    out = solved / "o"
+    before = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+    code = cli.main(["--output", str(out), "--set", "sim.r0=5", "--set", "paths.t_max=1", "simulate"])
     printed = capsys.readouterr().out
     assert code == 2, printed
     assert "error: sim.r0=5 lies outside the solved grid [0, 0.15]" in printed

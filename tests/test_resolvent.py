@@ -432,6 +432,37 @@ def test_quadrature_resolvent_pinned():
     assert got == QUAD_PINNED
 
 
+# the extension's shapes (nodes, y points, rows of x, y range): the desk and
+# mid node tiles (16 levels on the solver's extended window [-0.05, 0.2]), a
+# paper one-node tile (65 levels), and a y mesh 8 times finer than the desk
+# grid, whose interior nodes sum 16 or 17 terms each, all over the operators'
+# y range, the window widened by six stationary standard deviations; and a y
+# mesh whose points fall on the nodes up to rounding, so that some of E's
+# entries are exactly 0 (314 stored entries against 372 on the desk mesh)
+OPERATOR_Y = (-0.16999963134669252, 0.3199996313466925)
+EXTENSION_SHAPES = {
+    "desk": (126, 246, 16 * 66, OPERATOR_Y),
+    "mid": (251, 351, 16 * 46, OPERATOR_Y),
+    "paper tile": (1251, 2451, 65, OPERATOR_Y),
+    "dy = h/8": (126, 1961, 16 * 8, OPERATOR_Y),
+    "y on the nodes": (126, 246, 16 * 66, (-0.17, 0.32)),
+}
+
+
+@pytest.mark.parametrize("shape", EXTENSION_SHAPES)
+def test_extension_product_is_scipy_sparse_bit_for_bit(shape):
+    from scipy.sparse import csr_array
+
+    n_r, n_y, rows, (y_lo, y_hi) = EXTENSION_SHAPES[shape]
+    grid = GridFunction(-0.05, 0.2, np.ones(n_r))
+    matrix, tails = resolvent._Extension.matrix(np.linspace(y_lo, y_hi, n_y), grid, 1.0)
+    rng = np.random.default_rng(n_y)
+    # both signs and sixty orders of magnitude, so that every rounding shows
+    x = rng.standard_normal((rows, n_y)) * np.exp(rng.uniform(-70.0, 70.0, (rows, n_y)))
+    got = resolvent._Extension(matrix, tails).times(x)
+    assert got.tobytes() == (x @ csr_array(matrix)).tobytes()
+
+
 def test_memory_budget_reads_this_machine():
     budget = parallel.memory_budget()
     assert budget is None or budget > 0
