@@ -11,12 +11,12 @@ workers.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import linear_filter
 from .errors import DivergenceError, HorizonError
 from .feasibility import classify
 from .gaussian import _cov_shape, _int_decay_shape, _var_h_shape, exp_h_moment
@@ -34,16 +34,17 @@ _MOMENT_BLOCK = 100_000
 # float arrays of one value per time step that _horizon_steps holds at its peak
 # (tracemalloc: 9.1-10.0 at 16001 and 160001 steps)
 _HORIZON_ARRAYS = 10
-# floats in one row chunk of a block's work beside its two path-sized arrays:
-# the exact engine's h drift and _j_block's policy values and running
-# trapezoid are formed a chunk of rows at a time (6 rows at 4967 steps;
-# 2**15 and 2**16 timed the same)
+# floats in one row chunk, the unit in which an exact estimate_J block runs
+# from normals to integrals, an Euler block forms its integrand and the exact
+# engine filters (6 rows at 4967 steps; 2**14 to 2**17 timed within 5%)
 _CHUNK_FLOATS = 2**15
-# floats per time step that a block holds beside its path-sized arrays and
-# row chunks: one exact path's normals and their correlated (n_steps, 2) copy
-# (tracemalloc: 6.0-7.7 at 100001 and 16001 steps, the engine's own row chunk
-# included; an Euler block holds 1.7)
-_STEP_FLOATS = 8
+# an estimate_J block's peak beside an Euler block's two path-sized arrays:
+# row chunks (r, h, policy values, trapezoid temporaries), floats per step
+# (one exact path's normals and their correlated copy, the decay, the
+# profile) and bytes per path (its generator). tracemalloc, 256 exact paths:
+# 74.5, 28.2, 12.0 and 8.0 floats per step at 16, 6, 2 and 1 rows of 2001 to
+# 100001 steps, an Euler block 42.3 to 4.0; a generator 836 bytes
+_CHUNK_ARRAYS, _STEP_FLOATS, _GENERATOR_BYTES = 5, 4, 840
 # float arrays of one value per time step that sample_path and wealth_trajectory
 # hold at their peaks (tracemalloc: 7.0 for one exact path, 3.0 for one Euler
 # path, and 6.1 for the wealth beside the path's three)
@@ -112,8 +113,13 @@ class KLEstimate:
     truncated_weight: float
 
 
+@functools.cache
 def _exact_step_params(model: Vasicek, dt: float):
-    """One exact step's phi, m_r, c_h, m_h and the Cholesky factor of its (rate, h) noise."""
+    """One exact step's phi, m_r, c_h, m_h and the Cholesky factor of its
+    (rate, h) noise, cached (a row chunk's engine call needs them twice) and
+    so read-only; ValueError for a model other than Vasicek."""
+    if not isinstance(model, Vasicek):
+        raise ValueError("the exact scheme applies to the Vasicek model only")
     b = model.b
     x = b * dt
     phi = math.exp(-x)
@@ -124,6 +130,7 @@ def _exact_step_params(model: Vasicek, dt: float):
     var_y = float(_var_h_shape(x)) / b**3
     cov = float(_cov_shape(x)) / b**2
     chol = model.sigma * np.linalg.cholesky(np.array([[var_x, cov], [cov, var_y]]))
+    chol.flags.writeable = False
     return phi, m_r, c_h, m_h, chol
 
 
@@ -140,55 +147,48 @@ def _exact_filter(model: Vasicek, r0, dt: float, x: np.ndarray, noise_h: np.ndar
     the h part alone. Every Vasicek sampler goes through here.
 
     The rate is the AR(1) recurrence r_k = x_k + phi r_{k-1} from r_0 = r0,
-    run in place on x as a loop over time: one multiply and one add per step,
-    each on the column of the whole batch, which is the arithmetic of
-    lfilter([1], [1, -phi]) and bitwise equal to it. A step costs a few
-    microseconds of call overhead whatever the batch, so callers hand over
-    whole blocks of paths, never one path per call in a loop. x is returned
-    as r, and a full-width noise_h as h: the drift r c_h + m_h is added into
-    it a chunk of rows at a time (noise + drift is bitwise drift + noise), so
-    the engine holds two path-sized arrays at its peak.
+    lfilter([1], [1, -phi])'s C loop (blas.linear_filter), so a row costs the
+    same filtered alone or beside others. x is returned as r, and a
+    full-width noise_h as h. Each chunk of rows is filtered and copied back
+    into x, and then the drift r c_h + m_h is added into h (noise + drift is
+    bitwise drift + noise) and h summed, so the engine holds two path-sized
+    arrays and row chunks at its peak.
     """
     phi, m_r, c_h, m_h, _ = _exact_step_params(model, dt)
-    x[:, 1:] += m_r
     x[:, 0] = r0
-    # the loop runs on strided column views of x, measured as fast as on a
-    # time-major copy with its two transposes. Per call, an array phi and a
-    # positional out save about 0.3 and 0.2 us against a float and out=.
-    phi_col = np.full(x.shape[0], phi)
-    step = np.empty(x.shape[0])
-    for prev, col in itertools.pairwise(x.T):
-        np.multiply(prev, phi_col, step)
-        np.add(col, step, col)
     r, h = x, noise_h
     if h.shape[1] < x.shape[1]:
         h = np.empty_like(x)
         h[:, 1:] = noise_h
+    h[:, 0] = 0.0
+    taps = np.array([1.0]), np.array([1.0, -phi])
     rows = _chunk_rows(x.shape[1])
     for lo in range(0, x.shape[0], rows):
-        drift_h = r[lo : lo + rows, :-1] * c_h
-        drift_h += m_h
-        h[lo : lo + rows, 1:] += drift_h
-        del drift_h
-    h[:, 0] = 0.0
-    np.cumsum(h[:, 1:], axis=1, out=h[:, 1:])
+        r_rows, h_rows = r[lo : lo + rows], h[lo : lo + rows, 1:]
+        r_rows[:, 1:] += m_r
+        r_rows[:] = linear_filter(*taps, r_rows, 1)
+        h_rows += r_rows[:, :-1] * c_h + m_h
+        np.cumsum(h_rows, axis=1, out=h_rows)
     return r, h
 
 
 def _exact_batch(model: Vasicek, r0, dt: float, n_steps: int, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (r, h) paths, shape (batch, n_steps + 1), from start rates r0 (a
-    scalar or one per path), one rng per path. Each path's correlated noise
-    goes straight into the filter's buffers, the h part into columns 1: of
-    the array that becomes h, so no (batch, n_steps, 2) array of normals is
-    ever held, and the block peaks at the filter's two path-sized arrays."""
+    """_exact_fill's (r, h) paths, shape (batch, n_steps + 1), in new arrays."""
+    return _exact_fill(model, r0, dt, rngs, *np.empty((2, len(rngs), n_steps + 1)))
+
+
+def _exact_fill(model: Vasicek, r0, dt: float, rngs, x: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (r, h) paths from start rates r0 (a scalar or one per path), one
+    rng per path, written into x and h, which become r and h. Each path's
+    correlated noise goes straight into them, the h part into columns 1: of
+    h, so no (batch, n_steps, 2) array of normals is ever held, and the
+    batch peaks at these two arrays."""
     chol_t = _exact_step_params(model, dt)[4].T
-    x = np.empty((len(rngs), n_steps + 1))
-    noise_h = np.empty_like(x)
     for i, rng in enumerate(rngs):
-        noise = rng.standard_normal((n_steps, 2)) @ chol_t
+        noise = rng.standard_normal((x.shape[1] - 1, 2)) @ chol_t
         x[i, 1:] = noise[:, 0]
-        noise_h[i, 1:] = noise[:, 1]
-    return _exact_filter(model, r0, dt, x, noise_h)
+        h[i, 1:] = noise[:, 1]
+    return _exact_filter(model, r0, dt, x, h)
 
 
 def _euler_batch(model: ShortRateModel, r0: float, dt: float, n_steps: int, rngs) -> tuple[np.ndarray, np.ndarray]:
@@ -224,11 +224,7 @@ def _euler_batch(model: ShortRateModel, r0: float, dt: float, n_steps: int, rngs
 
 def _scheme_batch(model: ShortRateModel, r0: float, cfg: PathConfig, n_steps: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     """(r, h) for one block of paths under cfg.scheme."""
-    if cfg.scheme == "euler":
-        return _euler_batch(model, r0, cfg.dt, n_steps, rngs)
-    if not isinstance(model, Vasicek):
-        raise ValueError("the exact scheme applies to the Vasicek model only")
-    return _exact_batch(model, r0, cfg.dt, n_steps, rngs)
+    return (_euler_batch if cfg.scheme == "euler" else _exact_batch)(model, r0, cfg.dt, n_steps, rngs)
 
 
 def _path_rngs(seed: int, start: int, count: int):
@@ -331,22 +327,35 @@ def _j_block(spec: ProblemSpec, policy_c: GridFunction, r0: float, cfg: PathConf
 
     integrand = exp(-g t + al (h - int c)) c^al, with int c the trapezoid of c,
     is formed in place in h a chunk of rows at a time, with the chunk's c and
-    int c as temporaries, so the block, like the exact engine, peaks at two
-    path-sized arrays: r and h."""
+    int c as temporaries, and added into the profile row after row in path
+    order (bitwise h.sum(axis=0)). An exact block runs the engine per row
+    chunk, into one chunk's r and h that every chunk reuses, so it holds no
+    path-sized array; an Euler block is one engine call and peaks at its two
+    path-sized arrays, r and h."""
     al, g = spec.alpha, spec.gamma
     nb = min(_PATH_BLOCK, cfg.n_paths - start)
-    r, h = _scheme_batch(spec.model, r0, cfg, times.size - 1, _path_rngs(cfg.seed, start, nb))
+    rngs = _path_rngs(cfg.seed, start, nb)
+    rows = _chunk_rows(times.size)
+    if cfg.scheme == "euler":
+        r_all, h_all = _euler_batch(spec.model, r0, cfg.dt, times.size - 1, rngs)
+    else:
+        r_all, h_all = np.empty((2, min(rows, nb), times.size))
     decay = -g * times
     j = np.empty(nb)
-    rows = _chunk_rows(times.size)
+    profile = np.zeros(times.size)
     for lo in range(0, nb, rows):
-        c = policy_c(r[lo : lo + rows])
+        if cfg.scheme == "euler":
+            r, h = r_all[lo : lo + rows], h_all[lo : lo + rows]
+        else:
+            k = min(rows, nb - lo)
+            r, h = _exact_fill(spec.model, r0, cfg.dt, rngs[lo : lo + k], r_all[:k], h_all[:k])
+        c = policy_c(r)
         np.maximum(c, 0.0, out=c)
         int_c = c[:, 1:] + c[:, :-1]
         int_c *= 0.5
         int_c *= cfg.dt
         np.cumsum(int_c, axis=1, out=int_c)
-        integrand = h[lo : lo + rows]
+        integrand = h
         integrand[:, 1:] -= int_c
         del int_c
         integrand *= al
@@ -355,7 +364,9 @@ def _j_block(spec: ProblemSpec, policy_c: GridFunction, r0: float, cfg: PathConf
         integrand *= np.power(c, al, out=c)
         del c
         j[lo : lo + rows] = np.trapezoid(integrand, dx=cfg.dt, axis=1)
-    return j, h.sum(axis=0)
+        for row in integrand:
+            profile += row
+    return j, profile
 
 
 def estimate_J(
@@ -392,11 +403,12 @@ def estimate_J(
     if v <= 0:
         raise ValueError("initial wealth must be positive")
     # sized at cfg.t_max, before the horizon is known: _horizon_steps' step arrays, each
-    # worker's two path-sized arrays, two row chunks and _STEP_FLOATS per step, and the
-    # blocks' results held until the reduction
-    steps = int(round(cfg.t_max / cfg.dt)) + 1
+    # worker's block (its row chunks, and an Euler block's two path-sized arrays), and
+    # the blocks' results held until the reduction
+    steps, paths = int(round(cfg.t_max / cfg.dt)) + 1, min(_PATH_BLOCK, cfg.n_paths)
     horizon = 8 * _HORIZON_ARRAYS * steps
-    per_block = 8 * (2 * min(_PATH_BLOCK, cfg.n_paths) + 2 * _chunk_rows(steps) + _STEP_FLOATS) * steps
+    per_step = 2 * paths * (cfg.scheme == "euler") + _CHUNK_ARRAYS * min(_chunk_rows(steps), paths) + _STEP_FLOATS
+    per_block = 8 * per_step * steps + _GENERATOR_BYTES * paths
     results = 8 * (-(-cfg.n_paths // _PATH_BLOCK) * steps + cfg.n_paths)
     check_memory(
         "estimate",

@@ -388,8 +388,8 @@ def test_quadrature_checks_memory_before_mapping_the_stack(monkeypatch):
     width = 61 * 123
     task = 34 * width + 3 * (width + 61 * 61) + 2 * 8 * width
     need = 8 * (3 * 61 * 61 + task)
-    # a first build, untraced, so that its one-time imports (importlib
-    # frames, scipy.sparse) stay out of the traced peak
+    # a first build, untraced, so that its one-time costs (importlib frames,
+    # the cached OpenBLAS thread setter) stay out of the traced peak
     QuadratureOperator(PAPER, grid, backend, lams)
     tracemalloc.start()
     try:

@@ -252,14 +252,16 @@ def test_exact_batch_peaks_at_two_path_arrays():
 
 
 def test_j_block_peaks_at_two_path_arrays():
-    # the integrand is formed in h a row chunk at a time; a whole-block
-    # policy array and integrand beside h made three
+    # the exact engine runs a row chunk at a time, from the normals to the
+    # integrand formed in h, so the block holds a few chunks of 16 rows and
+    # its generators (0.34 of a path array); the whole-block engine with the
+    # integrand formed in its h made 2.09
     cfg = PathConfig(dt=0.0025, t_max=5.0, n_paths=256, seed=1)
     times = cfg.dt * np.arange(2001)
     policy = GridFunction(0.0, 0.15, np.linspace(2.0, 4.0, 76))
     simulate._j_block(PAPER_A, policy, 0.05, cfg, times[:11], 0)  # imports and caches outside the window
     peak = peak_path_arrays(lambda: simulate._j_block(PAPER_A, policy, 0.05, cfg, times, 0), 256, 2000)
-    assert peak < 2.3
+    assert peak < 0.5
 
 
 def test_euler_j_block_peaks_at_two_path_arrays():
@@ -453,6 +455,26 @@ def test_estimate_j_pinned():
     )
 
 
+@pytest.mark.parametrize(
+    "start, expected",
+    [
+        (0, ["0x1.269cb2bed4969p-1", "0x1.27c68050ad723p-1",
+             "0x1.b8c3fb1c37123p+8", "0x1.dc986f25dfcfcp-19", "0x1.03ee0ad8e9dcap-45"]),
+        (9984, ["0x1.272993694f0a4p-1", "0x1.270981679b098p-1",
+                "0x1.b8c711fd2f341p+4", "0x1.e45042e3482b4p-23", "0x1.0b064792d5da3p-49"]),
+    ],
+)
+def test_desk_j_block_pinned(desk_policy, start, expected):
+    # a full desk-size exact block of 256 paths over 4967 time steps, and the
+    # last, partial block of 16 paths, recorded with the engine that ran the
+    # AR(1) loop over time on whole blocks: j at its first and last path and
+    # the summed integrand profile at three times
+    cfg = PathConfig(dt=0.0025, t_max=40.0, n_paths=10_000, seed=1)
+    j, profile = simulate._j_block(PAPER_A, desk_policy, 0.05, cfg, cfg.dt * np.arange(4967), start)
+    assert j.size == (256 if start == 0 else 16)
+    assert_hex([j[0], j[-1], *profile[[1, 2483, 4966]]], expected)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_euler_estimate_j_pinned_at_any_worker_count(workers, monkeypatch):
     # recorded, like test_euler_sample_path_pinned, with the Euler engine that
@@ -527,7 +549,7 @@ def test_euler_sample_path_pinned():
 
 def test_estimate_j_checks_memory_before_allocating(monkeypatch):
     # a patched budget, not a real giant allocation: the desk path settings
-    # need 134 MiB on two workers, before the horizon is known
+    # need 10 MiB on two workers, before the horizon is known
     def never(*args):
         raise AssertionError("estimate_J allocated although its arrays do not fit")
 
@@ -538,7 +560,7 @@ def test_estimate_j_checks_memory_before_allocating(monkeypatch):
         m.setattr(simulate, "_horizon_steps", never)
         m.setattr(simulate, "fork_map", never)
         sizes = (
-            r"estimate needs 134\.1 MiB: 1\.2 MiB for the horizon bound, 64\.0 MiB of path arrays for "
+            r"estimate needs 10\.0 MiB: 1\.2 MiB for the horizon bound, 1\.9 MiB of path arrays for "
             r"each of 2 workers and 5\.0 MiB of block results, but only 1\.0 MiB is available"
         )
         with pytest.raises(InsufficientMemory, match=sizes):
