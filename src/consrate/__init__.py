@@ -69,7 +69,6 @@ from .portfolio import (
 )
 from .resolvent import (
     FiniteDifference,
-    MonteCarlo,
     Quadrature,
     resolvent_fd,
     resolvent_mc,

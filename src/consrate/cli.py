@@ -72,7 +72,6 @@ KEYS: dict = {
     "quad.t_max": (12.0, float, "quad.t_max"),
     "quad.dy": (0.002, float, "quad.dy"),
     "quad.y_halfwidth": ("", OPTIONAL, "quad.y_halfwidth"),
-    "paths.scheme": ("exact", ("exact", "euler"), "paths.scheme"),
     "paths.dt": (0.0025, float, "paths.dt"),
     "paths.t_max": (40.0, float, "paths.t_max"),
     "paths.n_paths": (10000, int, "paths.n_paths"),
@@ -195,11 +194,6 @@ def build_solver_config(cfg: dict, model) -> hjb.SolverConfig:
     if not isinstance(model, Vasicek) and isinstance(backend, Quadrature):
         backend = FiniteDifference()  # the kernel quadrature is Vasicek-only
     return _fill(hjb.SolverConfig, cfg, "solver", grid=_fill(GridFunction.zeros, cfg, "grid"), backend=backend)
-
-
-def build_path_config(cfg: dict, model) -> simulate.PathConfig:
-    euler = {} if isinstance(model, Vasicek) else {"scheme": "euler"}  # exact sampling is Vasicek-only
-    return _fill(simulate.PathConfig, cfg, "paths", **euler)
 
 
 def _check_start(model, r0: float, v: float) -> None:
@@ -369,7 +363,7 @@ def _load_start_solution(args, cfg: dict):
 
 def cmd_simulate(args, cfg: dict) -> int:
     model = build_model(cfg)
-    pcfg = build_path_config(cfg, model)
+    pcfg = _fill(simulate.PathConfig, cfg, "paths")
     _fill(_check_start, cfg, "sim", model=model)
     out, sol = _load_start_solution(args, cfg)
     if sol is None:
@@ -404,7 +398,7 @@ def cmd_simulate(args, cfg: dict) -> int:
 
 def cmd_estimate(args, cfg: dict) -> int:
     spec = build_spec(cfg, "A")
-    pcfg = build_path_config(cfg, spec.model)
+    pcfg = _fill(simulate.PathConfig, cfg, "paths")
     _fill(_check_start, cfg, "sim", model=spec.model)
     out, sol = _load_start_solution(args, cfg)
     if sol is None:

@@ -32,7 +32,7 @@ from .gaussian import (
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, Vasicek, diffusion, drift, state_rate
 from .parallel import check_memory, fork_map, memory_budget, mib, one_blas_thread, pool_size, shared_empty
-from .simulate import _PATH_BLOCK, _exact_batch, _path_rngs
+from .simulate import _PATH_BLOCK, PathConfig, _exact_batch, _path_rngs
 
 
 @dataclass(frozen=True)
@@ -57,24 +57,6 @@ class Quadrature:
 @dataclass(frozen=True)
 class FiniteDifference:
     """Central-difference boundary-value solve of the resolvent ODE."""
-
-
-@dataclass(frozen=True)
-class MonteCarlo:
-    """Settings of resolvent_mc, the path average of
-    int e^{-(lambda+gamma)t} psi(r_t) e^{alpha h_t} dt (a cross-check, not a
-    solver backend)."""
-
-    paths: int
-    dt: float
-    t_max: float
-    seed: int
-
-    def __post_init__(self):
-        if self.paths < 100:
-            raise ValueError("the Monte Carlo resolvent needs at least 100 paths")
-        if self.dt <= 0 or self.t_max < self.dt:
-            raise ValueError("Monte Carlo step and horizon must be positive")
 
 
 ResolventBackend = Union[Quadrature, FiniteDifference]
@@ -558,53 +540,59 @@ def solve_linear_fk_ode(
 # Monte Carlo
 
 
-def resolvent_mc(
-    spec: ProblemSpec, psi: GridFunction, lam: float, backend: MonteCarlo
-) -> tuple[GridFunction, GridFunction]:
-    """Monte Carlo resolvent with per-node standard errors.
-
-    Vasicek only. The paths share one exact path from r = 0 per sample,
-    moved onto every grid node by the affine OU map r + node e^{-bt},
-    h + node (1 - e^{-bt})/b (so common random numbers are exact and make
-    node-to-node noise smooth). Path k draws from seed + k. The paths are
-    simulated in blocks of simulate._PATH_BLOCK, one engine call per block,
-    which holds two (paths, n_steps + 1) arrays at its peak; each path's
-    integrals are then formed and summed in path order, as one path at a time
-    would. lambda + gamma must be large enough that the discarded tail beyond
-    t_max is below the intended tolerance.
-    """
-    if not isinstance(spec.model, Vasicek):
-        raise ValueError(f"Monte Carlo resolvent not defined for {type(spec.model).__name__}")
-    s = lam + spec.gamma
-    if s <= 0:
-        raise ValueError("lambda + gamma must be positive")
-    nodes = psi.nodes
-    n_steps = int(round(backend.t_max / backend.dt))
-    dt = backend.dt
-    times = dt * np.arange(0, n_steps + 1)
-    trap_t = np.full(n_steps + 1, dt)
+def _mc_block(spec: ProblemSpec, psi: GridFunction, s: float, cfg: PathConfig, start: int) -> np.ndarray:
+    """Per-node integrals of the resolvent_mc paths start, ...,
+    start + _PATH_BLOCK - 1 (fewer in the last block), one row per path."""
+    n_steps = int(round(cfg.t_max / cfg.dt))
+    times = cfg.dt * np.arange(0, n_steps + 1)
+    trap_t = np.full(n_steps + 1, cfg.dt)
     trap_t[0] *= 0.5
     trap_t[-1] *= 0.5
     disc = np.exp(-s * times)
     b = spec.model.b
-    r_shift = nodes[None, :] * np.exp(-b * times)[:, None]
-    h_shift = nodes[None, :] * (-np.expm1(-b * times) / b)[:, None]
+    r_shift = psi.nodes[None, :] * np.exp(-b * times)[:, None]
+    h_shift = psi.nodes[None, :] * (-np.expm1(-b * times) / b)[:, None]
     ext_rate = envelope_rate(spec)
+    rngs = _path_rngs(cfg.seed, start, min(_PATH_BLOCK, cfg.n_paths - start))
+    r, h = _exact_batch(spec.model, 0.0, cfg.dt, n_steps, rngs)
+    integrals = np.empty((len(rngs), psi.n_nodes))
+    for k, (r_k, h_k) in enumerate(zip(r, h)):
+        g = extend_with_envelope(psi, ext_rate, r_k[:, None] + r_shift) * np.exp(spec.alpha * (h_k[:, None] + h_shift)) * disc[:, None]
+        integrals[k] = trap_t @ g
+    return integrals
 
+
+def resolvent_mc(spec: ProblemSpec, psi: GridFunction, lam: float, cfg: PathConfig) -> tuple[GridFunction, GridFunction]:
+    """Monte Carlo resolvent with per-node standard errors: the path average
+    of int e^{-(lambda+gamma)t} psi(r_t) e^{alpha h_t} dt over cfg.n_paths
+    (at least 100) paths to cfg.t_max.
+
+    Vasicek only. The paths share one exact path from r = 0 per sample,
+    moved onto every grid node by the affine OU map r + node e^{-bt},
+    h + node (1 - e^{-bt})/b (so common random numbers are exact and make
+    node-to-node noise smooth). Path k draws from seed + k. The paths run in
+    blocks of simulate._PATH_BLOCK on cfg.pool_workers worker processes
+    (parallel.fork_map), one engine call per block, which holds two
+    (paths, n_steps + 1) arrays at its peak; each path's integrals are formed
+    in its block and summed here in path order, so u and its SE are bitwise
+    the same for any worker count. lambda + gamma must be large enough that
+    the discarded tail beyond t_max is below the intended tolerance.
+    """
+    if not isinstance(spec.model, Vasicek):
+        raise ValueError(f"Monte Carlo resolvent not defined for {type(spec.model).__name__}")
+    if cfg.n_paths < 100:
+        raise ValueError("the Monte Carlo resolvent needs at least 100 paths")
+    s = lam + spec.gamma
+    if s <= 0:
+        raise ValueError("lambda + gamma must be positive")
+    block = functools.partial(_mc_block, spec, psi, s, cfg)
+    integrals = np.concatenate(fork_map(block, range(0, cfg.n_paths, _PATH_BLOCK), cfg.pool_workers))
     # the variance is taken about the mean of the kept path integrals: a
     # one-pass total_sq / n - mean^2 cancels to rounding noise once they are
     # nearly equal
-    total = np.zeros(nodes.size)
-    integrals = np.empty((backend.paths, nodes.size))
-    for start in range(0, backend.paths, _PATH_BLOCK):
-        rngs = _path_rngs(backend.seed, start, min(_PATH_BLOCK, backend.paths - start))
-        r, h = _exact_batch(spec.model, 0.0, dt, n_steps, rngs)
-        for k, (r_k, h_k) in enumerate(zip(r, h), start):
-            g = extend_with_envelope(psi, ext_rate, r_k[:, None] + r_shift) * np.exp(spec.alpha * (h_k[:, None] + h_shift)) * disc[:, None]
-            integrals[k] = trap_t @ g
-            total += integrals[k]
-    n = backend.paths
-    mean = total / n
-    se = np.sqrt(integrals.var(axis=0, ddof=1) / n)
+    total = np.zeros(psi.n_nodes)
+    for row in integrals:
+        total += row
+    mean = total / cfg.n_paths
+    se = np.sqrt(integrals.var(axis=0, ddof=1) / cfg.n_paths)
     return psi.with_values(mean), psi.with_values(se)
-

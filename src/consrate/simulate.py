@@ -1,11 +1,11 @@
 """Path simulation and Monte Carlo policy evaluation.
 
-The Vasicek pair (r_t, h_t) advances by exact joint-Gaussian increments (no
-discretization bias in the state), other models by Euler steps. Paths are
-reproducible: path k draws from seed + k. estimate_J and estimate_KL_mc run
-their paths in blocks on worker processes and reduce the blocks' results in
-a fixed order, so their estimates are bitwise the same for any number of
-workers.
+The model picks the path engine: the Vasicek pair (r_t, h_t) advances by
+exact joint-Gaussian increments (no discretization bias in the state), every
+other model by Euler steps. Paths are reproducible: path k draws from
+seed + k. estimate_J, estimate_KL_mc and resolvent.resolvent_mc run their
+paths in blocks on worker processes and reduce the blocks' results in a fixed
+order, so their estimates are bitwise the same for any number of workers.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from .parallel import check_memory, fork_map, memory_budget, mib, pool_size
 # blocks fix the order in which J is summed, so this stays a constant rather
 # than a setting: another size would change J in its last bits
 _PATH_BLOCK = 256
+# time steps per engine call of an estimate_KL_mc round; like _PATH_BLOCK it
+# fixes the SE's last bit, so it too is a constant
+_KL_CHUNK = 4096
 # paths per joint_moment_sample block
 _MOMENT_BLOCK = 100_000
 # float arrays of one value per time step that _horizon_steps holds at its peak
@@ -54,26 +57,27 @@ _WEALTH_ARRAYS = 7
 
 @dataclass(frozen=True)
 class PathConfig:
+    """Settings of every Monte Carlo estimator (estimate_J, estimate_KL_mc,
+    resolvent.resolvent_mc) and of sample_path. The model, not a setting,
+    picks the path engine."""
+
     dt: float
     t_max: float
     n_paths: int
     seed: int
-    scheme: str = "exact"
-    workers: int = 0  # estimate_J and estimate_KL_mc worker processes: at most this many, 0 for one per available core
+    workers: int = 0  # worker processes of the path blocks: at most this many, 0 for one per available core
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_max < self.dt:
             raise ValueError("need dt > 0 and t_max >= dt")
         if self.n_paths < 1:
             raise ValueError("need at least one path")
-        if self.scheme not in ("exact", "euler"):
-            raise ValueError("scheme must be 'exact' or 'euler'")
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0 (0 means one per available core), got {self.workers}")
 
     @property
     def pool_workers(self) -> int:
-        """Worker processes estimate_J and estimate_KL_mc run on: workers (all
+        """Worker processes the estimators' path blocks run on: workers (all
         available cores for 0), capped at the available cores and at the number
         of path blocks."""
         return pool_size(self.workers, -(-self.n_paths // _PATH_BLOCK))
@@ -82,7 +86,9 @@ class PathConfig:
 @dataclass
 class Trajectory:
     """One sampled path: rate, running rate integral, and (once a policy is
-    applied) wealth, consumption, and the relative consumption rate."""
+    applied) wealth, consumption, the relative consumption rate, and tau_hit,
+    the first time the rate reaches zero (Problem B's stopping time, linearly
+    interpolated; None if it does not)."""
 
     times: np.ndarray
     r: np.ndarray
@@ -117,9 +123,7 @@ class KLEstimate:
 def _exact_step_params(model: Vasicek, dt: float):
     """One exact step's phi, m_r, c_h, m_h and the Cholesky factor of its
     (rate, h) noise, cached (a row chunk's engine call needs them twice) and
-    so read-only; ValueError for a model other than Vasicek."""
-    if not isinstance(model, Vasicek):
-        raise ValueError("the exact scheme applies to the Vasicek model only")
+    so read-only."""
     b = model.b
     x = b * dt
     phi = math.exp(-x)
@@ -139,31 +143,25 @@ def _chunk_rows(steps: int) -> int:
     return max(1, _CHUNK_FLOATS // steps)
 
 
-def _exact_filter(model: Vasicek, r0, dt: float, x: np.ndarray, noise_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _exact_filter(model: Vasicek, r0, dt: float, r: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact (r, h) paths, shape (batch, n_steps + 1), from start rates r0 (a
-    scalar or one per path) and the rate and h parts of the correlated noise
-    z @ chol.T: x[:, 1:] holds the rate part and noise_h[:, 1:] the h part,
-    with noise_h's column 0 unused; a noise_h of shape (batch, n_steps) is
-    the h part alone. Every Vasicek sampler goes through here.
+    scalar or one per path), written over the rate and h parts of the
+    correlated noise z @ chol.T that columns 1: of r and h hold. Every
+    Vasicek sampler goes through here.
 
     The rate is the AR(1) recurrence r_k = x_k + phi r_{k-1} from r_0 = r0,
     lfilter([1], [1, -phi])'s C loop (blas.linear_filter), so a row costs the
-    same filtered alone or beside others. x is returned as r, and a
-    full-width noise_h as h. Each chunk of rows is filtered and copied back
-    into x, and then the drift r c_h + m_h is added into h (noise + drift is
-    bitwise drift + noise) and h summed, so the engine holds two path-sized
-    arrays and row chunks at its peak.
+    same filtered alone or beside others. Each chunk of rows is filtered and
+    copied back into r, and then the drift r c_h + m_h is added into h
+    (noise + drift is bitwise drift + noise) and h summed, so the engine
+    holds two path-sized arrays and row chunks at its peak.
     """
     phi, m_r, c_h, m_h, _ = _exact_step_params(model, dt)
-    x[:, 0] = r0
-    r, h = x, noise_h
-    if h.shape[1] < x.shape[1]:
-        h = np.empty_like(x)
-        h[:, 1:] = noise_h
+    r[:, 0] = r0
     h[:, 0] = 0.0
     taps = np.array([1.0]), np.array([1.0, -phi])
-    rows = _chunk_rows(x.shape[1])
-    for lo in range(0, x.shape[0], rows):
+    rows = _chunk_rows(r.shape[1])
+    for lo in range(0, r.shape[0], rows):
         r_rows, h_rows = r[lo : lo + rows], h[lo : lo + rows, 1:]
         r_rows[:, 1:] += m_r
         r_rows[:] = linear_filter(*taps, r_rows, 1)
@@ -222,11 +220,6 @@ def _euler_batch(model: ShortRateModel, r0: float, dt: float, n_steps: int, rngs
     return r, h
 
 
-def _scheme_batch(model: ShortRateModel, r0: float, cfg: PathConfig, n_steps: int, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """(r, h) for one block of paths under cfg.scheme."""
-    return (_euler_batch if cfg.scheme == "euler" else _exact_batch)(model, r0, cfg.dt, n_steps, rngs)
-
-
 def _path_rngs(seed: int, start: int, count: int):
     return [np.random.default_rng(seed + k) for k in range(start, start + count)]
 
@@ -252,16 +245,17 @@ def _check_step_arrays(what: str, arrays: int, steps: int) -> None:
 
 
 def sample_path(model: ShortRateModel, r0: float, cfg: PathConfig) -> Trajectory:
-    """One (r, h) path. The exact scheme requires the Vasicek model. Before
-    anything is allocated, the path's step arrays are checked against
-    parallel.memory_budget() (InsufficientMemory names the sizes)."""
+    """One (r, h) path: exact for the Vasicek model, Euler steps for the
+    others. Before anything is allocated, the path's step arrays are checked
+    against parallel.memory_budget() (InsufficientMemory names the sizes)."""
     dom = domain(model)
     if not (dom.contains_closure(r0) if not isinstance(model, Constant) else True):
         raise ValueError("r0 outside the model domain")
     n_steps = int(round(cfg.t_max / cfg.dt))
     _check_step_arrays("the sampled path", _SAMPLE_ARRAYS, n_steps + 1)
     times = cfg.dt * np.arange(n_steps + 1)
-    r, h = _scheme_batch(model, r0, cfg, n_steps, _path_rngs(cfg.seed, 0, 1))
+    engine = _exact_batch if isinstance(model, Vasicek) else _euler_batch
+    r, h = engine(model, r0, cfg.dt, n_steps, _path_rngs(cfg.seed, 0, 1))
     return Trajectory(times=times, r=r[0], h=h[0])
 
 
@@ -303,11 +297,11 @@ def _horizon_steps(spec: ProblemSpec, policy_c: GridFunction, r0: float, cfg: Pa
     least J_lo, the trapezoid of c_lo^alpha e^{-(gamma + alpha c_hi) t} E e^{alpha h_t}.
     The horizon is the first grid index j whose expected dropped mass
     dt (B_j / 2 + sum_{k>j} B_k) is at most 2^-53 J_lo, J's rounding unit.
-    With c_lo = 0, the Euler scheme or another model no bound applies.
+    With c_lo = 0 or a model other than Vasicek (Euler paths) no bound applies.
     """
     n_steps = int(round(cfg.t_max / cfg.dt))
     c_lo, c_hi = float(policy_c.values.min()), float(policy_c.values.max())
-    if cfg.scheme != "exact" or not isinstance(spec.model, Vasicek) or c_lo <= 0.0:
+    if not isinstance(spec.model, Vasicek) or c_lo <= 0.0:
         return n_steps
     al, g = spec.alpha, spec.gamma
     times = cfg.dt * np.arange(n_steps + 1)
@@ -328,15 +322,16 @@ def _j_block(spec: ProblemSpec, policy_c: GridFunction, r0: float, cfg: PathConf
     integrand = exp(-g t + al (h - int c)) c^al, with int c the trapezoid of c,
     is formed in place in h a chunk of rows at a time, with the chunk's c and
     int c as temporaries, and added into the profile row after row in path
-    order (bitwise h.sum(axis=0)). An exact block runs the engine per row
-    chunk, into one chunk's r and h that every chunk reuses, so it holds no
-    path-sized array; an Euler block is one engine call and peaks at its two
-    path-sized arrays, r and h."""
+    order (bitwise h.sum(axis=0)). An exact (Vasicek) block runs the engine
+    per row chunk, into one chunk's r and h that every chunk reuses, so it
+    holds no path-sized array; an Euler block is one engine call and peaks at
+    its two path-sized arrays, r and h."""
     al, g = spec.alpha, spec.gamma
     nb = min(_PATH_BLOCK, cfg.n_paths - start)
     rngs = _path_rngs(cfg.seed, start, nb)
     rows = _chunk_rows(times.size)
-    if cfg.scheme == "euler":
+    euler = not isinstance(spec.model, Vasicek)
+    if euler:
         r_all, h_all = _euler_batch(spec.model, r0, cfg.dt, times.size - 1, rngs)
     else:
         r_all, h_all = np.empty((2, min(rows, nb), times.size))
@@ -344,7 +339,7 @@ def _j_block(spec: ProblemSpec, policy_c: GridFunction, r0: float, cfg: PathConf
     j = np.empty(nb)
     profile = np.zeros(times.size)
     for lo in range(0, nb, rows):
-        if cfg.scheme == "euler":
+        if euler:
             r, h = r_all[lo : lo + rows], h_all[lo : lo + rows]
         else:
             k = min(rows, nb - lo)
@@ -379,7 +374,8 @@ def estimate_J(
     """Monte Carlo value of a proportional policy:
     J = v^alpha E int_0^T e^{-gamma t} c_t^alpha e^{alpha int (r - c)} dt.
 
-    T is cfg.t_max, cut short on exact Vasicek paths where the closed-form
+    The paths are exact for the Vasicek model and Euler paths otherwise. T
+    is cfg.t_max, cut short on exact Vasicek paths where the closed-form
     bound of _horizon_steps shows that the rest of the integral is below J's
     rounding unit; JEstimate.horizon reports it.
 
@@ -407,7 +403,7 @@ def estimate_J(
     # the blocks' results held until the reduction
     steps, paths = int(round(cfg.t_max / cfg.dt)) + 1, min(_PATH_BLOCK, cfg.n_paths)
     horizon = 8 * _HORIZON_ARRAYS * steps
-    per_step = 2 * paths * (cfg.scheme == "euler") + _CHUNK_ARRAYS * min(_chunk_rows(steps), paths) + _STEP_FLOATS
+    per_step = 2 * paths * (not isinstance(spec.model, Vasicek)) + _CHUNK_ARRAYS * min(_chunk_rows(steps), paths) + _STEP_FLOATS
     per_block = 8 * per_step * steps + _GENERATOR_BYTES * paths
     results = 8 * (-(-cfg.n_paths // _PATH_BLOCK) * steps + cfg.n_paths)
     check_memory(
@@ -460,15 +456,15 @@ def _standard_error(samples: np.ndarray) -> float:
     return math.sqrt(samples.var(ddof=1) / samples.size)
 
 
-def _kl_block(spec: ProblemSpec, r0: float, cfg: PathConfig, chunk: int, start: int):
+def _kl_block(spec: ProblemSpec, r0: float, cfg: PathConfig, start: int):
     """Hitting weights, survival at t_max and truncated weights of the
     estimate_KL_mc paths start, ..., start + _PATH_BLOCK - 1 (fewer in the last
     block), in path order.
 
-    The block's paths that have not hit zero advance together, chunk steps a
-    round, in one engine call (_exact_batch) per round, each path drawing
-    from its own generator. Each path's row is then reduced on its own, by
-    the same operations in the same order as a path simulated alone.
+    The block's paths that have not hit zero advance together, _KL_CHUNK
+    steps a round, in one engine call (_exact_batch) per round, each path
+    drawing from its own generator. Each path's row is then reduced on its
+    own, by the same operations in the same order as a path simulated alone.
     """
     al, g, dt = spec.alpha, spec.gamma, cfg.dt
     bridge = 2.0 / (spec.model.sigma**2 * dt)
@@ -480,7 +476,7 @@ def _kl_block(spec: ProblemSpec, r0: float, cfg: PathConfig, chunk: int, start: 
     live = list(range(nb))
     done = 0
     while live and done < max_steps:
-        n_steps = min(chunk, max_steps - done)
+        n_steps = min(_KL_CHUNK, max_steps - done)
         r_paths, h_paths = _exact_batch(spec.model, r_last[live], dt, n_steps, [rngs[i] for i in live])
         still = []
         for i, r_path, h_path in zip(live, r_paths, h_paths):
@@ -510,7 +506,7 @@ def _kl_block(spec: ProblemSpec, r0: float, cfg: PathConfig, chunk: int, start: 
     return weights, survival, truncated
 
 
-def estimate_KL_mc(spec: ProblemSpec, r0: float, cfg: PathConfig, *, chunk: int = 4096) -> KLEstimate:
+def estimate_KL_mc(spec: ProblemSpec, r0: float, cfg: PathConfig) -> KLEstimate:
     """Monte Carlo hitting functional E^r e^{-gamma tau_0 + alpha h_{tau_0}}.
 
     Simulates exact Vasicek paths until the first sign change of the rate
@@ -524,8 +520,8 @@ def estimate_KL_mc(spec: ProblemSpec, r0: float, cfg: PathConfig, *, chunk: int 
     at t_max exceeds 1%.
 
     The paths run in blocks of _PATH_BLOCK on cfg.pool_workers worker processes
-    (parallel.fork_map), chunk steps per engine call, so a block holds two
-    (paths, chunk + 1) arrays at its peak. The per-path results are summed in
+    (parallel.fork_map), _KL_CHUNK steps per engine call, so a block holds two
+    (paths, _KL_CHUNK + 1) arrays at its peak. The per-path results are summed in
     path order, so the estimate is bitwise the same for any worker count.
     """
     if not isinstance(spec.model, Vasicek):
@@ -533,7 +529,7 @@ def estimate_KL_mc(spec: ProblemSpec, r0: float, cfg: PathConfig, *, chunk: int 
     if r0 <= 0:
         raise ValueError("r0 must be positive (the functional is 1 at the boundary)")
     classify(spec).require()
-    block = functools.partial(_kl_block, spec, r0, cfg, chunk)
+    block = functools.partial(_kl_block, spec, r0, cfg)
     blocks = fork_map(block, range(0, cfg.n_paths, _PATH_BLOCK), cfg.pool_workers)
     weights, survival, truncated = (np.concatenate(parts) for parts in zip(*blocks))
     # running sums in path order (accumulate adds one term at a time)
@@ -575,9 +571,10 @@ def joint_moment_sample(
     while done < n_paths:
         nb = min(_MOMENT_BLOCK, n_paths - done)
         noise = rng.standard_normal((nb, n_steps, 2)) @ chol_t
-        x = np.empty((nb, n_steps + 1))
+        x, h = np.empty((2, nb, n_steps + 1))
         x[:, 1:] = noise[:, :, 0]
-        r, h = _exact_filter(model, r0, dt, x, noise[:, :, 1])
+        h[:, 1:] = noise[:, :, 1]
+        r, h = _exact_filter(model, r0, dt, x, h)
         r_end, h_end = r[:, -1], h[:, -1]
         s += [r_end.sum(), h_end.sum()]
         ss += [np.sum(r_end**2), np.sum(h_end**2), np.sum(r_end * h_end)]

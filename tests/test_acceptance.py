@@ -23,7 +23,6 @@ from consrate import (
     FiniteDifference,
     GeometricBM,
     GridFunction,
-    MonteCarlo,
     PathConfig,
     ProblemSpec,
     Quadrature,
@@ -227,7 +226,7 @@ def test_criterion_9_backend_agreement():
     psi = DESK_GRID.with_values(np.ones(DESK_GRID.n_nodes))
     uq = resolvent_quadrature(SPEC_A, psi, lam, DESK_BACKEND)
     ufd = resolvent_fd(SPEC_A, psi, lam, FiniteDifference())
-    umc, se = resolvent_mc(SPEC_A, psi, lam, MonteCarlo(paths=2000, dt=0.01, t_max=10.0, seed=17))
+    umc, se = resolvent_mc(SPEC_A, psi, lam, PathConfig(n_paths=2000, dt=0.01, t_max=10.0, seed=17))
     nodes = psi.nodes
     c = (nodes >= 0.0375 - 1e-12) & (nodes <= 0.1125 + 1e-12)
     rel = float(np.max(np.abs(uq.values[c] - ufd.values[c]) / np.abs(ufd.values[c])))

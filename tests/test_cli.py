@@ -606,20 +606,13 @@ def test_model_kind_ignores_case_for_the_path_scheme(tmp_path):
     assert trajectories["Vasicek"] == trajectories["vasicek"]
 
 
-def test_path_scheme_ignores_case_and_names_its_key(tmp_path):
-    assert run_cli("--output", "o", *FAST_SOLVE, "solve", cwd=tmp_path).returncode == 0
-    records = {}
-    for scheme in ("exact", "Exact"):
-        common = ["--output", "o", "--threads", "1", "--set", f"paths.scheme={scheme}"]
-        r = run_cli(*common, "--set", "paths.n_paths=300", "estimate", cwd=tmp_path)
-        assert r.returncode in (0, 1), r.stdout + r.stderr
-        lines = (tmp_path / "o" / "estimate.txt").read_text().splitlines()
-        records[scheme] = [line for line in lines if line.split("=", 1)[0] in ("J", "SE", "horizon")]
-    assert len(records["exact"]) == 3
-    assert records["Exact"] == records["exact"]
-    r = run_cli("--output", "o", "--set", "paths.scheme=milstein", "estimate", cwd=tmp_path)
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_path_scheme_is_an_unknown_key(tmp_path, command):
+    # the model picks the path engine, so there is no scheme to set
+    r = run_cli("--output", "o", "--set", "paths.scheme=exact", command, cwd=tmp_path)
     assert r.returncode == 2, r.stdout + r.stderr
-    assert "error: paths.scheme must be 'exact' or 'euler', got 'milstein'" in r.stdout
+    assert "error: \"unknown configuration key 'paths.scheme'\"" in r.stdout
+    assert not (tmp_path / "o").exists()
 
 
 # bad values that the library's settings objects reject: six on solve, and

@@ -10,6 +10,7 @@ from consrate import (
     InfeasibleProblem,
     InvariantInterval,
     MonotonicityError,
+    PathConfig,
     ProblemSpec,
     Quadrature,
     SolverConfig,
@@ -77,8 +78,9 @@ def test_lambda_schedule():
 
 
 def test_solver_config_rejects_monte_carlo_backend():
-    # the Monte Carlo resolvent is a cross-check only; the solver refuses it up front
-    mc = resolvent.MonteCarlo(paths=100, dt=0.01, t_max=1.0, seed=0)
+    # the Monte Carlo resolvent (run on PathConfig's settings) is a cross-check
+    # only; the solver refuses its settings up front
+    mc = PathConfig(dt=0.01, t_max=1.0, n_paths=100, seed=0)
     with pytest.raises(ValueError, match="unknown backend"):
         SolverConfig(grid=GridFunction.zeros(0.0, 0.15, 11), backend=mc)
 

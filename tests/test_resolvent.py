@@ -13,7 +13,7 @@ from consrate import (
     GridFunction,
     InfeasibleProblem,
     InvariantInterval,
-    MonteCarlo,
+    PathConfig,
     ProblemSpec,
     Quadrature,
     Vasicek,
@@ -128,7 +128,7 @@ def test_backends_linear():
     p2 = g.with_values(rng.uniform(0.0, 1.0, 41))
     combo = g.with_values(2.0 * p1.values - 0.5 * p2.values + 0.75)
     ones = g.with_values(np.ones(41))
-    mc = MonteCarlo(paths=150, dt=0.02, t_max=4.0, seed=5)
+    mc = PathConfig(n_paths=150, dt=0.02, t_max=4.0, seed=5)
     for solve in (
         lambda p: resolvent_quadrature(PAPER, p, 1.0, quad_backend()).values,
         lambda p: resolvent_fd(PAPER, p, 1.0, FiniteDifference()).values,
@@ -145,7 +145,7 @@ def test_backends_positive():
     psi = g.with_values(rng.uniform(0.0, 3.0, 41))
     uq = resolvent_quadrature(PAPER, psi, 1.0, quad_backend())
     ufd = resolvent_fd(PAPER, psi, 1.0, FiniteDifference())
-    umc, _ = resolvent_mc(PAPER, psi, 1.0, MonteCarlo(paths=150, dt=0.02, t_max=4.0, seed=9))
+    umc, _ = resolvent_mc(PAPER, psi, 1.0, PathConfig(n_paths=150, dt=0.02, t_max=4.0, seed=9))
     for u in (uq, ufd, umc):
         assert np.all(u.values >= 0)
 
@@ -172,35 +172,35 @@ def test_resolvent_identity_all_backends():
     assert np.max(_identity_defect(PAPER, uq, psi, lam, inner)) <= 1e-3
     ufd = resolvent_fd(PAPER, psi, lam, FiniteDifference())
     assert np.max(_identity_defect(PAPER, ufd, psi, lam, inner)) <= 1e-6
-    umc, _ = resolvent_mc(PAPER, psi, lam, MonteCarlo(paths=2500, dt=0.01, t_max=6.0, seed=21))
+    umc, _ = resolvent_mc(PAPER, psi, lam, PathConfig(n_paths=2500, dt=0.01, t_max=6.0, seed=21))
     assert np.max(_identity_defect(PAPER, umc, psi, lam, inner)) <= 1e-3
 
 
 def test_mc_rejects_models_other_than_vasicek():
     spec = ProblemSpec(Constant(0.05), 0.5, 0.1, "A")
     with pytest.raises(ValueError, match="not defined for Constant"):
-        resolvent_mc(spec, grid_unit(21), 1.0, MonteCarlo(paths=100, dt=0.01, t_max=1.0, seed=0))
+        resolvent_mc(spec, grid_unit(21), 1.0, PathConfig(n_paths=100, dt=0.01, t_max=1.0, seed=0))
 
 
 def test_mc_pure_discounting_limit():
     spec = ProblemSpec(VAS, 1e-10, 1.5304, "A")
     psi = grid_unit(21)
     lam = 0.5
-    u, se = resolvent_mc(spec, psi, lam, MonteCarlo(paths=200, dt=0.01, t_max=12.0, seed=6))
+    u, se = resolvent_mc(spec, psi, lam, PathConfig(n_paths=200, dt=0.01, t_max=12.0, seed=6))
     truth = 1.0 / (lam + spec.gamma)
     assert np.all(np.abs(u.values - truth) <= 3.0 * se.values + 2e-4 * truth)
 
 
 def test_mc_zero_psi_zero_variance():
     psi = GridFunction.zeros(0.0, 0.15, 21)
-    u, se = resolvent_mc(PAPER, psi, 1.0, MonteCarlo(paths=120, dt=0.02, t_max=2.0, seed=2))
+    u, se = resolvent_mc(PAPER, psi, 1.0, PathConfig(n_paths=120, dt=0.02, t_max=2.0, seed=2))
     assert np.all(u.values == 0.0)
     assert np.all(se.values == 0.0)
 
 
 def test_mc_matches_quadrature_at_m1():
     psi = grid_unit(61)
-    u, se = resolvent_mc(PAPER, psi, LAM1, MonteCarlo(paths=800, dt=0.01, t_max=10.0, seed=17))
+    u, se = resolvent_mc(PAPER, psi, LAM1, PathConfig(n_paths=800, dt=0.01, t_max=10.0, seed=17))
     truth = closed_form_unit_resolvent(PAPER, psi.nodes, LAM1)
     c = central(psi.nodes)
     z = np.abs(u.values[c] - truth[c]) / se.values[c]
@@ -209,7 +209,7 @@ def test_mc_matches_quadrature_at_m1():
 
 def test_mc_requires_explicit_seed():
     with pytest.raises(TypeError):
-        MonteCarlo(paths=200, dt=0.01, t_max=4.0)
+        PathConfig(n_paths=200, dt=0.01, t_max=4.0)
 
 
 def test_solve_linear_fk_constant():
@@ -486,7 +486,7 @@ def test_quadrature_rejects_unbuilt_lambda():
 def test_mc_se_resolves_near_deterministic_paths():
     # the path integrals agree to ~1e-8 relative; SE is proportional to alpha here
     psi = grid_unit(21)
-    backend = MonteCarlo(paths=200, dt=0.01, t_max=12.0, seed=6)
+    backend = PathConfig(n_paths=200, dt=0.01, t_max=12.0, seed=6)
     se = {}
     for alpha in (1e-6, 2e-6):
         _, s = resolvent_mc(ProblemSpec(VAS, alpha, 1.5304, "A"), psi, 0.5, backend)

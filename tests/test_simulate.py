@@ -29,8 +29,8 @@ from consrate import (
     solve_problem_a,
     wealth_trajectory,
 )
-from consrate.resolvent import MonteCarlo, resolvent_mc
-from consrate.simulate import _exact_batch, _horizon_steps, _path_rngs, joint_moment_sample
+from consrate.resolvent import resolvent_mc
+from consrate.simulate import _euler_batch, _exact_batch, _horizon_steps, _path_rngs, joint_moment_sample
 
 VAS = Vasicek(0.03, 0.5, 0.02)
 PAPER_A = ProblemSpec(VAS, 0.5, 1.5304, "A")
@@ -61,10 +61,24 @@ def test_path_determinism():
     assert not np.array_equal(p1.r, p3.r)
 
 
-def test_exact_scheme_rejected_for_non_vasicek():
-    cfg = PathConfig(dt=0.01, t_max=1.0, n_paths=1, seed=1, scheme="exact")
-    with pytest.raises(ValueError):
-        sample_path(Constant(0.05), 0.05, cfg)
+@pytest.mark.parametrize("model", [BOX_A.model, Constant(0.05)], ids=["interval", "constant"])
+def test_models_other_than_vasicek_run_euler_paths(model):
+    # the model picks the engine: one PathConfig serves every model
+    cfg = PathConfig(dt=0.01, t_max=2.0, n_paths=300, seed=42)
+    r, h = _euler_batch(model, 0.05, cfg.dt, 200, _path_rngs(cfg.seed, 0, cfg.n_paths))
+    path = sample_path(model, 0.05, cfg)
+    assert np.array_equal(path.r, r[0]) and np.array_equal(path.h, h[0])
+    spec = ProblemSpec(model, 0.5, 1.5304, "A")
+    policy = GridFunction(0.0, 0.2, np.linspace(2.0, 4.0, 9))
+    est = estimate_J(spec, policy, 0.05, 3.0, cfg)
+    assert est.horizon == cfg.t_max  # no closed-form bound cuts Euler paths short
+    times = cfg.dt * np.arange(201)
+    c = policy(r)
+    int_c = np.zeros_like(c)
+    int_c[:, 1:] = np.cumsum(0.5 * (c[:, 1:] + c[:, :-1]) * cfg.dt, axis=1)
+    integrand = np.exp(-spec.gamma * times + spec.alpha * (h - int_c)) * np.power(c, spec.alpha)
+    full = 3.0**spec.alpha * float(np.mean(np.trapezoid(integrand, dx=cfg.dt, axis=1)))
+    assert est.mean == pytest.approx(full, rel=1e-13)
 
 
 def test_exact_moments_match_closed_form():
@@ -81,15 +95,9 @@ def test_euler_agrees_with_exact_in_mean():
     n, t = 4000, 1.0
     r_ex = np.empty(n)
     r_eu = np.empty(n)
-    for scheme, out in (("exact", r_ex), ("euler", r_eu)):
-        cfg = PathConfig(dt=0.005, t_max=t, n_paths=n, seed=31, scheme=scheme)
-        from consrate.simulate import _exact_batch, _euler_batch, _path_rngs
-
-        rngs = _path_rngs(cfg.seed, 0, n)
-        if scheme == "exact":
-            r, _ = _exact_batch(VAS, 0.05, cfg.dt, int(t / cfg.dt), rngs)
-        else:
-            r, _ = _euler_batch(VAS, 0.05, cfg.dt, int(t / cfg.dt), rngs)
+    dt = 0.005
+    for engine, out in ((_exact_batch, r_ex), (_euler_batch, r_eu)):
+        r, _ = engine(VAS, 0.05, dt, int(t / dt), _path_rngs(31, 0, n))
         out[:] = r[:, -1]
     se = r_ex.std(ddof=1) / math.sqrt(n)
     assert abs(r_ex.mean() - r_eu.mean()) <= 5 * se
@@ -97,7 +105,7 @@ def test_euler_agrees_with_exact_in_mean():
 
 def test_interval_paths_stay_inside():
     box = InvariantInterval(0.0, 0.1, 1.0, 10.0)
-    cfg = PathConfig(dt=0.01, t_max=5.0, n_paths=1, seed=3, scheme="euler")
+    cfg = PathConfig(dt=0.01, t_max=5.0, n_paths=1, seed=3)
     path = sample_path(box, 0.05, cfg)
     assert np.all(path.r > 0.0) and np.all(path.r < 0.1)
 
@@ -117,7 +125,7 @@ def test_wealth_constant_model_oracle_exact():
     alpha, gamma, r0, v = 0.5, 0.1, 0.05, 3.0
     _, c_hat = constant_rate_solution(alpha, gamma, r0, v)
     m = Constant(r0)
-    cfg = PathConfig(dt=0.01, t_max=10.0, n_paths=1, seed=7, scheme="euler")
+    cfg = PathConfig(dt=0.01, t_max=10.0, n_paths=1, seed=7)
     path = sample_path(m, r0, cfg)
     traj = wealth_trajectory(path, flat_policy(c_hat), v)
     expect = v * np.exp((r0 - gamma) / (1 - alpha) * path.times)
@@ -143,7 +151,7 @@ def test_wealth_rejects_negative_policy():
 def test_estimate_j_constant_oracle():
     spec = ProblemSpec(Constant(0.05), 0.5, 0.1, "A")
     value, c_hat = constant_rate_solution(0.5, 0.1, 0.05, 4.0)
-    cfg = PathConfig(dt=0.01, t_max=300.0, n_paths=100, seed=19, scheme="euler")
+    cfg = PathConfig(dt=0.01, t_max=300.0, n_paths=100, seed=19)
     est = estimate_J(spec, flat_policy(c_hat), 0.05, 4.0, cfg)
     # deterministic model: the only deviation is quadrature bias
     assert est.mean == pytest.approx(value, rel=1e-3)
@@ -153,14 +161,14 @@ def test_estimate_j_constant_oracle():
 def test_estimate_j_suboptimal_policy_is_worse():
     spec = ProblemSpec(Constant(0.05), 0.5, 0.1, "A")
     value, c_hat = constant_rate_solution(0.5, 0.1, 0.05, 4.0)
-    cfg = PathConfig(dt=0.01, t_max=300.0, n_paths=100, seed=19, scheme="euler")
+    cfg = PathConfig(dt=0.01, t_max=300.0, n_paths=100, seed=19)
     est = estimate_J(spec, flat_policy(1.5 * c_hat), 0.05, 4.0, cfg)
     assert est.mean <= value + 3 * est.se
 
 
 def test_estimate_j_zero_policy():
     spec = ProblemSpec(Constant(0.05), 0.5, 0.1, "A")
-    cfg = PathConfig(dt=0.01, t_max=10.0, n_paths=50, seed=19, scheme="euler")
+    cfg = PathConfig(dt=0.01, t_max=10.0, n_paths=50, seed=19)
     est = estimate_J(spec, flat_policy(0.0), 0.05, 4.0, cfg)
     assert est.mean == 0.0
 
@@ -176,10 +184,11 @@ def test_estimate_j_divergence_guard():
 
 def test_estimate_j_bitwise_across_workers():
     # 600 paths make blocks of 256, 256 and a ragged 88
-    pol = GridFunction(0.0, 0.15, np.linspace(2.0, 4.0, 9))
-    for scheme in ("exact", "euler"):
-        cfgs = [PathConfig(dt=0.01, t_max=30.0, n_paths=600, seed=5, scheme=scheme, workers=w) for w in (1, 2, 3)]
-        runs = [estimate_J(PAPER_A, pol, 0.05, 3.0, cfg) for cfg in cfgs]
+    # exact paths on Vasicek, Euler paths on the interval model
+    for spec, hi in ((PAPER_A, 0.15), (BOX_A, 0.2)):
+        pol = GridFunction(0.0, hi, np.linspace(2.0, 4.0, 9))
+        cfgs = [PathConfig(dt=0.01, t_max=30.0, n_paths=600, seed=5, workers=w) for w in (1, 2, 3)]
+        runs = [estimate_J(spec, pol, 0.05, 3.0, cfg) for cfg in cfgs]
         for est in runs[1:]:
             assert (est.mean, est.se, est.tail_bound, est.horizon) == (
                 runs[0].mean, runs[0].se, runs[0].tail_bound, runs[0].horizon
@@ -193,15 +202,17 @@ def test_estimate_j_bitwise_across_workers():
 
 
 def test_estimate_j_worker_error_reaches_the_caller(monkeypatch):
-    # the exact scheme is Vasicek-only, and estimate_J first finds that out in
-    # a block: the ValueError is raised inside a worker process and must reach
-    # the caller with its message, with no worker left behind
+    # a block that fails: the ValueError is raised inside a worker process and
+    # must reach the caller with its message, with no worker left behind
+    def failing_block(spec, policy_c, r0, cfg, times, start):
+        raise ValueError(f"block {start} failed")
+
     monkeypatch.setattr(simulate, "pool_size", lambda requested, tasks: min(requested, tasks))
-    spec = ProblemSpec(InvariantInterval(0.0, 0.1, 1.0, 10.0), 0.5, 1.0, "A")
-    cfg = PathConfig(dt=0.01, t_max=2.0, n_paths=600, seed=3, scheme="exact", workers=2)
+    monkeypatch.setattr(simulate, "_j_block", failing_block)
+    cfg = PathConfig(dt=0.01, t_max=2.0, n_paths=600, seed=3, workers=2)
     assert cfg.pool_workers == 2
-    with pytest.raises(ValueError, match="the exact scheme applies to the Vasicek model only") as info:
-        estimate_J(spec, GridFunction(0.0, 0.1, np.full(5, 0.5)), 0.05, 1.0, cfg)
+    with pytest.raises(ValueError, match="block 0 failed") as info:
+        estimate_J(PAPER_A, flat_policy(0.5), 0.05, 1.0, cfg)
     assert any("raised in worker process" in note for note in info.value.__notes__)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -215,21 +226,6 @@ def test_path_config_workers():
     assert PathConfig(dt=0.01, t_max=1.0, n_paths=600, seed=1, workers=64).pool_workers == min(cores, 3)
     assert PathConfig(dt=0.01, t_max=1.0, n_paths=600, seed=1, workers=1).pool_workers == 1
     assert PathConfig(dt=0.01, t_max=1.0, n_paths=20, seed=1, workers=8).pool_workers == 1
-
-
-def test_exact_batch_peak_memory():
-    # one estimate_J block: 256 paths of 2000 steps must stay under six
-    # (256, 2001) arrays; holding the (batch, n, 2) normals and their
-    # correlated copy took about eight
-    n_steps = 2000
-    _exact_batch(VAS, 0.05, 0.0025, 10, _path_rngs(1, 0, 2))  # imports and caches outside the window
-    tracemalloc.start()
-    try:
-        _exact_batch(VAS, 0.05, 0.0025, n_steps, _path_rngs(1, 0, 256))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 256 * (n_steps + 1) * 8
 
 
 def peak_path_arrays(run, n_paths, n_steps):
@@ -268,7 +264,7 @@ def test_euler_j_block_peaks_at_two_path_arrays():
     # normals drawn into r and h summed in place: the Euler block peaks at r
     # and h, like the exact one; separate normals, increments and their
     # cumulative sum made five
-    cfg = PathConfig(dt=0.0025, t_max=5.0, n_paths=256, seed=1, scheme="euler")
+    cfg = PathConfig(dt=0.0025, t_max=5.0, n_paths=256, seed=1)
     times = cfg.dt * np.arange(2001)
     policy = GridFunction(0.0, 0.2, np.linspace(2.0, 4.0, 76))
     simulate._j_block(BOX_A, policy, 0.05, cfg, times[:11], 0)  # imports and caches outside the window
@@ -280,7 +276,7 @@ def test_sampled_paths_check_memory_before_allocating(monkeypatch):
     cfg = PathConfig(dt=0.01, t_max=2.0, n_paths=1, seed=42)
     path = sample_path(VAS, 0.05, cfg)
     monkeypatch.setattr(simulate, "memory_budget", lambda: 2**10)
-    monkeypatch.setattr(simulate, "_scheme_batch", lambda *args: pytest.fail("sample_path allocated its path"))
+    monkeypatch.setattr(simulate, "_exact_batch", lambda *args: pytest.fail("sample_path allocated its path"))
     with pytest.raises(InsufficientMemory, match=r"the sampled path needs .* for 8 arrays of 201 time steps"):
         sample_path(VAS, 0.05, cfg)
     with pytest.raises(InsufficientMemory, match=r"the wealth trajectory needs .*; lower paths\.t_max / paths\.dt"):
@@ -289,7 +285,7 @@ def test_sampled_paths_check_memory_before_allocating(monkeypatch):
 
 def test_estimate_j_infeasible_gate():
     spec = ProblemSpec(Constant(0.5), 0.5, 0.1, "A")
-    cfg = PathConfig(dt=0.01, t_max=10.0, n_paths=20, seed=19, scheme="euler")
+    cfg = PathConfig(dt=0.01, t_max=10.0, n_paths=20, seed=19)
     with pytest.raises(InfeasibleProblem):
         estimate_J(spec, flat_policy(1.0), 0.5, 1.0, cfg)
 
@@ -346,9 +342,8 @@ def test_estimate_j_full_horizon_without_a_bound():
     cfg = PathConfig(dt=0.05, t_max=30.0, n_paths=20, seed=19)
     exact = estimate_J(PAPER_A, flat_policy(3.0), 0.05, 1.0, cfg)
     assert exact.horizon < cfg.t_max
-    # the same problem on Euler paths, whose h has no closed-form law
-    euler = PathConfig(dt=0.05, t_max=30.0, n_paths=20, seed=19, scheme="euler")
-    assert estimate_J(PAPER_A, flat_policy(3.0), 0.05, 1.0, euler).horizon == cfg.t_max
+    # the interval model's Euler paths, whose h has no closed-form law
+    assert estimate_J(BOX_A, flat_policy(3.0), 0.05, 1.0, cfg).horizon == cfg.t_max
     # a policy reaching zero consumption gives no decay rate to bound with
     zero = estimate_J(PAPER_A, flat_policy(0.0), 0.05, 1.0, cfg)
     assert zero.horizon == cfg.t_max and zero.mean == 0.0
@@ -394,18 +389,19 @@ def test_kl_mc_unbiased_on_a_coarse_grid():
     assert abs(mc.mean - fd) <= 3.0 * mc.se
 
 
-def test_kl_mc_independent_of_chunk():
+def test_kl_mc_independent_of_chunk(monkeypatch):
     # paths carry r, h and the bridge survival product across chunk boundaries
     cfg = PathConfig(dt=0.1, t_max=1500.0, n_paths=20, seed=53)
     whole = estimate_KL_mc(PAPER_B, 0.02, cfg)
-    split = estimate_KL_mc(PAPER_B, 0.02, cfg, chunk=7)
+    monkeypatch.setattr(simulate, "_KL_CHUNK", 7)
+    split = estimate_KL_mc(PAPER_B, 0.02, cfg)
     assert split.mean == pytest.approx(whole.mean, rel=1e-12)
     assert split.se == pytest.approx(whole.se, rel=1e-12)
     assert split.absorbed_fraction == pytest.approx(whole.absorbed_fraction, rel=1e-12)
     assert split.truncated_weight == pytest.approx(whole.truncated_weight, rel=1e-12, abs=1e-300)
 
 
-def lfilter_engine(model, r0, dt, x, noise_h):
+def lfilter_engine(model, r0, dt, x, h):
     """The exact engine as written with scipy.signal.lfilter, the reference
     that the loop over time must match bit for bit."""
     import scipy.signal
@@ -417,7 +413,7 @@ def lfilter_engine(model, r0, dt, x, noise_h):
     r = scipy.signal.lfilter([1.0], [1.0, -phi], x, axis=1)
     dh = r[:, :-1] * c_h
     dh += m_h
-    dh += noise_h
+    dh += h[:, 1:]
     h = np.zeros_like(r)
     h[:, 1:] = np.cumsum(dh, axis=1)
     return r, h
@@ -430,10 +426,11 @@ def test_exact_filter_matches_lfilter():
     for batch, columns in ((256, 4967), (1, 4097), (4096, 9)):
         for r0 in (0.05, rng.uniform(0.0, 0.1, batch)):
             noise = rng.standard_normal((batch, columns - 1, 2)) @ chol.T
-            x = np.empty((batch, columns))
+            x, h = np.empty((2, batch, columns))
             x[:, 1:] = noise[:, :, 0]
-            want_r, want_h = lfilter_engine(VAS, r0, dt, x, noise[:, :, 1])
-            r, h = simulate._exact_filter(VAS, r0, dt, x, noise[:, :, 1])
+            h[:, 1:] = noise[:, :, 1]
+            want_r, want_h = lfilter_engine(VAS, r0, dt, x, h)
+            r, h = simulate._exact_filter(VAS, r0, dt, x, h)
             assert np.array_equal(r, want_r) and np.array_equal(h, want_h)
 
 
@@ -481,7 +478,7 @@ def test_euler_estimate_j_pinned_at_any_worker_count(workers, monkeypatch):
     # checked the domain twice per step and kept a clamp count; 300 paths make
     # blocks of 256 and 44, and both go to a worker of their own at 2
     monkeypatch.setattr(simulate, "pool_size", lambda requested, tasks: min(requested, tasks))
-    cfg = PathConfig(dt=0.01, t_max=30.0, n_paths=300, seed=5, scheme="euler", workers=workers)
+    cfg = PathConfig(dt=0.01, t_max=30.0, n_paths=300, seed=5, workers=workers)
     assert cfg.pool_workers == workers
     est = estimate_J(BOX_A, GridFunction(0.0, 0.2, np.linspace(2.0, 4.0, 9)), 0.05, 3.0, cfg)
     assert_hex(
@@ -501,7 +498,8 @@ def test_kl_mc_pinned_at_any_worker_count(workers, monkeypatch):
     cfg = PathConfig(dt=0.02, t_max=10.0, n_paths=300, seed=53, workers=workers)
     assert cfg.pool_workers == workers
     for chunk, se in ((4096, "0x1.b69e41d204197p-7"), (7, "0x1.b69e41d204196p-7")):
-        est = estimate_KL_mc(FAST_HIT_B, 0.05, cfg, chunk=chunk)
+        monkeypatch.setattr(simulate, "_KL_CHUNK", chunk)
+        est = estimate_KL_mc(FAST_HIT_B, 0.05, cfg)
         assert_hex(
             (est.mean, est.se, est.absorbed_fraction, est.truncated_weight),
             ["0x1.efca2afb4a44fp-3", se, "0x1.fbb482cf5bc76p-1", "0x1.78bd19a0d0520p-29"],
@@ -515,7 +513,7 @@ def test_kl_mc_pinned_at_any_worker_count(workers, monkeypatch):
 
 def test_resolvent_mc_pinned():
     psi = GridFunction(0.0, 0.15, np.ones(7))
-    u, se = resolvent_mc(PAPER_A, psi, 0.5 + 1e-5, MonteCarlo(paths=300, dt=0.01, t_max=10.0, seed=17))
+    u, se = resolvent_mc(PAPER_A, psi, 0.5 + 1e-5, PathConfig(n_paths=300, dt=0.01, t_max=10.0, seed=17))
     assert_hex(u.values, [
         "0x1.fa4bc33861516p-2", "0x1.fc64f8f354991p-2", "0x1.feeec8762f96fp-2", "0x1.00bf43ba532cfp-1",
         "0x1.0209e4374e8c7p-1", "0x1.0357882c3bf12p-1", "0x1.04c5393bbfce0p-1",
@@ -524,6 +522,20 @@ def test_resolvent_mc_pinned():
         "0x1.4c47bde35d648p-15", "0x1.d54cdf8cd57b2p-15", "0x1.dbbc57fd991a3p-15", "0x1.e0992078117f0p-15",
         "0x1.e5806a4948e3ep-15", "0x1.ed51ef1292706p-15", "0x1.51b071a704545p-14",
     ])
+
+
+def test_resolvent_mc_bitwise_across_workers(monkeypatch):
+    # 600 paths make blocks of 256, 256 and 88; the per-path integrals are
+    # summed in path order whichever worker formed them
+    monkeypatch.setattr(simulate, "pool_size", lambda requested, tasks: min(requested, tasks))
+    psi = GridFunction(0.0, 0.15, np.linspace(1.0, 2.0, 7))
+    runs = []
+    for workers in (1, 2):
+        cfg = PathConfig(n_paths=600, dt=0.02, t_max=6.0, seed=3, workers=workers)
+        assert cfg.pool_workers == workers
+        runs.append(resolvent_mc(PAPER_A, psi, 1.0, cfg))
+    (u1, se1), (u2, se2) = runs
+    assert np.array_equal(u1.values, u2.values) and np.array_equal(se1.values, se2.values)
 
 
 def test_joint_moment_sample_pinned():
@@ -542,7 +554,7 @@ def test_sample_path_pinned():
 
 
 def test_euler_sample_path_pinned():
-    path = sample_path(BOX_A.model, 0.05, PathConfig(dt=0.01, t_max=2.0, n_paths=1, seed=42, scheme="euler"))
+    path = sample_path(BOX_A.model, 0.05, PathConfig(dt=0.01, t_max=2.0, n_paths=1, seed=42))
     assert_hex(path.r[[1, 100, 200]], ["0x1.9f91745bbef16p-5", "0x1.3785c4dc22554p-4", "0x1.78903515f322dp-4"])
     assert_hex(path.h[[1, 100, 200]], ["0x1.080dc706d4a76p-11", "0x1.1acc5d682140dp-4", "0x1.37a96a62cb0b7p-3"])
 
