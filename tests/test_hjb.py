@@ -327,6 +327,31 @@ def test_problem_b_and_kl_pinned(gamma):
     assert [float(v).hex() for v in sol.K.values[[15, 45, 75]]] == k_hex
 
 
+# the finest rate-stopped grid, n = 601 (h = 0.00025): the iteration runs on
+# 2401 nodes and dgttrf swaps rows 0 and 1 of Ntilde's system, so N_pow(0)
+# is not 1; digests as in FD_PINNED, then K at r = 0.03, 0.09 and 0.15 and
+# N_pow at r = 0
+FD_PINNED_601 = {
+    1.25: ({"K": "4b0739bdb8837530", "N_pow": "76662e1317cff7ad", "K_L": "014feace79202c64"},
+           ["0x1.472b603714895p-1", "0x1.4975f34616109p-1", "0x1.4ce34d5b67055p-1"], "0x1.00000944ca86fp+0"),
+    1.5304: ({"K": "5f06c141f3f02fa5", "N_pow": "ada4573cb0e579e4", "K_L": "db60ad6b5d0c2604"},
+             ["0x1.272fe08dd6310p-1", "0x1.28d6c03576caap-1", "0x1.2b6d1df55c690p-1"], "0x1.fffffffffff48p-1"),
+}
+
+
+@pytest.mark.parametrize("gamma", sorted(FD_PINNED_601))
+def test_problem_b_and_kl_pinned_on_the_finest_grid(gamma):
+    cfg = SolverConfig(grid=GridFunction.zeros(0.0, 0.15, 601), backend=FiniteDifference(), m_max=16, n_max=40)
+    spec = ProblemSpec(VAS, 0.5, gamma, "B")
+    sol = solve_problem_b(spec, cfg)
+    kl = compute_KL(spec, cfg)
+    digests, k_hex, n_pow0 = FD_PINNED_601[gamma]
+    got = {"K": sol.K.values, "N_pow": sol.N_pow.values, "K_L": kl.values}
+    assert {name: hex_digest(v) for name, v in got.items()} == digests
+    assert [float(v).hex() for v in sol.K.values[[120, 360, 600]]] == k_hex
+    assert float(sol.N_pow.values[0]).hex() == n_pow0
+
+
 def test_kl_doubling_loop_runs_once_per_problem_b_case():
     # solve_problem_b and compute_KL on one spec and grid share one K_L solve;
     # compute_KL hands out a copy, so its caller cannot change the cached one
