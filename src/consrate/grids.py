@@ -21,12 +21,12 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
+        self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1 or self.values.size < 3:
             raise ValueError("a grid function needs at least 3 nodes")
         if not self.r_min < self.r_max:
             raise ValueError("r_min must be strictly below r_max")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("grid values must be finite")
 
     @property

@@ -26,7 +26,6 @@ from .resolvent import (
     Quadrature,
     QuadratureOperator,
     ResolventBackend,
-    fd_system,
     robin_rate,
 )
 
@@ -122,14 +121,18 @@ def clamp_F(m: float, alpha: float, x):
     """
     if m <= 0:
         raise ValueError("the clamp level m must be positive")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
+    x_arr = np.array(x, dtype=float, copy=None, ndmin=1)
+    if (x_arr < 0).any():
         raise ValueError("the clamp is defined for x >= 0")
     xc = m ** (alpha - 1.0)
-    upper = (1.0 - alpha) * np.power(np.maximum(x_arr, xc), alpha / (alpha - 1.0))
-    lower = m**alpha - alpha * m * x_arr
-    out = np.where(x_arr > xc, upper, lower)
-    return float(out) if np.ndim(x) == 0 else out
+    # both branches formed in place, the curve written over the line where x > xc
+    upper = np.maximum(x_arr, xc)
+    np.power(upper, alpha / (alpha - 1.0), out=upper)
+    upper *= 1.0 - alpha
+    out = np.multiply(x_arr, alpha * m)
+    np.subtract(m**alpha, out, out=out)
+    np.copyto(out, upper, where=x_arr > xc)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def lambda_schedule(spec: ProblemSpec, config: SolverConfig, m: int) -> float:
@@ -193,25 +196,29 @@ def _iterate(
     the reporting window slice."""
     trace = IterationTrace()
     snapshots: list[np.ndarray] = []
+    upper = None if upper is None else upper[window]
+    lower = None if lower is None else lower[window]
     k = k0.copy()
     for m in range(1, config.m_max + 1):
         lam = lambda_schedule(spec, config, m)
         k_outer = k.copy()
         for n in range(1, config.n_max + 1):
             t0 = time.perf_counter()
-            psi = clamp_F(m, spec.alpha, np.maximum(k, 0.0)) + lam * k
+            psi = clamp_F(m, spec.alpha, np.maximum(k, 0.0))
+            psi += lam * k
             k_new = apply_resolvent(lam, psi)
             if post_step is not None:
                 post_step(k_new)
             dt_step = time.perf_counter() - t0
-            delta = k_new[window] - k[window]
-            sup_inc = float(np.max(np.abs(delta)))
-            min_inc = float(np.min(delta))
+            new = k_new[window]
+            delta = new - k[window]
+            min_inc = float(delta.min())
+            sup_inc = float(np.abs(delta, out=delta).max())
             viol = 0.0
             if upper is not None:
-                viol = max(viol, float(np.max(k_new[window] - upper[window])))
+                viol = max(viol, float((new - upper).max()))
             if lower is not None:
-                viol = max(viol, float(np.max(lower[window] - k_new[window])))
+                viol = max(viol, float((lower - new).max()))
             viol = max(viol, 0.0)
             trace.steps.append(TraceStep(m, n, sup_inc, min_inc, viol, dt_step, lam))
             if min_inc < -10.0 * _TOLERANCE:
@@ -230,7 +237,7 @@ def _iterate(
             snapshots.append(k.copy())
             if sup_inc < config.tol_n:
                 break
-        outer_inc = float(np.max(np.abs(k[window] - k_outer[window])))
+        outer_inc = float(np.abs(k[window] - k_outer[window]).max())
         if m >= 2 and outer_inc < config.tol_m:
             break
     return k, trace, snapshots
@@ -293,6 +300,15 @@ def _package(spec, config, nodes, window, k, upper, trace, snaps) -> Solution:
 
 
 @functools.lru_cache(maxsize=_KL_CACHE)
+def _b_operator(spec: ProblemSpec, h: float, n: int) -> FDOperator:
+    """Problem B's finite-difference operator on the nodes h * arange(n), with
+    K(0) = 1 pinned and the Robin rule far out; cached, so that K_L's last
+    solve, Ntilde and the iteration share the one stencil on K_L's converged
+    node set (and its factored systems, when a case is solved again)."""
+    return FDOperator(spec, h * np.arange(n), (("dirichlet", 1.0), ("robin", robin_rate(spec))))
+
+
+@functools.lru_cache(maxsize=_KL_CACHE)
 def _kl_extended(spec: ProblemSpec, r_min: float, r_max: float, n_nodes: int, tol_n: float):
     """Hitting functional K_L on a truncation [0, R] doubled from
     max(2 r_max, 0.3) to convergence; returns read-only (nodes, values),
@@ -304,13 +320,12 @@ def _kl_extended(spec: ProblemSpec, r_min: float, r_max: float, n_nodes: int, to
     R = max(2.0 * r_max, 0.3)
     prev = None
     while True:
-        n_ext = max(int(round(R / h)), n_nodes - 1)
-        nodes = h * np.arange(n_ext + 1)
+        op = _b_operator(spec, h, max(int(round(R / h)), n_nodes - 1) + 1)
+        nodes = op.nodes
         c0 = spec.gamma - spec.alpha * nodes
-        sys = fd_system(spec, nodes, c0, ("dirichlet", 1.0), ("dirichlet", 1.0))
-        u = sys.solve(np.zeros(nodes.size))
+        u = op.system(c0, (("dirichlet", 1.0), ("dirichlet", 1.0))).solve(np.zeros(nodes.size))
         vals = u[:n_nodes]
-        if prev is not None and float(np.max(np.abs(vals - prev))) < tol_n:
+        if prev is not None and float(np.abs(vals - prev).max()) < tol_n:
             nodes.flags.writeable = u.flags.writeable = False
             return nodes, u
         prev = vals
@@ -349,16 +364,13 @@ def solve_problem_b(spec: ProblemSpec, config: SolverConfig, *, force: bool = Fa
         classify(spec).require()
     grid = config.grid
     nodes, kl = _kl_extended(spec, grid.r_min, grid.r_max, grid.n_nodes, config.tol_n)
-    rate = robin_rate(spec)
+    op = _b_operator(spec, grid.step, nodes.size)
     # Ntilde: the supersolution stopped at 0 (absorbing Dirichlet), Robin far out
     c0 = (spec.gamma - spec.alpha * nodes) / (1.0 - spec.alpha)
-    ntil = fd_system(spec, nodes, c0, ("dirichlet", 0.0), ("robin", rate)).solve(
-        np.ones(nodes.size)
-    )
+    ntil = op.system(c0, (("dirichlet", 0.0), op.bcs[1])).solve(np.ones(nodes.size))
     upper = kl + np.power(np.maximum(ntil, 0.0), 1.0 - spec.alpha)
 
     window = slice(0, grid.n_nodes)
-    op = FDOperator(spec, nodes, (("dirichlet", 1.0), ("robin", rate)))
 
     def pin(k_new: np.ndarray) -> None:
         k_new[0] = 1.0

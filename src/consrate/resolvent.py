@@ -30,7 +30,7 @@ from .gaussian import (
     ou_moments,
 )
 from .grids import GridFunction
-from .models import Constant, InvariantInterval, ProblemSpec, Vasicek, diffusion, drift, state_rate
+from .models import Constant, InvariantInterval, ProblemSpec, Vasicek, _check_rates, _coefficients, state_rate
 from .parallel import check_memory, fork_map, memory_budget, mib, one_blas_thread, pool_size, shared_empty
 from .simulate import _PATH_BLOCK, PathConfig, _exact_batch, _path_rngs
 
@@ -354,6 +354,10 @@ def resolvent_quadrature(
 # ---------------------------------------------------------------------------
 # finite differences
 
+# an off-diagonal entry above this many times max(1, the largest |diagonal
+# entry|) breaks a system's M-matrix sign pattern
+_SIGN_TOL = 1e-12
+
 
 @dataclass
 class TridiagSystem:
@@ -381,7 +385,9 @@ class TridiagSystem:
             if info > 0:
                 raise np.linalg.LinAlgError("singular matrix")
             self._factors = factors
-        return dgttrs(*self._factors, np.asarray_chkfinite(rhs), overwrite_b=True)[0]
+        if not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")  # np.asarray_chkfinite's message
+        return dgttrs(*self._factors, rhs, overwrite_b=True)[0]
 
 
 def fd_system(spec: ProblemSpec, nodes: np.ndarray, c0: np.ndarray, left_bc: tuple, right_bc: tuple) -> TridiagSystem:
@@ -413,22 +419,29 @@ def _auto_bcs(spec: ProblemSpec, nodes: np.ndarray) -> tuple[tuple, tuple]:
 class FDOperator:
     """Finite-difference resolvent (lambda + gamma - A)^{-1} on a fixed node set.
 
-    ``bcs`` is the (left, right) boundary-rule pair of fd_system, by default
-    the model's truncation rules. The lambda-independent stencil is assembled
-    once, here: the off-diagonals, the ``offset`` that the stencil and the
-    boundary folds add to c0 on the diagonal, and the Dirichlet values of
-    fixed rows. Each lambda's system is formed from it and checked on the
-    first apply at that lambda, and factored by that apply's solve, so every
-    further apply is one dgttrs.
+    The stencil is assembled once, here, from one models._coefficients call
+    with one domain check: the interior off-diagonals, the ``offset`` that the
+    interior rows add to c0 on the diagonal, and the coefficients at the two
+    end nodes. The M-matrix sign check of the interior off-diagonals also runs
+    once, here: it keeps their largest entry above _SIGN_TOL, the smallest
+    tolerance any system can have, for each system to compare with its own.
+
+    A system folds its own boundary rows into the stencil, so every system on
+    these nodes, whatever its rules, shares the one assembly. ``bcs`` is the
+    (left, right) boundary-rule pair of fd_system that apply uses, by default
+    the model's truncation rules, and it is checked here; system(c0, bcs)
+    takes any other. Each lambda's system is formed and checked on the first
+    apply at that lambda, and factored by that apply's solve, so every further
+    apply is one dgttrs.
     """
 
     def __init__(self, spec: ProblemSpec, nodes: np.ndarray, bcs: tuple[tuple, tuple] | None = None):
         self.spec = spec
         self.nodes = nodes = np.asarray(nodes, dtype=float)
         self.bcs = _auto_bcs(spec, nodes) if bcs is None else bcs
-        h = nodes[1] - nodes[0]
-        mu = np.asarray(drift(spec.model, nodes), dtype=float)
-        c2 = 0.5 * np.asarray(diffusion(spec.model, nodes), dtype=float) ** 2
+        self._h = h = nodes[1] - nodes[0]
+        mu, sigma = _coefficients(spec.model, _check_rates(spec.model, nodes))
+        c2 = 0.5 * sigma**2
         n = nodes.size
         sub = np.zeros(n)
         offset = np.zeros(n)
@@ -437,61 +450,71 @@ class FDOperator:
         # interior rows
         c1 = mu[1:-1]
         d2 = c2[1:-1]
-        central = np.abs(c1) * h <= 2.0 * d2
+        abs_c1 = np.abs(c1)
+        central = abs_c1 * h <= 2.0 * d2
         central &= d2 > 0
-        sub[1:-1] = -d2 / h**2 + np.where(central, c1 / (2.0 * h), np.where(c1 < 0, c1 / h, 0.0))
-        sup[1:-1] = -d2 / h**2 - np.where(central, c1 / (2.0 * h), np.where(c1 > 0, c1 / h, 0.0))
-        offset[1:-1] = 2.0 * d2 / h**2 + np.where(central, 0.0, np.abs(c1) / h)
-
-        def _fold(side: int, bc: tuple):
-            i = 0 if side < 0 else n - 1
-            kind = bc[0]
-            if kind == "dirichlet":
-                return bc[1]
-            if kind == "robin":
-                rate = bc[1]
-                offset[i] = 2.0 * c2[i] / h**2 - side * 2.0 * c2[i] * rate / h - mu[i] * rate
-                (sup if side < 0 else sub)[i] = -2.0 * c2[i] / h**2
-                return None
-            if kind == "degenerate":
-                # sigma vanishes here; the equation is first order with inward drift
-                if side < 0:
-                    offset[i] = mu[i] / h
-                    sup[i] = -mu[i] / h
-                else:
-                    offset[i] = -mu[i] / h
-                    sub[i] = mu[i] / h
-                return None
-            if kind == "diagonal":
-                return None
-            raise ValueError(f"unknown boundary rule {bc!r}")
+        diffusion = -d2 / h**2
+        half, upwind = c1 / (2.0 * h), c1 / h
+        sub[1:-1] = diffusion + np.where(central, half, np.where(c1 < 0, upwind, 0.0))
+        sup[1:-1] = diffusion - np.where(central, half, np.where(c1 > 0, upwind, 0.0))
+        offset[1:-1] = 2.0 * d2 / h**2 + np.where(central, 0.0, abs_c1 / h)
 
         self._sub, self._offset, self._sup = sub, offset, sup
-        self._dirichlet = _fold(-1, self.bcs[0]), _fold(+1, self.bcs[1])
+        self._ends = (mu[0], c2[0]), (mu[-1], c2[-1])
+        self._worst = max(float(np.max(a, initial=0.0, where=a > _SIGN_TOL)) for a in (sub[1:-1], sup[1:-1]))
+        self._rows = self._boundary_rows(self.bcs)
+        # apply's systems share these off-diagonals, with bcs folded in
+        sup[0], sub[-1] = self._rows[0][0], self._rows[1][0]
         self._alpha_r = spec.alpha * state_rate(spec.model, nodes)
         self._systems: dict[float, TridiagSystem] = {}
 
-    def system(self, c0: np.ndarray) -> TridiagSystem:
-        """The system with diagonal c0 + offset (Dirichlet rows 1); refuses
+    def _boundary_rows(self, bcs: tuple[tuple, tuple]) -> tuple[tuple, tuple]:
+        """Each end row of the (left, right) rules as (off-diagonal entry,
+        diagonal offset, Dirichlet value or None)."""
+        h = self._h
+        rows = []
+        for side, bc, (mu, c2) in zip((-1, +1), bcs, self._ends):
+            kind = bc[0]
+            if kind == "dirichlet":
+                rows.append((0.0, 0.0, bc[1]))
+            elif kind == "robin":
+                rate = bc[1]
+                rows.append((-2.0 * c2 / h**2, 2.0 * c2 / h**2 - side * 2.0 * c2 * rate / h - mu * rate, None))
+            elif kind == "degenerate":
+                # sigma vanishes here; the equation is first order with inward drift
+                rows.append((-mu / h, mu / h, None) if side < 0 else (mu / h, -mu / h, None))
+            elif kind == "diagonal":
+                rows.append((0.0, 0.0, None))
+            else:
+                raise ValueError(f"unknown boundary rule {bc!r}")
+        return tuple(rows)
+
+    def system(self, c0: np.ndarray, bcs: tuple[tuple, tuple] | None = None) -> TridiagSystem:
+        """The system with diagonal c0 + offset and the boundary rows of
+        ``bcs`` (by default the operator's; Dirichlet rows 1); refuses
         non-M-matrix assemblies and a diagonal that is not positive."""
+        sub, sup = self._sub, self._sup
+        if bcs is None:
+            (left_off, left_add, left), (right_off, right_add, right) = self._rows
+        else:
+            (left_off, left_add, left), (right_off, right_add, right) = self._boundary_rows(bcs)
+            sub, sup = sub.copy(), sup.copy()
+            sup[0], sub[-1] = left_off, right_off
         diag = np.asarray(c0, dtype=float) + self._offset
-        left, right = self._dirichlet
-        if left is not None:
-            diag[0] = 1.0
-        if right is not None:
-            diag[-1] = 1.0
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(diag))))
-        if np.any(self._sub[1:] > tol) or np.any(self._sup[:-1] > tol):
+        diag[0] = 1.0 if left is not None else diag[0] + left_add
+        diag[-1] = 1.0 if right is not None else diag[-1] + right_add
+        tol = _SIGN_TOL * max(1.0, float(np.abs(diag).max()))
+        if self._worst > tol or left_off > tol or right_off > tol:
             raise ValueError("finite-difference assembly is not an M-matrix (drift-dominated stencil); refine the grid")
-        if not np.all(diag > 0):
+        if not (diag > 0).all():
             raise ValueError("finite-difference diagonal is not positive; increase lambda/gamma or shrink the window")
-        return TridiagSystem(self._sub, diag, self._sup, left, right)
+        return TridiagSystem(sub, diag, sup, left, right)
 
     def apply(self, lam: float, psi_values: np.ndarray) -> np.ndarray:
         system = self._systems.get(lam)
         if system is None:
             c0 = lam + self.spec.gamma - self._alpha_r
-            if np.any(c0 <= 0):
+            if (c0 <= 0).any():
                 raise ValueError(
                     "lambda + gamma - alpha r must stay positive on the window; "
                     "increase lambda or shrink the window"

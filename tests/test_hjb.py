@@ -369,6 +369,27 @@ def test_kl_doubling_loop_runs_once_per_problem_b_case():
     assert not nodes.flags.writeable and not u.flags.writeable
 
 
+def test_problem_b_case_assembles_two_stencils(monkeypatch):
+    # K_L's doubling loop assembles one stencil per truncation (two here);
+    # K_L's last solve, Ntilde and the iteration all use the second
+    built = []
+    init = resolvent.FDOperator.__init__
+
+    def counting_init(self, spec, nodes, *args):
+        built.append(np.asarray(nodes).size)
+        init(self, spec, nodes, *args)
+
+    monkeypatch.setattr(resolvent.FDOperator, "__init__", counting_init)
+    hjb._kl_extended.cache_clear()
+    hjb._b_operator.cache_clear()
+    cfg = SolverConfig(grid=GridFunction.zeros(0.0, 0.15, 101), backend=FiniteDifference(), m_max=16, n_max=40)
+    spec = ProblemSpec(VAS, 0.5, 1.4, "B")
+    sol = solve_problem_b(spec, cfg)
+    kl = compute_KL(spec, cfg)
+    assert built == [201, 401]
+    assert sol.K.values.size == kl.values.size == 101
+
+
 def test_extended_nodes_stay_in_the_domain_closure():
     # r_min - k_lo h + h arange(n) can round past the domain's end (to
     # 0.20000000000000004 at n = 76, b = 0.2); Vasicek nodes keep that arithmetic bit for bit

@@ -554,6 +554,38 @@ def test_fd_solve_is_bitwise_solve_banded(family):
         assert system._factors[-1][0] == 2
 
 
+@pytest.mark.parametrize("family", FD_FAMILIES)
+def test_fd_stencil_folds_any_boundary_rules(family):
+    # one stencil, assembled under other rules, gives each rule pair the
+    # system that fd_system assembles for that pair alone, array for array
+    spec, nodes, c0, bcs = fd_case(family)
+    other = (("diagonal",), ("diagonal",)) if bcs[0][0] != "diagonal" else (("dirichlet", 0.0), ("dirichlet", 0.0))
+    op = resolvent.FDOperator(spec, nodes, other)
+    own = resolvent.fd_system(spec, nodes, c0, *bcs)
+    for got in (op.system(c0, bcs), op.system(c0, bcs)):
+        for name in ("sub", "diag", "sup", "dirichlet_left", "dirichlet_right"):
+            assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(own, name)).tobytes()
+    assert op.system(c0).diag.tobytes() == resolvent.fd_system(spec, nodes, c0, *other).diag.tobytes()
+
+
+def test_fd_drift_dominated_stencil_refused_at_every_lambda():
+    # with the degenerate rule on a Vasicek window whose drift points out at
+    # the left end, that row's off-diagonal is positive; the sign check runs
+    # once per stencil and still refuses every lambda's system
+    nodes = np.linspace(0.1, 0.2, 101)
+    op = resolvent.FDOperator(PAPER, nodes, (("degenerate",), ("robin", resolvent.robin_rate(PAPER))))
+    psi = np.ones(nodes.size)
+    for lam in (LAM1, 1.0, 10.0, 1e3, 1e6):
+        with pytest.raises(ValueError, match="not an M-matrix"):
+            op.apply(lam, psi)
+    c0 = 1.0 + PAPER.gamma - PAPER.alpha * nodes
+    with pytest.raises(ValueError, match="not an M-matrix"):
+        resolvent.fd_system(PAPER, nodes, c0, ("degenerate",), ("robin", 1.0))
+    # the same stencil under the Robin rule on the left is accepted
+    rate = resolvent.robin_rate(PAPER)
+    assert np.all(np.isfinite(op.system(c0, (("robin", -rate), ("robin", rate))).solve(psi)))
+
+
 def test_fd_singular_system_raises():
     system = resolvent.TridiagSystem(sub=np.zeros(3), diag=np.array([1.0, 0.0, 1.0]), sup=np.zeros(3))
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
