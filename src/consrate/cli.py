@@ -495,7 +495,8 @@ def main(argv=None) -> int:
         print(f"out of memory: {exc}")
         code = 6
     except (ValueError, KeyError) as exc:
-        print(f"error: {exc}")
+        # str() of a KeyError quotes its message; print the message itself
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) and exc.args else exc}")
         code = 2
     return code
 

@@ -32,7 +32,7 @@ from .gaussian import (
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, Vasicek, _check_rates, _coefficients, state_rate
 from .parallel import check_memory, fork_map, memory_budget, mib, one_blas_thread, pool_size, shared_empty
-from .simulate import _PATH_BLOCK, PathConfig, _exact_batch, _path_rngs
+from .simulate import _PATH_BLOCK, PathConfig, _exact_batch, _exact_block_bytes, _path_rngs
 
 
 @dataclass(frozen=True)
@@ -562,6 +562,12 @@ def solve_linear_fk_ode(
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
+# a resolvent_mc block's floats per time step beside its engine call: the
+# times, weights and discount, and per node the two (steps, nodes) shifts and
+# one path's integrand temporaries (tracemalloc: whole calls on one worker,
+# at 7 to 300 nodes and 51 to 2001 steps, peak at 0.36 to 0.79 of this sizing)
+_MC_STEP_FLOATS, _MC_NODE_ARRAYS = 3, 10
+
 
 def _mc_block(spec: ProblemSpec, psi: GridFunction, s: float, cfg: PathConfig, start: int) -> np.ndarray:
     """Per-node integrals of the resolvent_mc paths start, ...,
@@ -599,7 +605,9 @@ def resolvent_mc(spec: ProblemSpec, psi: GridFunction, lam: float, cfg: PathConf
     (paths, n_steps + 1) arrays at its peak; each path's integrals are formed
     in its block and summed here in path order, so u and its SE are bitwise
     the same for any worker count. lambda + gamma must be large enough that
-    the discarded tail beyond t_max is below the intended tolerance.
+    the discarded tail beyond t_max is below the intended tolerance. Before
+    anything is allocated, the memory this needs is checked against
+    parallel.memory_budget() (InsufficientMemory names the sizes).
     """
     if not isinstance(spec.model, Vasicek):
         raise ValueError(f"Monte Carlo resolvent not defined for {type(spec.model).__name__}")
@@ -608,6 +616,20 @@ def resolvent_mc(spec: ProblemSpec, psi: GridFunction, lam: float, cfg: PathConf
     s = lam + spec.gamma
     if s <= 0:
         raise ValueError("lambda + gamma must be positive")
+    # each worker's block: its engine call, the (steps, nodes) shifts and one
+    # path's integrand, and its integrals; then the blocks' integrals, their
+    # concatenation and the variance's temporary
+    steps, paths = int(round(cfg.t_max / cfg.dt)) + 1, min(_PATH_BLOCK, cfg.n_paths)
+    per_block = _exact_block_bytes(paths, steps) + 8 * (_MC_STEP_FLOATS + _MC_NODE_ARRAYS * psi.n_nodes) * steps
+    per_block += 8 * paths * psi.n_nodes
+    results = 8 * 3 * cfg.n_paths * psi.n_nodes
+    check_memory(
+        "the Monte Carlo resolvent",
+        cfg.pool_workers * per_block + results,
+        memory_budget(),
+        f": {mib(per_block)} of path arrays for each of {cfg.pool_workers} workers and {mib(results)} of path integrals",
+        "lower paths.t_max / paths.dt, paths.n_paths or --threads",
+    )
     block = functools.partial(_mc_block, spec, psi, s, cfg)
     integrals = np.concatenate(fork_map(block, range(0, cfg.n_paths, _PATH_BLOCK), cfg.pool_workers))
     # the variance is taken about the mean of the kept path integrals: a

@@ -48,6 +48,9 @@ _CHUNK_FLOATS = 2**15
 # 74.5, 28.2, 12.0 and 8.0 floats per step at 16, 6, 2 and 1 rows of 2001 to
 # 100001 steps, an Euler block 42.3 to 4.0; a generator 836 bytes
 _CHUNK_ARRAYS, _STEP_FLOATS, _GENERATOR_BYTES = 5, 4, 840
+# floats per time step of one estimate_KL_mc path's reductions beside its
+# round's engine arrays (tracemalloc: 11 at 256 paths of 2001 steps)
+_KL_PATH_FLOATS = 16
 # float arrays of one value per time step that sample_path and wealth_trajectory
 # hold at their peaks (tracemalloc: 7.0 for one exact path, 3.0 for one Euler
 # path, and 6.1 for the wealth beside the path's three)
@@ -141,6 +144,13 @@ def _exact_step_params(model: Vasicek, dt: float):
 def _chunk_rows(steps: int) -> int:
     """Rows of a path block in one chunk of about _CHUNK_FLOATS values."""
     return max(1, _CHUNK_FLOATS // steps)
+
+
+def _exact_block_bytes(paths: int, steps: int) -> int:
+    """Bytes that one exact engine call on ``paths`` rows of ``steps`` values
+    holds at its peak, their generators included: the two path arrays, the
+    filter's row chunks and one path's noise."""
+    return 8 * (2 * paths + _CHUNK_ARRAYS * min(_chunk_rows(steps), paths) + _STEP_FLOATS) * steps + _GENERATOR_BYTES * paths
 
 
 def _exact_filter(model: Vasicek, r0, dt: float, r: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -499,6 +509,8 @@ def _kl_block(spec: ProblemSpec, r0: float, cfg: PathConfig, start: int):
             else:
                 r_last[i], h_last[i] = r_path[-1], h_path[-1]
                 still.append(i)
+        # the round's paths (and the row views into them) go before the next round's
+        del r_paths, h_paths, r_path, h_path
         live = still
         done += n_steps
     for i in live:
@@ -523,12 +535,26 @@ def estimate_KL_mc(spec: ProblemSpec, r0: float, cfg: PathConfig) -> KLEstimate:
     (parallel.fork_map), _KL_CHUNK steps per engine call, so a block holds two
     (paths, _KL_CHUNK + 1) arrays at its peak. The per-path results are summed in
     path order, so the estimate is bitwise the same for any worker count.
+    Before anything is allocated, the memory this needs is checked against
+    parallel.memory_budget() (InsufficientMemory names the sizes).
     """
     if not isinstance(spec.model, Vasicek):
         raise ValueError("estimate_KL_mc is implemented for the Vasicek model")
     if r0 <= 0:
         raise ValueError("r0 must be positive (the functional is 1 at the boundary)")
     classify(spec).require()
+    # each worker's block: one round's engine call and one path's reductions;
+    # then the blocks' per-path results and their concatenation
+    steps, paths = min(_KL_CHUNK, int(round(cfg.t_max / cfg.dt))) + 1, min(_PATH_BLOCK, cfg.n_paths)
+    per_block = _exact_block_bytes(paths, steps) + 8 * _KL_PATH_FLOATS * steps
+    results = 8 * 6 * cfg.n_paths
+    check_memory(
+        "the K_L estimate",
+        cfg.pool_workers * per_block + results,
+        memory_budget(),
+        f": {mib(per_block)} of path arrays for each of {cfg.pool_workers} workers and {mib(results)} of path results",
+        "lower paths.t_max / paths.dt, paths.n_paths or --threads",
+    )
     block = functools.partial(_kl_block, spec, r0, cfg)
     blocks = fork_map(block, range(0, cfg.n_paths, _PATH_BLOCK), cfg.pool_workers)
     weights, survival, truncated = (np.concatenate(parts) for parts in zip(*blocks))

@@ -611,7 +611,7 @@ def test_path_scheme_is_an_unknown_key(tmp_path, command):
     # the model picks the path engine, so there is no scheme to set
     r = run_cli("--output", "o", "--set", "paths.scheme=exact", command, cwd=tmp_path)
     assert r.returncode == 2, r.stdout + r.stderr
-    assert "error: \"unknown configuration key 'paths.scheme'\"" in r.stdout
+    assert "error: unknown configuration key 'paths.scheme'\n" in r.stdout
     assert not (tmp_path / "o").exists()
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from consrate import simulate
+from consrate import resolvent, simulate
 from consrate import (
     Constant,
     DivergenceError,
@@ -557,6 +557,48 @@ def test_euler_sample_path_pinned():
     path = sample_path(BOX_A.model, 0.05, PathConfig(dt=0.01, t_max=2.0, n_paths=1, seed=42))
     assert_hex(path.r[[1, 100, 200]], ["0x1.9f91745bbef16p-5", "0x1.3785c4dc22554p-4", "0x1.78903515f322dp-4"])
     assert_hex(path.h[[1, 100, 200]], ["0x1.080dc706d4a76p-11", "0x1.1acc5d682140dp-4", "0x1.37a96a62cb0b7p-3"])
+
+
+def test_kl_mc_checks_memory_before_allocating(monkeypatch):
+    # a patched budget: 300 paths of 501 steps on two workers need 7 MiB
+    def never(*args):
+        raise AssertionError("estimate_KL_mc allocated although its arrays do not fit")
+
+    monkeypatch.setattr(simulate, "pool_size", lambda requested, tasks: min(requested, tasks))
+    cfg = PathConfig(dt=0.02, t_max=10.0, n_paths=300, seed=53, workers=2)
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "memory_budget", lambda: 2**20)
+        m.setattr(simulate, "fork_map", never)
+        sizes = (
+            r"the K_L estimate needs 7\.0 MiB: 3\.5 MiB of path arrays for each of 2 workers and "
+            r"0\.0 MiB of path results, but only 1\.0 MiB is available; lower paths\.t_max / paths\.dt"
+        )
+        with pytest.raises(InsufficientMemory, match=sizes):
+            estimate_KL_mc(FAST_HIT_B, 0.05, cfg)
+    monkeypatch.setattr(simulate, "memory_budget", lambda: 2**40)
+    assert estimate_KL_mc(FAST_HIT_B, 0.05, cfg).mean == float.fromhex("0x1.efca2afb4a44fp-3")
+
+
+def test_resolvent_mc_checks_memory_before_allocating(monkeypatch):
+    # a patched budget: 300 paths of 1001 steps on 7 nodes and two workers need 11.9 MiB
+    def never(*args):
+        raise AssertionError("resolvent_mc allocated although its arrays do not fit")
+
+    monkeypatch.setattr(simulate, "pool_size", lambda requested, tasks: min(requested, tasks))
+    psi = GridFunction(0.0, 0.15, np.ones(7))
+    cfg = PathConfig(n_paths=300, dt=0.01, t_max=10.0, seed=17, workers=2)
+    with monkeypatch.context() as m:
+        m.setattr(resolvent, "memory_budget", lambda: 2**20)
+        m.setattr(resolvent, "fork_map", never)
+        sizes = (
+            r"the Monte Carlo resolvent needs 11\.9 MiB: 5\.9 MiB of path arrays for each of 2 workers and "
+            r"0\.0 MiB of path integrals, but only 1\.0 MiB is available"
+        )
+        with pytest.raises(InsufficientMemory, match=sizes):
+            resolvent_mc(PAPER_A, psi, 0.5 + 1e-5, cfg)
+    monkeypatch.setattr(resolvent, "memory_budget", lambda: 2**40)
+    u, _ = resolvent_mc(PAPER_A, psi, 0.5 + 1e-5, cfg)
+    assert u.values[0] == float.fromhex("0x1.fa4bc33861516p-2")
 
 
 def test_estimate_j_checks_memory_before_allocating(monkeypatch):
