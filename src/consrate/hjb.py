@@ -32,8 +32,9 @@ from .resolvent import (
 # accuracy of one resolvent step; the monotonicity guard aborts a run whose
 # iterate falls, or escapes its bracket, by more than ten times this
 _TOLERANCE = 1e-6
-# K_L solves kept: compute_KL after solve_problem_b on one case reuses its
-# solve (8 kept solves raised a 204-case sweep's peak RSS by 0.4 MB)
+# K_L solves and Problem-B stencils kept: compute_KL after solve_problem_b on
+# one case reuses its solve, and the case's Ntilde and iteration reuse K_L's
+# last stencil (8 kept solves raised a 204-case sweep's peak RSS by 0.4 MB)
 _KL_CACHE = 1
 
 

@@ -453,10 +453,10 @@ class FDOperator:
         abs_c1 = np.abs(c1)
         central = abs_c1 * h <= 2.0 * d2
         central &= d2 > 0
-        diffusion = -d2 / h**2
+        diffusive = -d2 / h**2
         half, upwind = c1 / (2.0 * h), c1 / h
-        sub[1:-1] = diffusion + np.where(central, half, np.where(c1 < 0, upwind, 0.0))
-        sup[1:-1] = diffusion - np.where(central, half, np.where(c1 > 0, upwind, 0.0))
+        sub[1:-1] = diffusive + np.where(central, half, np.where(c1 < 0, upwind, 0.0))
+        sup[1:-1] = diffusive - np.where(central, half, np.where(c1 > 0, upwind, 0.0))
         offset[1:-1] = 2.0 * d2 / h**2 + np.where(central, 0.0, abs_c1 / h)
 
         self._sub, self._offset, self._sup = sub, offset, sup
