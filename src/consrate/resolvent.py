@@ -420,19 +420,16 @@ class FDOperator:
     """Finite-difference resolvent (lambda + gamma - A)^{-1} on a fixed node set.
 
     The stencil is assembled once, here, from one models._coefficients call
-    with one domain check: the interior off-diagonals, the ``offset`` that the
-    interior rows add to c0 on the diagonal, and the coefficients at the two
-    end nodes. The M-matrix sign check of the interior off-diagonals also runs
-    once, here: it keeps their largest entry above _SIGN_TOL, the smallest
-    tolerance any system can have, for each system to compare with its own.
-
-    A system folds its own boundary rows into the stencil, so every system on
-    these nodes, whatever its rules, shares the one assembly. ``bcs`` is the
-    (left, right) boundary-rule pair of fd_system that apply uses, by default
-    the model's truncation rules, and it is checked here; system(c0, bcs)
-    takes any other. Each lambda's system is formed and checked on the first
-    apply at that lambda, and factored by that apply's solve, so every further
-    apply is one dgttrs.
+    with one domain check: the interior rows' off-diagonals and the ``offset``
+    they add to c0 on the diagonal, and the coefficients at the end nodes. The
+    interior sign check runs here too: it keeps the largest off-diagonal entry
+    above _SIGN_TOL, the smallest tolerance a system can have, for each system
+    to compare with its own. Each system folds its own boundary rows in, so
+    every system on these nodes shares the one assembly: apply's use ``bcs``
+    (fd_system's (left, right) rule pair, by default the model's truncation
+    rules) and system(c0, bcs) takes any other. Each lambda's system is formed
+    and checked on the first apply at that lambda, and factored by that
+    apply's solve, so every further apply is one dgttrs.
     """
 
     def __init__(self, spec: ProblemSpec, nodes: np.ndarray, bcs: tuple[tuple, tuple] | None = None):
