@@ -458,7 +458,7 @@ class FDOperator:
 
         self._sub, self._offset, self._sup = sub, offset, sup
         self._ends = (mu[0], c2[0]), (mu[-1], c2[-1])
-        self._worst = max(float(np.max(a, initial=0.0, where=a > _SIGN_TOL)) for a in (sub[1:-1], sup[1:-1]))
+        self._worst_offdiag = max(float(np.max(a, initial=0.0, where=a > _SIGN_TOL)) for a in (sub[1:-1], sup[1:-1]))
         self._rows = self._boundary_rows(self.bcs)
         # apply's systems share these off-diagonals, with bcs folded in
         sup[0], sub[-1] = self._rows[0][0], self._rows[1][0]
@@ -501,7 +501,7 @@ class FDOperator:
         diag[0] = 1.0 if left is not None else diag[0] + left_add
         diag[-1] = 1.0 if right is not None else diag[-1] + right_add
         tol = _SIGN_TOL * max(1.0, float(np.abs(diag).max()))
-        if self._worst > tol or left_off > tol or right_off > tol:
+        if self._worst_offdiag > tol or left_off > tol or right_off > tol:
             raise ValueError("finite-difference assembly is not an M-matrix (drift-dominated stencil); refine the grid")
         if not (diag > 0).all():
             raise ValueError("finite-difference diagonal is not positive; increase lambda/gamma or shrink the window")
