@@ -1,4 +1,4 @@
-"""Worker processes of the ``--threads`` pools, their shared output memory,
+"""Worker processes of the ``--threads`` option, their shared output memory,
 the memory check before large arrays are allocated, and the BLAS pin of the
 operator build.
 
@@ -8,14 +8,15 @@ own interpreter lock, so the Python between ufuncs, the GEMM wrapper of
 scipy's f2py BLAS module (consrate.blas) and the per-path generators run side
 by side. Both take the number of workers from the ``threads`` key through
 pool_size, which caps it at the cores the process may use and at the number
-of tasks. fork_map is the standard library's process pool on the fork start
-method: the workers are forked, not spawned, so that they read the caller's
-operands without pickling them; the only other threads of a consrate process
-are OpenBLAS's, which stops them around a fork itself. A task goes to whichever worker is free, and its small
-result comes back pickled; the results are returned in task order, so what
-the callers reduce does not depend on which worker ran what. The operator's
-rows, which are large, go into a shared mapping (shared_empty) made before
-the fork. The operator build runs with OpenBLAS on one thread
+of tasks. fork_map forks its workers with os.fork and feeds them through
+pipes, without the standard library's process pool, whose import and start
+cost every command launch about 25 ms: the workers read the caller's operands
+without pickling them, take task indices as they come free, and send back
+small pickled results, which are returned in task order, so what the callers
+reduce does not depend on which worker ran what. The only other threads of a
+consrate process are OpenBLAS's, which stops them around a fork itself. The
+operator's rows, which are large, go into a shared mapping (shared_empty)
+made before the fork. The operator build runs with OpenBLAS on one thread
 (one_blas_thread): workers that each call a multithreaded BLAS run more
 threads than there are cores.
 """
@@ -27,6 +28,7 @@ import functools
 import math
 import mmap
 import os
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -44,49 +46,87 @@ def pool_size(requested: int, tasks: int) -> int:
 def fork_map(fn, tasks, workers: int) -> list:
     """[fn(task) for task in tasks], computed on ``workers`` forked processes.
 
-    The workers are a ProcessPoolExecutor on the fork start method, each
-    handed fn and the task list at the fork, so neither is pickled. Each task
-    is sent as its index to whichever worker is free, and only its result
-    comes back pickled; the results are returned in task order. A task's
-    exception is raised here, with a note naming the worker and the worker's
-    traceback as its cause. A worker that dies without a result raises
-    concurrent.futures.process.BrokenProcessPool. Every worker is joined
-    before the call returns or raises. With one worker, or on a platform
-    without fork, the tasks run inline. Workers see the caller's memory as it
-    was at the fork, and what they write is their own, except in a mapping
-    from shared_empty.
+    The workers inherit fn and the tasks and take task indices from one pipe
+    as they come free; each sends its results pickled once the pipe is empty,
+    and they are returned in task order. A task's exception is raised here,
+    noted with its worker's pid and traceback; that worker empties the pipe,
+    so no task starts after it and the lowest failing task's is the one
+    raised. A worker that dies without a result raises BrokenProcessPool
+    (concurrent.futures.process); one whose caller died starts no new task.
+    Every worker is killed and reaped before the call returns or raises. With
+    one worker, or without os.fork, the tasks run inline. What a worker writes
+    is its own, except in shared_empty memory.
     """
     tasks = list(tasks)
     workers = min(workers, len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):
         return [fn(task) for task in tasks]
-    # imported here so that `import consrate.cli` does not load them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt, (fn, tasks))
+    parent, pids, done = os.getpid(), [], {}
+    queue_read, queue_write = ends = _pipe()  # then each worker's read and write end
     try:
-        return list(pool.map(_run, range(len(tasks))))
+        for _ in range(workers):
+            ends += _pipe()
+            if (pid := os.fork()) == 0:
+                _serve(fn, tasks, parent, ends)
+            pids.append(pid)
+            ends[-1].close()
+        queue_read.close()
+        with contextlib.suppress(BrokenPipeError):  # every worker has died, which is reported below
+            for index in range(len(tasks)):  # each write (4 bytes, under PIPE_BUF) lands whole
+                os.write(queue_write.fileno(), index.to_bytes(4, "little"))
+        queue_write.close()
+        for read in ends[2::2]:
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):  # none or part of a dead worker's results
+                done.update(map(pickle.loads, pickle.loads(read.readall())))
+        for index in range(len(tasks)):
+            if index not in done:
+                from concurrent.futures.process import BrokenProcessPool
+                raise BrokenProcessPool(f"a fork_map worker died without the result of task {index}")
+            if not done[index][0]:
+                raise done[index][1]
+        return [done[index][1] for index in range(len(tasks))]
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        import signal  # here, so that `import consrate.cli` does not load it
+        for end in ends:
+            end.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # not yet reaped, so pid is still this worker's
+            os.waitpid(pid, 0)
 
 
-_job = None  # (fn, tasks) in a fork_map worker, set at its start by _adopt
+def _pipe() -> list:
+    """A new pipe's read and write ends as files; the read end is unbuffered,
+    so that a worker's read of one task index takes no more than that."""
+    read, write = os.pipe()
+    return [open(read, "rb", buffering=0), open(write, "wb")]
 
 
-def _adopt(fn, tasks: list) -> None:
-    global _job
-    _job = fn, tasks
-
-
-def _run(index: int):
-    """Task ``index`` of the job this worker adopted."""
-    fn, tasks = _job
+def _serve(fn, tasks: list, parent: int, ends: list):
+    """A fork_map worker: run the tasks indexed in ends[0] while ``parent``
+    lives, send their pickled results on ends[-1], and leave by os._exit."""
     try:
-        return fn(tasks[index])
-    except BaseException as exc:
-        exc.add_note(f"raised in worker process {os.getpid()}")
-        raise
+        queue, out, sent = ends[0], ends[-1], []
+        for end in ends[1:-1]:  # the queue's write end, whose EOF all workers wait for, and the other pipes
+            end.close()
+        while os.getppid() == parent and len(index := queue.read(4)) == 4:
+            index = int.from_bytes(index, "little")
+            try:
+                sent.append(pickle.dumps((index, (True, fn(tasks[index])))))
+            except BaseException as exc:
+                import traceback
+                exc.add_note(f"raised in worker process {os.getpid()}\n{traceback.format_exc()}")
+                while queue.read(1 << 16):  # no task starts after a failed one
+                    pass
+                try:
+                    sent.append(pickle.dumps((index, (False, exc))))
+                except Exception:  # an exception that does not pickle is sent as its text, notes included
+                    text = RuntimeError("".join(traceback.format_exception_only(exc)))
+                    sent.append(pickle.dumps((index, (False, text))))
+        with out:
+            out.write(pickle.dumps(sent))
+        os._exit(0)
+    finally:  # nothing may leave a worker: it would run on in the caller's code
+        os._exit(1)
 
 
 def shared_empty(shape: tuple) -> np.ndarray:

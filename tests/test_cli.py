@@ -303,8 +303,8 @@ def test_determinism_across_threads(tmp_path):
 
 def test_cli_import_does_not_load_scipy_signal(tmp_path):
     # the path engine runs without scipy.signal, which was most of the CLI's
-    # import time. The process pool's modules load only when a command forks
-    # workers.
+    # import time. The standard library's process pool modules load only when
+    # a fork_map worker dies, to raise BrokenProcessPool.
     names = ["scipy.signal", "multiprocessing", "concurrent.futures.process"]
     code = f"import sys, consrate.cli; print([name for name in {names!r} if name in sys.modules])"
     r = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
