@@ -1,12 +1,14 @@
 """The four BLAS and LAPACK routines consrate calls, from scipy's f2py
-extension modules scipy.linalg._fblas and _flapack, and lfilter's C loop,
-_linear_filter of scipy.signal._sigtools, each loaded from its file.
+extension modules scipy.linalg._fblas and _flapack, lfilter's C loop,
+_linear_filter of scipy.signal._sigtools, and the sparse matrix product's C
+loop, csr_matvecs of scipy.sparse._sparsetools, each loaded from its file.
 
-``import scipy.linalg`` costs about 0.2 s and 25 MB on every command and
-``import scipy.signal`` about 0.7 s and 75 MB, nearly all of it in modules
-consrate never calls; the three files load in about 10 ms. Each module is registered in
-sys.modules under its own name, so a later ``import scipy.linalg`` or
-``import scipy.signal`` finds it there, and the routines are the very
+``import scipy.linalg`` costs about 0.2 s and 25 MB on every command,
+``import scipy.signal`` about 0.7 s and 75 MB and ``import scipy.sparse``
+about 0.15 s, nearly all of it in modules consrate never calls; the four
+files load in about 10 ms. Each module is registered in sys.modules under
+its own name, so a later ``import scipy.linalg``, ``import scipy.signal`` or
+``import scipy.sparse`` finds it there, and the routines are the very
 objects scipy hands out. Where a file cannot be found, its module is
 imported the usual way.
 """
@@ -42,7 +44,11 @@ def _load(name: str, root: str | None):
     return module
 
 
-_fblas, _flapack, _sigtools = (_load(f"scipy.{name}", scipy_dir()) for name in ("linalg._fblas", "linalg._flapack", "signal._sigtools"))
+_fblas, _flapack, _sigtools, _sparsetools = (
+    _load(f"scipy.{name}", scipy_dir())
+    for name in ("linalg._fblas", "linalg._flapack", "signal._sigtools", "sparse._sparsetools")
+)
 dger, dgemm = _fblas.dger, _fblas.dgemm
 dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
 linear_filter = _sigtools._linear_filter  # lfilter(b, a, x, axis) for an `a` of two or more taps
+csr_matvecs = _sparsetools.csr_matvecs  # Y += A @ X for a CSR matrix A and C-ordered X and Y of n_vecs columns

@@ -287,8 +287,8 @@ def _emit_solution(out: Path, sol: hjb.Solution, emit_plots: bool) -> None:
         if len(shown) > 24:  # keep the figure light; thin evenly, keep the last
             idx = np.unique(np.linspace(0, len(shown) - 1, 24).astype(int))
             shown = [shown[i] for i in idx]
-        for it in shown:
-            panel.add(it.nodes, it.values, stroke="#1f4e8c", width=1.0)
+        for values in shown:
+            panel.add(grid.nodes, values, stroke="#1f4e8c", width=1.0)
         if sol.N_pow is not None:
             panel.add(grid.nodes, n_pow, stroke="#b03a2e", width=1.4, dash="6,4")
         write_figure(out / "figure1.svg", [panel])

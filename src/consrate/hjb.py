@@ -98,8 +98,9 @@ class IterationTrace:
 class Solution:
     """Converged value profile and its audit trail.
 
-    ``iterates`` holds the profile after every resolvent step (the rising fan
-    of curves under the supersolution); for problem B, ``N_pow`` carries the
+    ``iterates`` holds the profile's values on K's grid after every
+    resolvent step (the rising fan of curves under the supersolution), as
+    plain arrays; for problem B, ``N_pow`` carries the
     upper bracket K_L + Ntilde^{1-alpha} instead of N^{1-alpha}.
     ``operator`` holds the quadrature operator's telemetry, empty for the
     other backends."""
@@ -109,7 +110,7 @@ class Solution:
     policy_c: GridFunction
     trace: IterationTrace
     spec: ProblemSpec
-    iterates: list[GridFunction]
+    iterates: list[np.ndarray]
     operator: dict = field(default_factory=dict)
 
 
@@ -194,7 +195,8 @@ def _iterate(
     post_step=None,
 ) -> tuple[np.ndarray, IterationTrace, list[np.ndarray]]:
     """Run the double monotone loop from k0; all audit statistics are taken on
-    the reporting window slice."""
+    the reporting window slice, and the snapshots are that window of each
+    step's iterate."""
     trace = IterationTrace()
     snapshots: list[np.ndarray] = []
     upper = None if upper is None else upper[window]
@@ -235,7 +237,7 @@ def _iterate(
                     trace=trace,
                 )
             k = k_new
-            snapshots.append(k.copy())
+            snapshots.append(new.copy())
             if sup_inc < config.tol_n:
                 break
         outer_inc = float(np.abs(k[window] - k_outer[window]).max())
@@ -265,7 +267,7 @@ def solve_problem_a(spec: ProblemSpec, config: SolverConfig, *, force: bool = Fa
     else:
         op = FDOperator(spec, nodes)
     k, trace, snaps = _iterate(spec, config, op.apply, np.zeros(nodes.size), window, upper, None)
-    sol = _package(spec, config, nodes, window, k, upper, trace, snaps)
+    sol = _package(spec, config, window, k, upper, trace, snaps)
     if isinstance(op, QuadratureOperator):
         sol.operator = op.telemetry()
     return sol
@@ -282,17 +284,16 @@ def solve_problem_c(spec: ProblemSpec, config: SolverConfig, *, force: bool = Fa
         classify(spec).require()
     nodes = config.grid.nodes
     k = _upper_profile(spec, nodes, False)
-    return _package(spec, config, nodes, slice(None), k, k, IterationTrace(), [k])
+    return _package(spec, config, slice(None), k, k, IterationTrace(), [k])
 
 
-def _package(spec, config, nodes, window, k, upper, trace, snaps) -> Solution:
+def _package(spec, config, window, k, upper, trace, iterates) -> Solution:
     grid = config.grid
     k_rep = GridFunction(grid.r_min, grid.r_max, k[window])
     if np.any(k_rep.values <= 0):
         raise MonotonicityError("converged K is not strictly positive", trace=trace)
     n_pow = GridFunction(grid.r_min, grid.r_max, upper[window]) if upper is not None else None
     policy = optimal_consumption(k_rep, spec.alpha)
-    iterates = [GridFunction(grid.r_min, grid.r_max, s[window]) for s in snaps]
     return Solution(K=k_rep, N_pow=n_pow, policy_c=policy, trace=trace, spec=spec, iterates=iterates)
 
 
@@ -377,7 +378,7 @@ def solve_problem_b(spec: ProblemSpec, config: SolverConfig, *, force: bool = Fa
         k_new[0] = 1.0
 
     k, trace, snaps = _iterate(spec, config, op.apply, kl.copy(), window, upper, kl, post_step=pin)
-    return _package(spec, config, nodes, window, k, upper, trace, snaps)
+    return _package(spec, config, window, k, upper, trace, snaps)
 
 
 # ---------------------------------------------------------------------------

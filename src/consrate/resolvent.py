@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .blas import dgemm, dgttrf, dgttrs
+from .blas import csr_matvecs, dgemm, dgttrf, dgttrs
 from .feasibility import require_finite_N, theta_growth
 from .gaussian import (
     _fill_cells,
@@ -113,21 +113,21 @@ _BLOCK_FLOATS = 2**18
 
 
 class _Extension:
-    """The extension matrix E (y mesh x nodes) of QuadratureOperator, which
-    has at most two entries per y point; times(x) is x @ E, bit for bit what
-    scipy.sparse computes for x @ csr_array(E): each node's terms x_j E_ji
-    summed one at a time in y order, from 0. Step k adds the k-th terms of
-    all nodes that have one, gathered from columns of x; the envelope tails
-    (rows of E flagged in ``tails``), node 0's first terms and the last
-    node's last, are added one y point at a time.
+    """The extension matrix E (y mesh x nodes) of QuadratureOperator, kept
+    as the CSR arrays of its transpose; times(x) is x @ E by sparsetools'
+    csr_matvecs. scipy.sparse computes x @ csr_array(E) as (E^T x^T)^T with
+    csc_matvecs over the columns of E^T, adding each term x_j E_ji into a
+    zeroed output one at a time in y order; csr_matvecs over the rows of E^T
+    adds the same terms, in the same order, with the same axpy, so the two
+    products are bit for bit the same.
     """
 
     @staticmethod
-    def matrix(y: np.ndarray, grid: GridFunction, rate: float) -> tuple[np.ndarray, np.ndarray]:
-        """E as a dense array, and the flags of its envelope tails' rows: the
-        extension of a grid function onto the y mesh (linear interpolation
-        inside the window, frozen edge value times the envelope e^{rate |y|}
-        outside), with the y trapezoid weights folded in."""
+    def matrix(y: np.ndarray, grid: GridFunction, rate: float) -> np.ndarray:
+        """E as a dense array: the extension of a grid function onto the y
+        mesh (linear interpolation inside the window, frozen edge value times
+        the envelope e^{rate |y|} outside), with the y trapezoid weights
+        folded in."""
         n_r = grid.n_nodes
         ext = np.zeros((y.size, n_r))
         below, above = y < grid.r_min, y > grid.r_max
@@ -141,37 +141,21 @@ class _Extension:
         trap_y = np.full(y.size, y[1] - y[0])
         trap_y[0] *= 0.5
         trap_y[-1] *= 0.5
-        return ext * trap_y[:, None], below | above
+        return ext * trap_y[:, None]
 
-    def __init__(self, ext: np.ndarray, tails: np.ndarray):
-        self.n_r = ext.shape[1]
-        node, j = np.nonzero(ext.T)  # by node, each in y order
-        w = ext[j, node]
-        head, tail = tails[j] & (node == 0), tails[j] & (node == self.n_r - 1)
-        self.steps = [(0, j[head], w[head])]
-        last = (self.n_r - 1, j[tail], w[tail])
-        node, j, w = (a[~(head | tail)] for a in (node, j, w))
-        rank = np.arange(node.size) - np.searchsorted(node, node)
-        for k in range(rank.max(initial=-1) + 1):
-            nodes = node[rank == k]
-            if nodes[-1] - nodes[0] == nodes.size - 1:  # a run of nodes: a slice, not a scatter
-                nodes = slice(nodes[0], nodes[-1] + 1)
-            self.steps.append((nodes, j[rank == k], w[rank == k]))
-        self.steps.append(last)
+    def __init__(self, ext: np.ndarray):
+        self.n_y, self.n_r = ext.shape
+        node, self.cols = np.nonzero(ext.T)  # by node, each in y order
+        self.starts = np.searchsorted(node, np.arange(self.n_r + 1))
+        self.weights = ext[self.cols, node]
 
     def times(self, x: np.ndarray) -> np.ndarray:
         """x @ E, for x of shape (rows, y mesh)."""
-        out = np.zeros((self.n_r, x.shape[0]))
-        for nodes, cols, w in self.steps:
-            # numpy gathers the columns into a column-major array, so each
-            # term's row of the transpose, like each row of out, is contiguous
-            terms = x[:, cols].T
-            terms *= w[:, None]
-            if isinstance(nodes, int):  # an envelope tail: one node's terms in turn
-                for term in terms:
-                    out[nodes] += term
-            else:
-                out[nodes] += terms
+        rows, n_y = x.shape
+        if n_y != self.n_y:  # csr_matvecs checks no size: it would read past the end of x
+            raise ValueError(f"x has {n_y} columns where the y mesh has {self.n_y} points")
+        out = np.zeros((self.n_r, rows))
+        csr_matvecs(self.n_r, self.n_y, rows, self.starts, self.cols, self.weights, x.T.ravel(), out.ravel())
         return out.T
 
 
@@ -241,7 +225,7 @@ class QuadratureOperator:
         y_hi = max(grid.r_max, long_mean) + hw
         n_y = int(math.ceil((y_hi - y_lo) / backend.dy)) + 1
         self.y = np.linspace(y_lo, y_hi, n_y)
-        ext = _Extension(*_Extension.matrix(self.y, grid, envelope_rate(spec)))
+        ext = _Extension(_Extension.matrix(self.y, grid, envelope_rate(spec)))
         n_r = self.nodes.size
 
         coef = np.array([self._coefficients(lam) for lam in lams])

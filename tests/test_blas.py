@@ -1,6 +1,8 @@
 import importlib
 import sys
 
+import pytest
+
 from consrate import blas
 
 real_import = importlib.import_module
@@ -16,12 +18,22 @@ def test_routines_are_the_ones_scipy_linalg_hands_out():
     assert blas.dgttrs is scipy.linalg.lapack.dgttrs
 
 
-def test_a_missing_extension_file_falls_back_to_an_import(monkeypatch, tmp_path):
-    # tmp_path stands for a scipy directory without linalg/_fblas*.so
+def test_csr_matvecs_is_the_one_scipy_sparse_hands_out():
+    # imported as scipy.sparse's own modules import it: a module registered
+    # before its package is imported is not set as the package's attribute
+    from scipy.sparse import _sparsetools
+
+    assert blas.csr_matvecs is _sparsetools.csr_matvecs
+
+
+@pytest.mark.parametrize("name, routine", [("linalg._fblas", "dgemm"), ("sparse._sparsetools", "csr_matvecs")])
+def test_a_missing_extension_file_falls_back_to_an_import(monkeypatch, tmp_path, name, routine):
+    # tmp_path stands for a scipy directory without the module's file
+    name = f"scipy.{name}"
     imported = []
     monkeypatch.setattr(importlib, "import_module", lambda name: imported.append(name) or real_import(name))
-    monkeypatch.delitem(sys.modules, "scipy.linalg._fblas")
-    module = blas._load("scipy.linalg._fblas", str(tmp_path))
-    assert imported == ["scipy.linalg._fblas"]
-    assert module is sys.modules["scipy.linalg._fblas"]
-    assert module.dgemm is blas.dgemm
+    monkeypatch.delitem(sys.modules, name)
+    module = blas._load(name, str(tmp_path))
+    assert imported == [name]
+    assert module is sys.modules[name]
+    assert getattr(module, routine) is getattr(blas, routine)

@@ -322,8 +322,9 @@ def test_cli_import_does_not_load_scipy_signal(tmp_path):
 
 def test_commands_load_only_scipys_blas_and_lapack_modules(tmp_path):
     # consrate takes its four BLAS and LAPACK routines from scipy's two f2py
-    # modules and its AR(1) filter from scipy.signal._sigtools; the
-    # scipy.linalg, scipy.signal and scipy.sparse packages are never imported.
+    # modules, its AR(1) filter from scipy.signal._sigtools and its extension
+    # product from scipy.sparse._sparsetools; the scipy.linalg, scipy.signal
+    # and scipy.sparse packages are never imported.
     # On one worker every command runs inline, so what it imports is here.
     runs = [
         ["--output", "q", "feasibility"],
@@ -343,7 +344,7 @@ def test_commands_load_only_scipys_blas_and_lapack_modules(tmp_path):
     r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=child_env(), capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     lines = r.stdout.splitlines()
-    modules = "['scipy.linalg._fblas', 'scipy.linalg._flapack', 'scipy.signal._sigtools']"
+    modules = "['scipy.linalg._fblas', 'scipy.linalg._flapack', 'scipy.signal._sigtools', 'scipy.sparse._sparsetools']"
     assert lines[0] == modules and lines[-1] == modules, r.stdout
     codes = [line for line in lines if line in ("0", "1")]
     assert codes[:4] == ["0"] * 4 and len(codes) == 5, r.stdout  # estimate exits 1 when |z| > 3

@@ -150,7 +150,7 @@ def test_vasicek_solve_invariants():
     assert np.all(sol.K.values <= sol.N_pow.values + 1e-5)
     assert np.all(np.diff(sol.K.values) > 0)  # increasing in r, like N
     # first iterate of the first clamp level is strictly positive
-    assert np.all(sol.iterates[0].values > 0)
+    assert np.all(sol.iterates[0] > 0)
 
 
 def test_lambda_schedule_independence():

@@ -455,12 +455,18 @@ def test_extension_product_is_scipy_sparse_bit_for_bit(shape):
 
     n_r, n_y, rows, (y_lo, y_hi) = EXTENSION_SHAPES[shape]
     grid = GridFunction(-0.05, 0.2, np.ones(n_r))
-    matrix, tails = resolvent._Extension.matrix(np.linspace(y_lo, y_hi, n_y), grid, 1.0)
+    matrix = resolvent._Extension.matrix(np.linspace(y_lo, y_hi, n_y), grid, 1.0)
     rng = np.random.default_rng(n_y)
     # both signs and sixty orders of magnitude, so that every rounding shows
     x = rng.standard_normal((rows, n_y)) * np.exp(rng.uniform(-70.0, 70.0, (rows, n_y)))
-    got = resolvent._Extension(matrix, tails).times(x)
+    got = resolvent._Extension(matrix).times(x)
     assert got.tobytes() == (x @ csr_array(matrix)).tobytes()
+
+
+def test_extension_rejects_rows_of_another_y_mesh():
+    ext = resolvent._Extension(resolvent._Extension.matrix(np.linspace(-0.2, 0.4, 61), grid_unit(11), 1.0))
+    with pytest.raises(ValueError, match="x has 60 columns where the y mesh has 61 points"):
+        ext.times(np.ones((3, 60)))
 
 
 def test_memory_budget_reads_this_machine():
