@@ -23,7 +23,7 @@ from consrate import (
     supersolution_N,
     theta_growth,
 )
-from consrate import gaussian
+from consrate import gaussian, hjb
 from consrate.errors import InsufficientMemory
 from consrate.gaussian import exp_h_moment
 from consrate.simulate import joint_moment_sample
@@ -368,6 +368,25 @@ def test_supersolution_pinned():
         assert isinstance(value, float) == (n is None)
         got[n, gamma] = kernel_pin(value)
     assert got == N_PINNED
+
+
+# N on the node sets a solve hands it: the desk solve's 76-node reporting
+# window, its 126 padded nodes, and the mid solve's 151-node window, each
+# taken from hjb._extended_nodes as solve_problem_a takes them; recorded when
+# N was still evaluated on every padded node
+N_WINDOW_PINNED = {
+    (76, "window"): "9239dbdfe78bf6bd",
+    (76, "padded"): "a2ac7e607ea8a554",
+    (151, "window"): "579f788f8106118e",
+}
+
+
+def test_supersolution_pinned_on_the_solve_node_sets():
+    got = {}
+    for n, part in N_WINDOW_PINNED:
+        nodes, i0, i1 = hjb._extended_nodes(PAPER, GridFunction.zeros(0.0, 0.15, n), 0.05)
+        got[n, part] = kernel_pin(supersolution_N(PAPER, nodes[i0 : i1 + 1] if part == "window" else nodes))
+    assert got == N_WINDOW_PINNED
 
 
 def test_supersolution_infeasible_raises():
