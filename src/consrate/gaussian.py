@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .blas import dger
+from .blas import dgemm, dger
 from .feasibility import require_finite_N, rho_decay
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, Vasicek
@@ -23,9 +23,10 @@ from .parallel import check_memory, memory_budget
 _PAD_SIGMAS = 6.0
 # supersolution_N: time step and relative cutoff of the Vasicek integral, the
 # time steps of one chunk (the unit of the stop test), and the values of one
-# in-cache sub-block of a chunk; a sub-block holds (rows + 1, nodes) arrays
-# (the trapezoid terms, the last values, _n_integrand's output and temporaries)
-# and (rows,) time columns: a tracemalloc peak holds 5.3 arrays at 9 to 5000 nodes
+# in-cache sub-block of a chunk; a sub-block holds two (rows + 1, nodes)
+# arrays (the trapezoid terms, and the integrand written in place after the
+# last value before it), (nodes,) sums and (rows,) time columns: a tracemalloc
+# peak holds 2.5 to 3.3 arrays at 9 to 5000 nodes, within the 6 checked
 _N_DT = 1e-3
 _N_CUTOFF = 1e-14
 _N_CHUNK = 4096
@@ -34,8 +35,8 @@ _N_SUB_ARRAYS = 6
 _N_SUB_COLUMNS = 8
 # fk_kernel_weight: floats per fill when t runs along the leading axis (whole
 # time cells, at least one); each ufunc call is then long enough that the
-# per-call overhead is small, while the temporaries (the dev scratch and the
-# y tile) stay in cache
+# per-call overhead is small, while the temporaries (the dev scratch and its
+# (rows, 2) dgemm operand) stay in cache
 _FILL_FLOATS = 2**16
 
 
@@ -166,7 +167,7 @@ def kernel_columns(spec: ProblemSpec, t) -> KernelColumns:
     return KernelColumns(t, *_mean_factors(spec.model, t), half_var, half_log, -0.5 / var_r, al * beta)
 
 
-def fk_kernel_weight(spec: ProblemSpec, t, r, y, out=None, columns=None, y_tile=None):
+def fk_kernel_weight(spec: ProblemSpec, t, r, y, out=None, columns=None):
     """Weighted transition kernel w(t, r, y).
 
     w is the Gaussian transition density of r_t times the conditional
@@ -181,9 +182,7 @@ def fk_kernel_weight(spec: ProblemSpec, t, r, y, out=None, columns=None, y_tile=
     only (a t of one value is a one-cell leading axis, not returned), r along
     the middle axes and y along the last; other layouts raise ValueError.
     The block is filled a few time cells at a time (about _FILL_FLOATS
-    values), so that the temporaries stay small. ``y_tile``,
-    kernel_y_tile(y, shape) made once by a caller that fills many blocks of
-    one shape, saves rebuilding it.
+    values), so that the temporaries stay small.
     """
     t = np.asarray(t, dtype=float)
     if columns is None:
@@ -208,10 +207,8 @@ def fk_kernel_weight(spec: ProblemSpec, t, r, y, out=None, columns=None, y_tile=
         raise ValueError(f"out must be a C-contiguous array of shape {shape}")
     block = expo.reshape(shape if t.size > 1 else (1, *shape))
     if block.size:
-        if y_tile is None:
-            y_tile = kernel_y_tile(y, block.shape)
         cols = (-1,) + (1,) * (block.ndim - 1)
-        _fill_kernel_rows(block, y_tile, mean_r, c.scale.reshape(cols), c.shift.reshape(cols), base)
+        _fill_kernel_rows(block, y.reshape(-1), mean_r, c.scale.reshape(cols), c.shift.reshape(cols), base)
     return expo if expo.ndim else expo[()]
 
 
@@ -220,22 +217,17 @@ def _fill_cells(shape) -> int:
     return min(shape[0], max(1, _FILL_FLOATS // max(1, math.prod(shape[1:]))))
 
 
-def kernel_y_tile(y, shape) -> np.ndarray:
-    """The y mesh repeated on each row of one fill of a (cells, ..., y)
-    kernel block: fk_kernel_weight copies it into its dev scratch."""
-    return np.tile(np.asarray(y, dtype=float).reshape(-1), (_fill_cells(shape) * math.prod(shape[1:-1]), 1))
-
-
-def _fill_kernel_rows(out, y_tile, mean_r, scale, shift, base) -> None:
+def _fill_kernel_rows(out, y, mean_r, scale, shift, base) -> None:
     """out = exp((dev scale + shift) dev + base) with dev = y - mean_r, on a
     C-contiguous (cells, ..., y) block whose t-only factors are
     (cells, 1, ..., 1) columns and whose mean_r and base are constant along
     y, a few cells at a time.
 
-    The two passes that broadcast a column across each row, y - mean_r and
-    + base, are rank-1 updates (BLAS dger) of a copy of the y tile and of
-    out: the products are by +-1 and so exact, and each entry is rounded
-    once, as six elementwise numpy passes round it.
+    The two passes that broadcast across each row write dev as the product
+    (BLAS dgemm) of [y; -1] and [1, mean_r] into the dev scratch, and add
+    base by a rank-1 update (BLAS dger) of out: the products are by +-1 and
+    so exact, and each entry is rounded once, as six elementwise numpy
+    passes round it.
     """
     n_y = out.shape[-1]
     per_cell = out[0].size // n_y  # rows of one time cell
@@ -243,18 +235,21 @@ def _fill_kernel_rows(out, y_tile, mean_r, scale, shift, base) -> None:
     mean_r = np.broadcast_to(mean_r, out.shape[:-1] + (1,)).reshape(-1)
     base = np.broadcast_to(base, out.shape[:-1] + (1,)).reshape(-1)
     ones = np.ones(n_y)
+    # dev = [y; -1]^T [1, mean_r]^T, each entry 1 y + (-1) mean_r
+    y_pair = np.stack([y, -ones])
+    m_pair = np.ones((cells * per_cell, 2))
     dev = np.empty((cells * per_cell, n_y))
     for j0 in range(0, out.shape[0], cells):
         j = slice(j0, j0 + cells)
         block = out[j]
         n = block.size // n_y
         rows = slice(j0 * per_cell, j0 * per_cell + n)
-        d = dev[:n]
-        np.copyto(d, y_tile[:n])
-        # dger updates a in place only when a is Fortran-contiguous, and
-        # silently works on a copy otherwise: a is the transpose of a
-        # C-contiguous block, and each pass goes on from what dger returns
-        d = dger(-1.0, ones, mean_r[rows], a=d.T, overwrite_a=True).T.reshape(block.shape)
+        m_pair[:n, 1] = mean_r[rows]
+        # dgemm and dger update c and a in place only when they are
+        # Fortran-contiguous, and silently work on a copy otherwise: each is
+        # the transpose of a C-contiguous block, and each pass goes on from
+        # what the routine returns
+        d = dgemm(1.0, y_pair.T, m_pair[:n].T, beta=0.0, c=dev[:n].T, overwrite_c=True).T.reshape(block.shape)
         np.multiply(d, scale[j], out=block)
         block += shift[j]
         block *= d
@@ -326,17 +321,24 @@ def semigroup_apply(
     return phi.with_values(w @ (phi_y * weights))
 
 
-def _n_integrand(spec: ProblemSpec, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp((-gamma t + alpha mean_h)/(1-alpha) + alpha^2 var_h / (2 (1-alpha)^2)),
-    shaped (len(t), len(r)); var_h depends on t only and stays a column. Of
-    the means only mean_h is formed, as _means_from forms it."""
-    al, g = spec.alpha, spec.gamma
+def _n_integrand(spec: ProblemSpec, r: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp((-gamma t + alpha mean_h)/(1-alpha) + alpha^2 var_h / (2 (1-alpha)^2))
+    written into out, a C-contiguous (len(t), len(r)) array, and returned.
+    The t-only factors stay columns, and each in-place pass rounds as one
+    numpy temporary of the expression did. Of the means only mean_h is
+    formed, as _means_from forms it."""
+    al = spec.alpha
     t = t[:, None]
     _, _, one_m_e1, drift_h = _mean_factors(spec.model, t)
-    mean_h = r[None, :] * one_m_e1 / spec.model.b + drift_h
     _, var_h, _ = _variances(spec.model, t)
-    expo = (-g * t + al * mean_h) / (1.0 - al) + 0.5 * (al / (1.0 - al)) ** 2 * var_h
-    return np.exp(expo)
+    np.multiply(r, one_m_e1, out=out)
+    out /= spec.model.b
+    out += drift_h
+    out *= al
+    out += -spec.gamma * t
+    out /= 1.0 - al
+    out += 0.5 * (al / (1.0 - al)) ** 2 * var_h
+    return np.exp(out, out=out)
 
 
 def supersolution_N(spec: ProblemSpec, r):
@@ -376,28 +378,29 @@ def supersolution_N(spec: ProblemSpec, r):
         "lower grid.n",
     )
     # np.trapezoid's terms, (y[1:] + y[:-1]) * dx / 2, summed row after row
-    # as its axis-0 sum does: row 0 carries the chunk's running sum
+    # as its axis-0 sum does: row 0 carries the chunk's running sum. vals
+    # holds the integrand at the sub-block's time steps, after the last value
+    # of the one before in row 0
     terms = np.empty((rows + 1, r_arr.size))
+    vals = np.empty((rows + 1, r_arr.size))
     total = np.zeros_like(r_arr)
     t0 = 0.0
-    g_prev = _n_integrand(spec, r_arr, np.array([0.0]))[0]
-    gmax = g_prev.copy()
+    gmax = _n_integrand(spec, r_arr, np.array([0.0]), vals[:1])[0].copy()
     while t0 < t_end:
         for k0 in range(0, _N_CHUNK, rows):
             ts = t0 + _N_DT * np.arange(k0 + 1, min(k0 + rows, _N_CHUNK) + 1)
-            vals = _n_integrand(spec, r_arr, ts)
+            v = vals[: ts.size + 1]
+            _n_integrand(spec, r_arr, ts, v[1:])
             block = terms[: ts.size + 1]
-            np.add(vals[0], g_prev, out=block[1])
-            np.add(vals[1:], vals[:-1], out=block[2:])
-            block[1:] *= _N_DT
-            block[1:] /= 2.0
+            np.add(v[1:], v[:-1], out=block[1:])
+            block[1:] *= _N_DT / 2.0
             if k0 > 0:
                 block[0] = chunk_sum
             chunk_sum = np.add.reduce(block if k0 > 0 else block[1:], axis=0)
-            np.maximum(gmax, vals.max(axis=0), out=gmax)
-            g_prev = vals[-1]
+            np.maximum(gmax, v[1:].max(axis=0), out=gmax)
+            vals[0] = v[-1]
         total += chunk_sum
         t0 = float(ts[-1])
-        if np.all(g_prev <= _N_CUTOFF * gmax):
+        if np.all(vals[0] <= _N_CUTOFF * gmax):
             break
     return float(total[0]) if np.ndim(r) == 0 else total

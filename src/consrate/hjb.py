@@ -195,12 +195,10 @@ def _iterate(
     post_step=None,
 ) -> tuple[np.ndarray, IterationTrace, list[np.ndarray]]:
     """Run the double monotone loop from k0; all audit statistics are taken on
-    the reporting window slice, and the snapshots are that window of each
-    step's iterate."""
+    the reporting window slice, against the bracketing bounds given on that
+    window, and the snapshots are that window of each step's iterate."""
     trace = IterationTrace()
     snapshots: list[np.ndarray] = []
-    upper = None if upper is None else upper[window]
-    lower = None if lower is None else lower[window]
     k = k0.copy()
     for m in range(1, config.m_max + 1):
         lam = lambda_schedule(spec, config, m)
@@ -259,7 +257,9 @@ def solve_problem_a(spec: ProblemSpec, config: SolverConfig, *, force: bool = Fa
         classify(spec).require()
     nodes, i0, i1 = _extended_nodes(spec, config.grid, config.pad)
     window = slice(i0, i1 + 1)
-    upper = _upper_profile(spec, nodes, force)
+    # only the window's N is read: the time cutoff stops on fewer nodes at the
+    # same chunk or an earlier one, which leaves these nodes' N bit for bit
+    upper = _upper_profile(spec, nodes[window], force)
     if isinstance(config.backend, Quadrature):
         lams = [lambda_schedule(spec, config, m) for m in range(1, config.m_max + 1)]
         grid = GridFunction(nodes[0], nodes[-1], np.zeros(nodes.size))
@@ -276,8 +276,8 @@ def solve_problem_a(spec: ProblemSpec, config: SolverConfig, *, force: bool = Fa
 def solve_problem_c(spec: ProblemSpec, config: SolverConfig, *, force: bool = False) -> Solution:
     """Problem C: the closed-form profile K = N^{1-alpha}, with no iteration.
 
-    N is taken on the reporting grid itself, without the pad: its time
-    cutoff stops on all nodes at once, so extra nodes could move its bits."""
+    N is taken on the reporting grid itself, without the pad, as Problem A
+    takes it on its reporting window."""
     if spec.variant != "C":
         raise ValueError("solve_problem_c requires a variant-C spec")
     if not force:
@@ -288,11 +288,13 @@ def solve_problem_c(spec: ProblemSpec, config: SolverConfig, *, force: bool = Fa
 
 
 def _package(spec, config, window, k, upper, trace, iterates) -> Solution:
+    """The solution on the reporting grid: K's window, and the upper bound
+    given on that window."""
     grid = config.grid
     k_rep = GridFunction(grid.r_min, grid.r_max, k[window])
     if np.any(k_rep.values <= 0):
         raise MonotonicityError("converged K is not strictly positive", trace=trace)
-    n_pow = GridFunction(grid.r_min, grid.r_max, upper[window]) if upper is not None else None
+    n_pow = GridFunction(grid.r_min, grid.r_max, upper) if upper is not None else None
     policy = optimal_consumption(k_rep, spec.alpha)
     return Solution(K=k_rep, N_pow=n_pow, policy_c=policy, trace=trace, spec=spec, iterates=iterates)
 
@@ -377,8 +379,8 @@ def solve_problem_b(spec: ProblemSpec, config: SolverConfig, *, force: bool = Fa
     def pin(k_new: np.ndarray) -> None:
         k_new[0] = 1.0
 
-    k, trace, snaps = _iterate(spec, config, op.apply, kl.copy(), window, upper, kl, post_step=pin)
-    return _package(spec, config, window, k, upper, trace, snaps)
+    k, trace, snaps = _iterate(spec, config, op.apply, kl.copy(), window, upper[window], kl[window], post_step=pin)
+    return _package(spec, config, window, k, upper[window], trace, snaps)
 
 
 # ---------------------------------------------------------------------------

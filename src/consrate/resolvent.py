@@ -26,7 +26,6 @@ from .gaussian import (
     extend_with_envelope,
     fk_kernel_weight,
     kernel_columns,
-    kernel_y_tile,
     ou_moments,
 )
 from .grids import GridFunction
@@ -238,10 +237,10 @@ class QuadratureOperator:
         with one_blas_thread() as pinned:
             self.workers = pool_size(backend.workers, len(tiles)) if pinned else 1
             # a task's kernel block, accumulator, product with ext, and the
-            # kernel fill's y tile and dev scratch
+            # kernel fill's dev scratch and its (rows, 2) dgemm operand
             width = tile * n_y
-            fill = _fill_cells((per_block, tile, n_y)) * width
-            stack, task = 8 * n_lam * n_r * n_r, 8 * (per_block * width + n_lam * (width + tile * n_r) + 2 * fill)
+            fill = _fill_cells((per_block, tile, n_y)) * (width + 2 * tile)
+            stack, task = 8 * n_lam * n_r * n_r, 8 * (per_block * width + n_lam * (width + tile * n_r) + fill)
             check_memory(
                 "the quadrature operator",
                 stack + self.workers * task,
@@ -263,7 +262,6 @@ class QuadratureOperator:
         width = (i1 - i0) * n_y
         r = self.nodes[None, i0:i1, None]
         y = self.y[None, None, :]
-        y_tile = kernel_y_tile(self.y, (per_block, i1 - i0, n_y))
         buf = np.empty(per_block * width)
         # dgemm updates c in place only when c is Fortran-contiguous, and
         # silently works on a copy otherwise: every tile, the ragged last one
@@ -275,7 +273,7 @@ class QuadratureOperator:
             block = buf[: (stop - start) * width].reshape(stop - start, i1 - i0, n_y)
             t0 = time.perf_counter()
             columns = self._columns[start:stop]
-            fk_kernel_weight(self.spec, columns.t, r, y, block, columns=columns, y_tile=y_tile)
+            fk_kernel_weight(self.spec, columns.t, r, y, block, columns=columns)
             t1 = time.perf_counter()
             # acc^T += coef[:, start:stop] @ block
             acc = dgemm(

@@ -51,7 +51,7 @@ from consrate import (
 )
 from consrate.cli import read_csv
 from consrate.hjb import central_window
-from consrate.simulate import joint_moment_sample
+from tests.oracles import joint_moment_sample
 
 MODEL = Vasicek(0.03, 0.5, 0.02)
 SPEC_A = ProblemSpec(MODEL, 0.5, 1.5304, "A")

@@ -1,9 +1,11 @@
 import importlib
+import subprocess
 import sys
 
 import pytest
 
 from consrate import blas
+from tests.conftest import child_env
 
 real_import = importlib.import_module
 
@@ -24,6 +26,22 @@ def test_csr_matvecs_is_the_one_scipy_sparse_hands_out():
     from scipy.sparse import _sparsetools
 
     assert blas.csr_matvecs is _sparsetools.csr_matvecs
+
+
+def test_packages_imported_later_hold_the_loaded_modules_as_attributes(tmp_path):
+    # in a fresh interpreter, where consrate loads the four modules before any
+    # scipy package is imported: each package, once imported, holds its module
+    # as an attribute, as it would had it imported the module itself
+    code = (
+        "import sys, consrate.blas as b\n"
+        "import scipy.linalg, scipy.signal, scipy.sparse\n"
+        "print(scipy.linalg._fblas is b._fblas, scipy.linalg._flapack is b._flapack,"
+        " scipy.signal._sigtools is b._sigtools, scipy.sparse._sparsetools is b._sparsetools,"
+        " b._attach in sys.meta_path)"
+    )
+    r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["True"] * 4 + ["False"], r.stdout
 
 
 @pytest.mark.parametrize("name, routine", [("linalg._fblas", "dgemm"), ("sparse._sparsetools", "csr_matvecs")])

@@ -26,7 +26,7 @@ from consrate import (
 from consrate import gaussian, hjb
 from consrate.errors import InsufficientMemory
 from consrate.gaussian import exp_h_moment
-from consrate.simulate import joint_moment_sample
+from tests.oracles import joint_moment_sample
 
 VAS = Vasicek(0.03, 0.5, 0.02)
 PAPER = ProblemSpec(VAS, 0.5, 1.5304, "A")
@@ -234,8 +234,7 @@ def test_rank1_fill_bitwise_equals_six_passes(monkeypatch, name):
     assert np.array_equal(fk_kernel_weight(PAPER, t, r, y), ref)
     columns = gaussian.kernel_columns(PAPER, t)
     out = np.full(ref.shape, np.nan)
-    y_tile = gaussian.kernel_y_tile(y, ref.shape)
-    assert fk_kernel_weight(PAPER, t, r, y, out, columns=columns, y_tile=y_tile) is out
+    assert fk_kernel_weight(PAPER, t, r, y, out, columns=columns) is out
     assert np.array_equal(out, ref)
     # a block's rows of columns precomputed for more cells, as the operator passes them
     longer = gaussian.kernel_columns(PAPER, 0.001 * np.arange(1, cells + 4)[:, None, None])
@@ -255,6 +254,28 @@ def test_dger_updates_a_fortran_contiguous_operand_in_place():
     a = block.T
     assert scipy.linalg.blas.dger(-1.0, np.ones(4), np.array([1.0, 2.0, 3.0]), a=a, overwrite_a=True) is a
     assert np.array_equal(block, np.arange(12.0).reshape(3, 4) - np.array([[1.0], [2.0], [3.0]]))
+
+
+# (rows, y points) of the fill's deviation product: single rows and columns,
+# a desk fill (8 cells x 61 nodes x 123 y), paper-like rows of 2451 y points,
+# and 4096 rows
+DEV_SHAPES = [(1, 1), (1, 2451), (4096, 1), (3, 5), (488, 123), (26, 2451), (4096, 246)]
+
+
+@pytest.mark.parametrize("rows, n_y", DEV_SHAPES)
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e150])
+def test_dgemm_deviation_bitwise_equals_the_subtraction(rows, n_y, scale):
+    # the fill writes dev = y - mean_r as [y; -1]^T [1, mean_r]^T into its
+    # scratch: each entry 1 y + (-1) m, two exact products, rounded once
+    rng = np.random.default_rng(rows * n_y)
+    y = scale * rng.standard_normal(n_y)
+    m = scale * rng.standard_normal(rows)
+    dev = np.full((rows, n_y), np.nan)
+    pair = np.ones((rows, 2))
+    pair[:, 1] = m
+    c = dev.T
+    assert scipy.linalg.blas.dgemm(1.0, np.stack([y, -np.ones(n_y)]).T, pair.T, beta=0.0, c=c, overwrite_c=True) is c
+    assert np.array_equal(dev, y[None, :] - m[:, None])
 
 
 def test_semigroup_alpha_small_preserves_one():

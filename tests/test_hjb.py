@@ -291,6 +291,25 @@ def test_kernel_evaluated_once_per_time_cell(monkeypatch):
     assert sum(points) == op.n_steps * op.nodes.size * op.y.size
 
 
+def test_problem_a_evaluates_N_on_the_reporting_window_only(monkeypatch):
+    # the iteration reads N only on the desk grid's 76-node window, so the
+    # 50 pad nodes are not evaluated, and the window's N keeps its bits
+    seen = []
+
+    def recording_N(spec, r):
+        seen.append(np.array(r))
+        return supersolution_N(spec, r)
+
+    monkeypatch.setattr(hjb, "supersolution_N", recording_N)
+    cfg = SolverConfig(grid=GridFunction.zeros(0.0, 0.15, 76), backend=FiniteDifference())
+    sol = solve_problem_a(PAPER_A, cfg)
+    nodes, i0, i1 = hjb._extended_nodes(PAPER_A, cfg.grid, cfg.pad)
+    (r,) = seen
+    assert (r.size, nodes.size) == (76, 126)
+    assert np.array_equal(r, nodes[i0 : i1 + 1])
+    assert np.array_equal(sol.N_pow.values, np.power(supersolution_N(PAPER_A, nodes)[i0 : i1 + 1], 0.5))
+
+
 def test_trace_records_lambda_of_each_step():
     cfg = SolverConfig(grid=GridFunction.zeros(0.0, 0.15, 31), backend=FiniteDifference())
     sol = solve_problem_a(PAPER_A, cfg)

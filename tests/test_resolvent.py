@@ -381,12 +381,13 @@ def test_quadrature_checks_memory_before_mapping_the_stack(monkeypatch):
     # a patched budget, not a real giant allocation: 3 levels on 61 nodes make
     # an R(lambda) stack of 3 x 61^2 floats, and each task holds a 34-cell
     # kernel block of 61 nodes x 123 y points, its accumulator, its product
-    # with ext, and the kernel fill's y tile and dev scratch of 8 cells each
+    # with ext, and the kernel fill's dev scratch of 8 cells and its (rows, 2)
+    # dgemm operand of 8 x 61 rows
     grid = grid_unit(61)
     lams = (LAM1, 1.5, 4.0)
     backend = quad_backend(t_max=1.0, workers=1)
     width = 61 * 123
-    task = 34 * width + 3 * (width + 61 * 61) + 2 * 8 * width
+    task = 34 * width + 3 * (width + 61 * 61) + 8 * width + 2 * 8 * 61
     need = 8 * (3 * 61 * 61 + task)
     # a first build, untraced, so that its one-time costs (importlib frames,
     # the cached OpenBLAS thread setter) stay out of the traced peak
@@ -406,7 +407,7 @@ def test_quadrature_checks_memory_before_mapping_the_stack(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(resolvent, "memory_budget", lambda: need - 1)
         m.setattr(resolvent, "shared_empty", no_mapping)
-        sizes = r"needs 3\.2 MiB: 0\.1 MiB of R\(lambda\) and 3\.1 MiB of tile buffers for each of 1 workers"
+        sizes = r"needs 2\.8 MiB: 0\.1 MiB of R\(lambda\) and 2\.7 MiB of tile buffers for each of 1 workers"
         with pytest.raises(InsufficientMemory, match=sizes) as info:
             QuadratureOperator(PAPER, grid, backend, lams)
     assert isinstance(info.value, MemoryError)

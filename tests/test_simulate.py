@@ -30,7 +30,8 @@ from consrate import (
     wealth_trajectory,
 )
 from consrate.resolvent import resolvent_mc
-from consrate.simulate import _euler_batch, _exact_batch, _horizon_steps, _path_rngs, joint_moment_sample
+from consrate.simulate import _euler_batch, _exact_batch, _horizon_steps, _path_rngs
+from tests.oracles import joint_moment_sample
 
 VAS = Vasicek(0.03, 0.5, 0.02)
 PAPER_A = ProblemSpec(VAS, 0.5, 1.5304, "A")
@@ -82,8 +83,6 @@ def test_models_other_than_vasicek_run_euler_paths(model):
 
 
 def test_exact_moments_match_closed_form():
-    from consrate.simulate import joint_moment_sample
-
     s = joint_moment_sample(VAS, 0.05, 1.0, 100_000, n_steps=16, seed=9)
     mom = ou_moments(VAS, 0.05, 1.0)
     assert abs(s["mean_r"] - float(mom.mean_r)) <= 5 * s["se_mean_r"]
