@@ -39,7 +39,8 @@ class _AttachOnImport:
     run, and leaves sys.meta_path when no package is pending."""
 
     def __init__(self):
-        self.pending, self.loaders = {}, {}  # package: {attribute: submodule}, and its own loader
+        self.pending: dict[str, dict] = {}  # package -> {attribute: submodule}
+        self.loaders: dict = {}  # package -> the loader the other finders gave it
 
     def find_spec(self, fullname, path, target=None):
         if fullname not in self.pending:

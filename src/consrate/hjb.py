@@ -257,8 +257,9 @@ def solve_problem_a(spec: ProblemSpec, config: SolverConfig, *, force: bool = Fa
         classify(spec).require()
     nodes, i0, i1 = _extended_nodes(spec, config.grid, config.pad)
     window = slice(i0, i1 + 1)
-    # only the window's N is read: the time cutoff stops on fewer nodes at the
-    # same chunk or an earlier one, which leaves these nodes' N bit for bit
+    # only the window's N is read; its time cutoff, tested on fewer nodes,
+    # stops at the padded call's chunk or an earlier one (the same chunk and
+    # bits on the desk and mid windows, which the N pins check)
     upper = _upper_profile(spec, nodes[window], force)
     if isinstance(config.backend, Quadrature):
         lams = [lambda_schedule(spec, config, m) for m in range(1, config.m_max + 1)]
