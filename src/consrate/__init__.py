@@ -71,7 +71,6 @@ from .resolvent import (
     FiniteDifference,
     Quadrature,
     resolvent_fd,
-    resolvent_mc,
     resolvent_quadrature,
     solve_linear_fk_ode,
 )
@@ -82,6 +81,7 @@ from .simulate import (
     Trajectory,
     estimate_J,
     estimate_KL_mc,
+    resolvent_mc,
     sample_path,
     wealth_trajectory,
 )

@@ -26,12 +26,12 @@ _PAD_SIGMAS = 6.0
 # in-cache sub-block of a chunk; a sub-block holds two (rows + 1, nodes)
 # arrays (the trapezoid terms, and the integrand written in place after the
 # last value before it), (nodes,) sums and (rows,) time columns: a tracemalloc
-# peak holds 2.5 to 3.3 arrays at 9 to 5000 nodes, within the 6 checked
+# peak holds 2.5 to 3.3 arrays at 9 to 5000 nodes, within the 4 checked
 _N_DT = 1e-3
 _N_CUTOFF = 1e-14
 _N_CHUNK = 4096
 _N_FLOATS = 2**15
-_N_SUB_ARRAYS = 6
+_N_SUB_ARRAYS = 4
 _N_SUB_COLUMNS = 8
 # fk_kernel_weight: floats per fill when t runs along the leading axis (whole
 # time cells, at least one); each ufunc call is then long enough that the

@@ -3,9 +3,9 @@
 A is the weighted generator Q + alpha r. The solver has two backends, each an
 operator with ``apply(lam, psi_values)``: QuadratureOperator integrates the
 closed-form Gaussian kernel in time and rate (the primary method, Vasicek
-only), and FDOperator solves the equivalent linear ODE on the window. The
-Monte Carlo resolvent (Vasicek only) averages the probabilistic
-representation; it is a cross-check of the two, not a solver backend.
+only), and FDOperator solves the equivalent linear ODE on the window. Both
+are deterministic; their Monte Carlo cross-check, simulate.resolvent_mc, runs
+on the path engines.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .feasibility import require_finite_N, theta_growth
 from .gaussian import (
     _fill_cells,
     envelope_rate,
-    extend_with_envelope,
     fk_kernel_weight,
     kernel_columns,
     ou_moments,
@@ -31,7 +30,6 @@ from .gaussian import (
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, Vasicek, _check_rates, _coefficients, state_rate
 from .parallel import check_memory, fork_map, memory_budget, mib, one_blas_thread, pool_size, shared_empty
-from .simulate import _PATH_BLOCK, PathConfig, _exact_batch, _exact_block_bytes, _path_rngs
 
 
 @dataclass(frozen=True)
@@ -502,11 +500,8 @@ class FDOperator:
         return system.solve(psi_values)
 
 
-def resolvent_fd(
-    spec: ProblemSpec, psi: GridFunction, lam: float, backend: FiniteDifference
-) -> GridFunction:
+def resolvent_fd(spec: ProblemSpec, psi: GridFunction, lam: float) -> GridFunction:
     """Finite-difference solve of (lambda + gamma - A) u = psi on the grid."""
-    del backend
     return psi.with_values(FDOperator(spec, psi.nodes).apply(lam, psi.values))
 
 
@@ -536,87 +531,3 @@ def solve_linear_fk_ode(
     left, right = _auto_bcs(spec, nodes)
     sys = fd_system(spec, nodes, c0, left, right)
     return grid.with_values(sys.solve(np.ones(nodes.size)))
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo
-
-# a resolvent_mc block's floats per time step beside its engine call: the
-# times, weights and discount, and per node the two (steps, nodes) shifts and
-# one path's integrand temporaries (tracemalloc: whole calls on one worker,
-# at 7 to 300 nodes and 51 to 2001 steps, peak at 0.36 to 0.79 of this sizing)
-_MC_STEP_FLOATS, _MC_NODE_ARRAYS = 3, 10
-
-
-def _mc_block(spec: ProblemSpec, psi: GridFunction, s: float, cfg: PathConfig, start: int) -> np.ndarray:
-    """Per-node integrals of the resolvent_mc paths start, ...,
-    start + _PATH_BLOCK - 1 (fewer in the last block), one row per path."""
-    n_steps = int(round(cfg.t_max / cfg.dt))
-    times = cfg.dt * np.arange(0, n_steps + 1)
-    trap_t = np.full(n_steps + 1, cfg.dt)
-    trap_t[0] *= 0.5
-    trap_t[-1] *= 0.5
-    disc = np.exp(-s * times)
-    b = spec.model.b
-    r_shift = psi.nodes[None, :] * np.exp(-b * times)[:, None]
-    h_shift = psi.nodes[None, :] * (-np.expm1(-b * times) / b)[:, None]
-    ext_rate = envelope_rate(spec)
-    rngs = _path_rngs(cfg.seed, start, min(_PATH_BLOCK, cfg.n_paths - start))
-    r, h = _exact_batch(spec.model, 0.0, cfg.dt, n_steps, rngs)
-    integrals = np.empty((len(rngs), psi.n_nodes))
-    for k, (r_k, h_k) in enumerate(zip(r, h)):
-        g = extend_with_envelope(psi, ext_rate, r_k[:, None] + r_shift) * np.exp(spec.alpha * (h_k[:, None] + h_shift)) * disc[:, None]
-        integrals[k] = trap_t @ g
-    return integrals
-
-
-def resolvent_mc(spec: ProblemSpec, psi: GridFunction, lam: float, cfg: PathConfig) -> tuple[GridFunction, GridFunction]:
-    """Monte Carlo resolvent with per-node standard errors: the path average
-    of int e^{-(lambda+gamma)t} psi(r_t) e^{alpha h_t} dt over cfg.n_paths
-    (at least 100) paths to cfg.t_max.
-
-    Vasicek only. The paths share one exact path from r = 0 per sample,
-    moved onto every grid node by the affine OU map r + node e^{-bt},
-    h + node (1 - e^{-bt})/b (so common random numbers are exact and make
-    node-to-node noise smooth). Path k draws from seed + k. The paths run in
-    blocks of simulate._PATH_BLOCK on cfg.pool_workers worker processes
-    (parallel.fork_map), one engine call per block, which holds two
-    (paths, n_steps + 1) arrays at its peak; each path's integrals are formed
-    in its block and summed here in path order, so u and its SE are bitwise
-    the same for any worker count. lambda + gamma must be large enough that
-    the discarded tail beyond t_max is below the intended tolerance. Before
-    anything is allocated, the memory this needs is checked against
-    parallel.memory_budget() (InsufficientMemory names the sizes).
-    """
-    if not isinstance(spec.model, Vasicek):
-        raise ValueError(f"Monte Carlo resolvent not defined for {type(spec.model).__name__}")
-    if cfg.n_paths < 100:
-        raise ValueError("the Monte Carlo resolvent needs at least 100 paths")
-    s = lam + spec.gamma
-    if s <= 0:
-        raise ValueError("lambda + gamma must be positive")
-    # each worker's block: its engine call, the (steps, nodes) shifts and one
-    # path's integrand, and its integrals; then the blocks' integrals, their
-    # concatenation and the variance's temporary
-    steps, paths = int(round(cfg.t_max / cfg.dt)) + 1, min(_PATH_BLOCK, cfg.n_paths)
-    per_block = _exact_block_bytes(paths, steps) + 8 * (_MC_STEP_FLOATS + _MC_NODE_ARRAYS * psi.n_nodes) * steps
-    per_block += 8 * paths * psi.n_nodes
-    results = 8 * 3 * cfg.n_paths * psi.n_nodes
-    check_memory(
-        "the Monte Carlo resolvent",
-        cfg.pool_workers * per_block + results,
-        memory_budget(),
-        f": {mib(per_block)} of path arrays for each of {cfg.pool_workers} workers and {mib(results)} of path integrals",
-        "lower paths.t_max / paths.dt, paths.n_paths or --threads",
-    )
-    block = functools.partial(_mc_block, spec, psi, s, cfg)
-    integrals = np.concatenate(fork_map(block, range(0, cfg.n_paths, _PATH_BLOCK), cfg.pool_workers))
-    # the variance is taken about the mean of the kept path integrals: a
-    # one-pass total_sq / n - mean^2 cancels to rounding noise once they are
-    # nearly equal
-    total = np.zeros(psi.n_nodes)
-    for row in integrals:
-        total += row
-    mean = total / cfg.n_paths
-    se = np.sqrt(integrals.var(axis=0, ddof=1) / cfg.n_paths)
-    return psi.with_values(mean), psi.with_values(se)

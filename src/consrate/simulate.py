@@ -1,11 +1,11 @@
-"""Path simulation and Monte Carlo policy evaluation.
+"""Path simulation and the Monte Carlo estimators.
 
 The model picks the path engine: the Vasicek pair (r_t, h_t) advances by
 exact joint-Gaussian increments (no discretization bias in the state), every
 other model by Euler steps. Paths are reproducible: path k draws from
-seed + k. estimate_J, estimate_KL_mc and resolvent.resolvent_mc run their
-paths in blocks on worker processes and reduce the blocks' results in a fixed
-order, so their estimates are bitwise the same for any number of workers.
+seed + k. estimate_J, estimate_KL_mc and resolvent_mc run their paths
+through one path-block driver, _path_blocks, and each reduces the blocks'
+results in its own fixed order, bitwise the same for any worker count.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ import numpy as np
 from .blas import linear_filter
 from .errors import DivergenceError, HorizonError
 from .feasibility import classify
-from .gaussian import _cov_shape, _int_decay_shape, _var_h_shape, exp_h_moment
+from .gaussian import _cov_shape, _int_decay_shape, _var_h_shape, envelope_rate, exp_h_moment, extend_with_envelope
 from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, ShortRateModel, Vasicek, _check_rates, _coefficients, domain
 from .parallel import check_memory, fork_map, memory_budget, mib, pool_size
 
-# paths per block of estimate_J, estimate_KL_mc and resolvent_mc: one engine call
-# runs a block, and a block is the unit of work of the worker processes. The
+# paths per block of _path_blocks: a block is the unit of work of the worker
+# processes, and its paths run in one or more engine calls. The
 # blocks fix the order in which J is summed, so this stays a constant rather
 # than a setting: another size would change J in its last bits
 _PATH_BLOCK = 256
@@ -49,6 +49,11 @@ _CHUNK_ARRAYS, _STEP_FLOATS, _GENERATOR_BYTES = 5, 4, 840
 # floats per time step of one estimate_KL_mc path's reductions beside its
 # round's engine arrays (tracemalloc: 11 at 256 paths of 2001 steps)
 _KL_PATH_FLOATS = 16
+# a resolvent_mc block's floats per time step beside its engine call: the
+# times, weights and discount, and per node the two (steps, nodes) shifts and
+# one path's integrand temporaries (tracemalloc: whole calls on one worker,
+# at 7 to 300 nodes and 51 to 2001 steps, peak at 0.36 to 0.79 of this sizing)
+_MC_STEP_FLOATS, _MC_NODE_ARRAYS = 3, 10
 # float arrays of one value per time step that sample_path and wealth_trajectory
 # hold at their peaks (tracemalloc: 7.0 for one exact path, 3.0 for one Euler
 # path, and 6.1 for the wealth beside the path's three)
@@ -58,9 +63,9 @@ _WEALTH_ARRAYS = 7
 
 @dataclass(frozen=True)
 class PathConfig:
-    """Settings of every Monte Carlo estimator (estimate_J, estimate_KL_mc,
-    resolvent.resolvent_mc) and of sample_path. The model, not a setting,
-    picks the path engine."""
+    """Settings of the Monte Carlo estimators (estimate_J, estimate_KL_mc,
+    resolvent_mc), which all run through _path_blocks, and of sample_path.
+    The model, not a setting, picks the path engine."""
 
     dt: float
     t_max: float
@@ -232,6 +237,36 @@ def _path_rngs(seed: int, start: int, count: int):
     return [np.random.default_rng(seed + k) for k in range(start, start + count)]
 
 
+def _block_rngs(cfg: PathConfig, start: int):
+    """The generators of the _path_blocks block whose first path is start."""
+    return _path_rngs(cfg.seed, start, min(_PATH_BLOCK, cfg.n_paths - start))
+
+
+def _path_blocks(what: str, cfg: PathConfig, per_block: int, results: int, label: str, prefix: tuple[int, str] | None = None):
+    """Check that an estimator's path blocks fit, then return their runner.
+
+    The check comes before anything is allocated: cfg.pool_workers blocks of
+    per_block bytes, the results' bytes and the prefix's (bytes, label), if
+    any, against parallel.memory_budget() (InsufficientMemory names the
+    sizes). The runner calls block(start) for the blocks of _PATH_BLOCK paths
+    (fewer in the last) on cfg.pool_workers worker processes
+    (parallel.fork_map), each block on whichever worker is free, and returns
+    their results in block order: reduced in a fixed order, they give an
+    estimate that is bitwise the same for any worker count and assignment. A
+    worker that dies mid-run raises BrokenProcessPool.
+    """
+    extra, head = (0, "") if prefix is None else (prefix[0], f"{mib(prefix[0])} {prefix[1]}, ")
+    workers = cfg.pool_workers
+    check_memory(
+        what,
+        extra + workers * per_block + results,
+        memory_budget(),
+        f": {head}{mib(per_block)} of path arrays for each of {workers} workers and {mib(results)} of {label}",
+        "lower paths.t_max / paths.dt, paths.n_paths or --threads",
+    )
+    return lambda block: fork_map(block, range(0, cfg.n_paths, _PATH_BLOCK), workers)
+
+
 def _first_zero_crossing(times: np.ndarray, r: np.ndarray) -> float | None:
     """Linear-interpolated first crossing time of r = 0, None if no crossing."""
     if r[0] <= 0:
@@ -335,8 +370,8 @@ def _j_block(spec: ProblemSpec, policy_c: GridFunction, r0: float, cfg: PathConf
     holds no path-sized array; an Euler block is one engine call and peaks at
     its two path-sized arrays, r and h."""
     al, g = spec.alpha, spec.gamma
-    nb = min(_PATH_BLOCK, cfg.n_paths - start)
-    rngs = _path_rngs(cfg.seed, start, nb)
+    rngs = _block_rngs(cfg, start)
+    nb = len(rngs)
     rows = _chunk_rows(times.size)
     euler = not isinstance(spec.model, Vasicek)
     if euler:
@@ -387,14 +422,10 @@ def estimate_J(
     bound of _horizon_steps shows that the rest of the integral is below J's
     rounding unit; JEstimate.horizon reports it.
 
-    The paths run in blocks of _PATH_BLOCK on cfg.pool_workers worker
-    processes (parallel.fork_map): each block goes to whichever worker is
-    free, which sends back its per-path integrals and summed integrand
-    profile. The blocks' results are reduced in block order, so the estimate
-    is bitwise the same for any worker count and any assignment. A worker
-    that dies mid-run raises BrokenProcessPool. Before anything is allocated,
-    the memory all this needs at cfg.t_max is checked against
-    parallel.memory_budget() (InsufficientMemory names the sizes).
+    The paths run through _path_blocks, whose memory check, sized at
+    cfg.t_max, comes before the horizon is computed. Each block sends back
+    its per-path integrals and summed integrand profile, which are reduced
+    in block order.
 
     Provably infinite problems are rejected outright; Unknown verdicts are
     allowed through (the estimator is how one probes them) and rely on the
@@ -414,27 +445,17 @@ def estimate_J(
     per_step = 2 * paths * (not isinstance(spec.model, Vasicek)) + _CHUNK_ARRAYS * min(_chunk_rows(steps), paths) + _STEP_FLOATS
     per_block = 8 * per_step * steps + _GENERATOR_BYTES * paths
     results = 8 * (-(-cfg.n_paths // _PATH_BLOCK) * steps + cfg.n_paths)
-    check_memory(
-        "estimate",
-        horizon + cfg.pool_workers * per_block + results,
-        memory_budget(),
-        f": {mib(horizon)} for the horizon bound, {mib(per_block)} of path arrays for each of "
-        f"{cfg.pool_workers} workers and {mib(results)} of block results",
-        "lower paths.t_max / paths.dt, paths.n_paths or --threads",
-    )
+    run = _path_blocks("estimate", cfg, per_block, results, "block results", (horizon, "for the horizon bound"))
     al, g = spec.alpha, spec.gamma
     n_steps = _horizon_steps(spec, policy_c, r0, cfg)
     times = cfg.dt * np.arange(n_steps + 1)
     sums = 0.0
-    j_all = np.empty(cfg.n_paths)
     mean_profile = np.zeros(n_steps + 1)
-    starts = range(0, cfg.n_paths, _PATH_BLOCK)
-    block = functools.partial(_j_block, spec, policy_c, r0, cfg, times)
-    # fork_map returns the results in block order, which fixes the summation order
-    for start, (j_paths, profile) in zip(starts, fork_map(block, starts, cfg.pool_workers)):
+    blocks = run(functools.partial(_j_block, spec, policy_c, r0, cfg, times))
+    for j_paths, profile in blocks:  # in block order, which fixes the summation order
         sums += float(np.sum(j_paths))
-        j_all[start : start + j_paths.size] = j_paths
         mean_profile += profile
+    j_all = np.concatenate([j_paths for j_paths, _ in blocks])
     mean_profile /= cfg.n_paths
     tail_window = max(n_steps // 10, 1)
     last = float(np.mean(mean_profile[-tail_window:]))
@@ -455,13 +476,15 @@ def estimate_J(
     )
 
 
-def _standard_error(samples: np.ndarray) -> float:
-    """Standard error of the sample mean, from the two-pass variance about the
-    mean (a one-pass sum of squares cancels to rounding noise when the samples
-    nearly agree); 0 for a single sample."""
-    if samples.size < 2:
+def _standard_error(samples: np.ndarray):
+    """Standard error of the sample mean over axis 0 (one sample per row),
+    from the two-pass variance about the mean (a one-pass sum of squares
+    cancels to rounding noise when the samples nearly agree); 0 for a single
+    sample."""
+    if len(samples) < 2:
         return 0.0
-    return math.sqrt(samples.var(ddof=1) / samples.size)
+    se = np.sqrt(samples.var(axis=0, ddof=1) / len(samples))
+    return se if se.ndim else float(se)
 
 
 def _kl_block(spec: ProblemSpec, r0: float, cfg: PathConfig, start: int):
@@ -477,8 +500,8 @@ def _kl_block(spec: ProblemSpec, r0: float, cfg: PathConfig, start: int):
     al, g, dt = spec.alpha, spec.gamma, cfg.dt
     bridge = 2.0 / (spec.model.sigma**2 * dt)
     max_steps = int(round(cfg.t_max / dt))
-    nb = min(_PATH_BLOCK, cfg.n_paths - start)
-    rngs = _path_rngs(cfg.seed, start, nb)
+    rngs = _block_rngs(cfg, start)
+    nb = len(rngs)
     weights, survival, truncated = np.zeros(nb), np.ones(nb), np.zeros(nb)
     r_last, h_last = np.full(nb, float(r0)), np.zeros(nb)
     live = list(range(nb))
@@ -529,12 +552,9 @@ def estimate_KL_mc(spec: ProblemSpec, r0: float, cfg: PathConfig) -> KLEstimate:
     contributes zero plus a truncation diagnostic. Fails if the mean survival
     at t_max exceeds 1%.
 
-    The paths run in blocks of _PATH_BLOCK on cfg.pool_workers worker processes
-    (parallel.fork_map), _KL_CHUNK steps per engine call, so a block holds two
-    (paths, _KL_CHUNK + 1) arrays at its peak. The per-path results are summed in
-    path order, so the estimate is bitwise the same for any worker count.
-    Before anything is allocated, the memory this needs is checked against
-    parallel.memory_budget() (InsufficientMemory names the sizes).
+    The paths run through _path_blocks, _KL_CHUNK steps per engine call, so a
+    block holds two (paths, _KL_CHUNK + 1) arrays at its peak. The per-path
+    results are summed in path order.
     """
     if not isinstance(spec.model, Vasicek):
         raise ValueError("estimate_KL_mc is implemented for the Vasicek model")
@@ -545,16 +565,8 @@ def estimate_KL_mc(spec: ProblemSpec, r0: float, cfg: PathConfig) -> KLEstimate:
     # then the blocks' per-path results and their concatenation
     steps, paths = min(_KL_CHUNK, int(round(cfg.t_max / cfg.dt))) + 1, min(_PATH_BLOCK, cfg.n_paths)
     per_block = _exact_block_bytes(paths, steps) + 8 * _KL_PATH_FLOATS * steps
-    results = 8 * 6 * cfg.n_paths
-    check_memory(
-        "the K_L estimate",
-        cfg.pool_workers * per_block + results,
-        memory_budget(),
-        f": {mib(per_block)} of path arrays for each of {cfg.pool_workers} workers and {mib(results)} of path results",
-        "lower paths.t_max / paths.dt, paths.n_paths or --threads",
-    )
-    block = functools.partial(_kl_block, spec, r0, cfg)
-    blocks = fork_map(block, range(0, cfg.n_paths, _PATH_BLOCK), cfg.pool_workers)
+    run = _path_blocks("the K_L estimate", cfg, per_block, 8 * 6 * cfg.n_paths, "path results")
+    blocks = run(functools.partial(_kl_block, spec, r0, cfg))
     weights, survival, truncated = (np.concatenate(parts) for parts in zip(*blocks))
     # running sums in path order (accumulate adds one term at a time)
     total, survival_total, truncated_weight = (float(np.cumsum(a)[-1]) for a in (weights, survival, truncated))
@@ -571,3 +583,59 @@ def estimate_KL_mc(spec: ProblemSpec, r0: float, cfg: PathConfig) -> KLEstimate:
         truncated_weight=truncated_weight / n,
     )
 
+
+def _mc_block(spec: ProblemSpec, psi: GridFunction, s: float, cfg: PathConfig, start: int) -> np.ndarray:
+    """Per-node integrals of the resolvent_mc paths start, ...,
+    start + _PATH_BLOCK - 1 (fewer in the last block), one row per path."""
+    n_steps = int(round(cfg.t_max / cfg.dt))
+    times = cfg.dt * np.arange(0, n_steps + 1)
+    trap_t = np.full(n_steps + 1, cfg.dt)
+    trap_t[0] *= 0.5
+    trap_t[-1] *= 0.5
+    disc = np.exp(-s * times)
+    b = spec.model.b
+    r_shift = psi.nodes[None, :] * np.exp(-b * times)[:, None]
+    h_shift = psi.nodes[None, :] * (-np.expm1(-b * times) / b)[:, None]
+    ext_rate = envelope_rate(spec)
+    rngs = _block_rngs(cfg, start)
+    r, h = _exact_batch(spec.model, 0.0, cfg.dt, n_steps, rngs)
+    integrals = np.empty((len(rngs), psi.n_nodes))
+    for k, (r_k, h_k) in enumerate(zip(r, h)):
+        g = extend_with_envelope(psi, ext_rate, r_k[:, None] + r_shift) * np.exp(spec.alpha * (h_k[:, None] + h_shift)) * disc[:, None]
+        integrals[k] = trap_t @ g
+    return integrals
+
+
+def resolvent_mc(spec: ProblemSpec, psi: GridFunction, lam: float, cfg: PathConfig) -> tuple[GridFunction, GridFunction]:
+    """Monte Carlo resolvent with per-node standard errors, the cross-check
+    of the resolvent module's operators: the path average of
+    int e^{-(lambda+gamma)t} psi(r_t) e^{alpha h_t} dt over cfg.n_paths (at
+    least 100) paths to cfg.t_max.
+
+    Vasicek only. The paths share one exact path from r = 0 per sample,
+    moved onto every grid node by the affine OU map r + node e^{-bt},
+    h + node (1 - e^{-bt})/b (so common random numbers are exact and make
+    node-to-node noise smooth). The paths run through _path_blocks, one
+    engine call per block, which holds two (paths, n_steps + 1) arrays at its
+    peak; each path's integrals are formed in its block and summed here in
+    path order. lambda + gamma must be large enough that the discarded tail
+    beyond t_max is below the intended tolerance.
+    """
+    if not isinstance(spec.model, Vasicek):
+        raise ValueError(f"Monte Carlo resolvent not defined for {type(spec.model).__name__}")
+    if cfg.n_paths < 100:
+        raise ValueError("the Monte Carlo resolvent needs at least 100 paths")
+    s = lam + spec.gamma
+    if s <= 0:
+        raise ValueError("lambda + gamma must be positive")
+    # each worker's block: its engine call, the (steps, nodes) shifts and one
+    # path's integrand, and its integrals; then the blocks' integrals, their
+    # concatenation and the variance's temporary
+    steps, paths = int(round(cfg.t_max / cfg.dt)) + 1, min(_PATH_BLOCK, cfg.n_paths)
+    per_block = _exact_block_bytes(paths, steps) + 8 * ((_MC_STEP_FLOATS + _MC_NODE_ARRAYS * psi.n_nodes) * steps + paths * psi.n_nodes)
+    run = _path_blocks("the Monte Carlo resolvent", cfg, per_block, 8 * 3 * cfg.n_paths * psi.n_nodes, "path integrals")
+    integrals = np.concatenate(run(functools.partial(_mc_block, spec, psi, s, cfg)))
+    total = np.zeros(psi.n_nodes)
+    for row in integrals:
+        total += row
+    return psi.with_values(total / cfg.n_paths), psi.with_values(_standard_error(integrals))

@@ -225,7 +225,7 @@ def test_criterion_9_backend_agreement():
     lam = 0.5 + 1e-5  # lambda_1 of the schedule
     psi = DESK_GRID.with_values(np.ones(DESK_GRID.n_nodes))
     uq = resolvent_quadrature(SPEC_A, psi, lam, DESK_BACKEND)
-    ufd = resolvent_fd(SPEC_A, psi, lam, FiniteDifference())
+    ufd = resolvent_fd(SPEC_A, psi, lam)
     umc, se = resolvent_mc(SPEC_A, psi, lam, PathConfig(n_paths=2000, dt=0.01, t_max=10.0, seed=17))
     nodes = psi.nodes
     c = (nodes >= 0.0375 - 1e-12) & (nodes <= 0.1125 + 1e-12)

@@ -21,8 +21,8 @@ def test_routines_are_the_ones_scipy_linalg_hands_out():
 
 
 def test_csr_matvecs_is_the_one_scipy_sparse_hands_out():
-    # imported as scipy.sparse's own modules import it: a module registered
-    # before its package is imported is not set as the package's attribute
+    # imported as scipy.sparse's own modules import it: the module consrate
+    # loaded is the one the package hands out
     from scipy.sparse import _sparsetools
 
     assert blas.csr_matvecs is _sparsetools.csr_matvecs

@@ -443,12 +443,12 @@ def test_supersolution_checks_memory_before_its_loop(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    need = 8 * 131 * (6 * 251 + 8)
+    need = 8 * 131 * (4 * 251 + 8)
     assert peak <= need
     monkeypatch.setattr(gaussian, "_n_integrand", None)  # the loop must not start
     monkeypatch.setattr(gaussian, "memory_budget", lambda: need - 1)
     sizes = (
-        r"needs 1\.5 MiB for 6 sub-block arrays of 131 time steps x 251 nodes and their time columns, but only 1\.5 MiB"
+        r"needs 1\.0 MiB for 4 sub-block arrays of 131 time steps x 251 nodes and their time columns, but only 1\.0 MiB"
     )
     with pytest.raises(InsufficientMemory, match=sizes) as info:
         supersolution_N(PAPER, nodes)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import subprocess
 import sys
 import tracemalloc
 
@@ -9,7 +10,6 @@ import scipy.linalg
 
 from consrate import (
     Constant,
-    FiniteDifference,
     GridFunction,
     InfeasibleProblem,
     InvariantInterval,
@@ -29,6 +29,7 @@ from consrate.gaussian import exp_h_moment, fk_kernel_weight
 from consrate.models import state_rate
 from consrate import gaussian, parallel, resolvent
 from consrate.resolvent import QuadratureOperator
+from tests.conftest import child_env
 
 VAS = Vasicek(0.03, 0.5, 0.02)
 PAPER = ProblemSpec(VAS, 0.5, 1.5304, "A")
@@ -96,26 +97,26 @@ def test_fd_constant_model_exact():
     spec = ProblemSpec(Constant(0.05), 0.5, 0.1, "A")
     psi = grid_unit(31)
     lam = 1.0
-    u = resolvent_fd(spec, psi, lam, FiniteDifference())
+    u = resolvent_fd(spec, psi, lam)
     assert np.allclose(u.values, 1.0 / (lam + 0.1 - 0.5 * 0.05), rtol=1e-14)
 
 
 def test_fd_zero_psi():
     psi = GridFunction.zeros(0.0, 0.15, 31)
-    u = resolvent_fd(PAPER, psi, 1.0, FiniteDifference())
+    u = resolvent_fd(PAPER, psi, 1.0)
     assert np.allclose(u.values, 0.0)
 
 
 def test_fd_refuses_nonpositive_zero_order():
     psi = grid_unit(31, 0.0, 8.0)  # alpha r reaches 4 > lam + gamma
     with pytest.raises(ValueError, match="positive"):
-        resolvent_fd(PAPER, psi, 0.5, FiniteDifference())
+        resolvent_fd(PAPER, psi, 0.5)
 
 
 def test_fd_agrees_with_quadrature_centrally():
     psi = grid_unit(76)
     uq = resolvent_quadrature(PAPER, psi, LAM1, quad_backend(dt=0.01, dy=0.002, t_max=12.0))
-    ufd = resolvent_fd(PAPER, psi, LAM1, FiniteDifference())
+    ufd = resolvent_fd(PAPER, psi, LAM1)
     c = central(psi.nodes)
     rel = np.abs(uq.values[c] - ufd.values[c]) / np.abs(ufd.values[c])
     assert np.max(rel) <= 1e-3
@@ -131,7 +132,7 @@ def test_backends_linear():
     mc = PathConfig(n_paths=150, dt=0.02, t_max=4.0, seed=5)
     for solve in (
         lambda p: resolvent_quadrature(PAPER, p, 1.0, quad_backend()).values,
-        lambda p: resolvent_fd(PAPER, p, 1.0, FiniteDifference()).values,
+        lambda p: resolvent_fd(PAPER, p, 1.0).values,
         lambda p: resolvent_mc(PAPER, p, 1.0, mc)[0].values,
     ):
         lhs = solve(combo)
@@ -144,7 +145,7 @@ def test_backends_positive():
     g = GridFunction.zeros(0.0, 0.15, 41)
     psi = g.with_values(rng.uniform(0.0, 3.0, 41))
     uq = resolvent_quadrature(PAPER, psi, 1.0, quad_backend())
-    ufd = resolvent_fd(PAPER, psi, 1.0, FiniteDifference())
+    ufd = resolvent_fd(PAPER, psi, 1.0)
     umc, _ = resolvent_mc(PAPER, psi, 1.0, PathConfig(n_paths=150, dt=0.02, t_max=4.0, seed=9))
     for u in (uq, ufd, umc):
         assert np.all(u.values >= 0)
@@ -170,7 +171,7 @@ def test_resolvent_identity_all_backends():
     inner = (g.nodes[1:-1] >= 0.0) & (g.nodes[1:-1] <= 0.15)
     uq = resolvent_quadrature(PAPER, psi, lam, quad_backend(dt=0.01, dy=0.002, t_max=12.0))
     assert np.max(_identity_defect(PAPER, uq, psi, lam, inner)) <= 1e-3
-    ufd = resolvent_fd(PAPER, psi, lam, FiniteDifference())
+    ufd = resolvent_fd(PAPER, psi, lam)
     assert np.max(_identity_defect(PAPER, ufd, psi, lam, inner)) <= 1e-6
     umc, _ = resolvent_mc(PAPER, psi, lam, PathConfig(n_paths=2500, dt=0.01, t_max=6.0, seed=21))
     assert np.max(_identity_defect(PAPER, umc, psi, lam, inner)) <= 1e-3
@@ -210,6 +211,23 @@ def test_mc_matches_quadrature_at_m1():
 def test_mc_requires_explicit_seed():
     with pytest.raises(TypeError):
         PathConfig(n_paths=200, dt=0.01, t_max=4.0)
+
+
+def test_resolvent_does_not_load_the_path_engines(tmp_path):
+    # in a fresh interpreter, with the package registered bare so that its
+    # __init__ (which imports every module) does not run: the two
+    # deterministic operators import nothing of consrate.simulate
+    code = (
+        "import importlib.util, sys, types\n"
+        "package = types.ModuleType('consrate')\n"
+        "package.__path__ = importlib.util.find_spec('consrate').submodule_search_locations\n"
+        "sys.modules['consrate'] = package\n"
+        "import consrate.resolvent\n"
+        "print(sorted(m for m in sys.modules if m.startswith('consrate.')))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert "consrate.resolvent" in r.stdout and "consrate.simulate" not in r.stdout, r.stdout
 
 
 def test_solve_linear_fk_constant():

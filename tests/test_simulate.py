@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from consrate import resolvent, simulate
+from consrate import simulate
 from consrate import (
     Constant,
     DivergenceError,
@@ -29,8 +29,7 @@ from consrate import (
     solve_problem_a,
     wealth_trajectory,
 )
-from consrate.resolvent import resolvent_mc
-from consrate.simulate import _euler_batch, _exact_batch, _horizon_steps, _path_rngs
+from consrate.simulate import _euler_batch, _exact_batch, _horizon_steps, _path_rngs, resolvent_mc
 from tests.oracles import joint_moment_sample
 
 VAS = Vasicek(0.03, 0.5, 0.02)
@@ -587,15 +586,16 @@ def test_resolvent_mc_checks_memory_before_allocating(monkeypatch):
     psi = GridFunction(0.0, 0.15, np.ones(7))
     cfg = PathConfig(n_paths=300, dt=0.01, t_max=10.0, seed=17, workers=2)
     with monkeypatch.context() as m:
-        m.setattr(resolvent, "memory_budget", lambda: 2**20)
-        m.setattr(resolvent, "fork_map", never)
+        m.setattr(simulate, "memory_budget", lambda: 2**20)
+        m.setattr(simulate, "fork_map", never)
         sizes = (
             r"the Monte Carlo resolvent needs 11\.9 MiB: 5\.9 MiB of path arrays for each of 2 workers and "
-            r"0\.0 MiB of path integrals, but only 1\.0 MiB is available"
+            r"0\.0 MiB of path integrals, but only 1\.0 MiB is available; "
+            r"lower paths\.t_max / paths\.dt, paths\.n_paths or --threads"
         )
         with pytest.raises(InsufficientMemory, match=sizes):
             resolvent_mc(PAPER_A, psi, 0.5 + 1e-5, cfg)
-    monkeypatch.setattr(resolvent, "memory_budget", lambda: 2**40)
+    monkeypatch.setattr(simulate, "memory_budget", lambda: 2**40)
     u, _ = resolvent_mc(PAPER_A, psi, 0.5 + 1e-5, cfg)
     assert u.values[0] == float.fromhex("0x1.fa4bc33861516p-2")
 
