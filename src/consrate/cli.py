@@ -35,17 +35,14 @@ from .svgfig import Panel, write_figure
 
 MODELS = {"vasicek": Vasicek, "interval": InvariantInterval, "bm": DriftedBM, "gbm": GeometricBM, "constant": Constant}
 BACKENDS = {"quadrature": Quadrature, "fd": FiniteDifference}
-OPTIONAL = float | None
 
 # Every configuration key: its default, its kind, and the settings fields it
-# feeds. A kind is bool (yes/no), int, float, OPTIONAL (a number, or the
-# empty default for none), the allowed values of a choice, or str (a name,
-# which SolverConfig checks); choices and names ignore case. A field is
-# object.field, where the objects are the model, spec (ProblemSpec), grid
-# (GridFunction.zeros), quad (Quadrature), solver (hjb.SolverConfig), paths
-# (simulate.PathConfig), sim (the start state, _check_start) and portfolio
-# (portfolio.eta_from_beta). A key that feeds no field is read by its
-# command.
+# feeds. A kind is bool (yes/no), int, float (a number), or the allowed
+# values of a choice, which ignores case. A field is object.field, where the
+# objects are the model, spec (ProblemSpec), grid (GridFunction.zeros), quad
+# (Quadrature), solver (hjb.SolverConfig), paths (simulate.PathConfig), sim
+# (the start state, _check_start) and portfolio (portfolio.eta_from_beta). A
+# key that feeds no field is read by its command.
 KEYS: dict = {
     "model.kind": ("vasicek", tuple(MODELS), "spec.model"),
     "model.a": (0.03, float, "model.a"),
@@ -59,19 +56,16 @@ KEYS: dict = {
     "grid.r_min": (0.0, float, "grid.r_min"),
     "grid.r_max": (0.15, float, "grid.r_max"),
     "grid.n": (76, int, "grid.n_nodes"),
-    "solver.backend": ("quadrature", str, "solver.backend"),
+    "solver.backend": ("quadrature", tuple(BACKENDS), "solver.backend"),
     "solver.m_max": (16, int, "solver.m_max"),
     "solver.n_max": (10, int, "solver.n_max"),
-    "solver.eps1": (1e-3, float, "solver.eps1"),
     "solver.eps2": (1e-5, float, "solver.eps2"),
-    "solver.theta": ("", OPTIONAL, "solver.theta_bound"),
     "solver.tol_n": (1e-6, float, "solver.tol_n"),
     "solver.tol_m": (1e-4, float, "solver.tol_m"),
     "solver.pad": (0.05, float, "solver.pad"),
     "quad.dt": (0.01, float, "quad.dt"),
     "quad.t_max": (12.0, float, "quad.t_max"),
     "quad.dy": (0.002, float, "quad.dy"),
-    "quad.y_halfwidth": ("", OPTIONAL, "quad.y_halfwidth"),
     "paths.dt": (0.0025, float, "paths.dt"),
     "paths.t_max": (40.0, float, "paths.t_max"),
     "paths.n_paths": (10000, int, "paths.n_paths"),
@@ -111,14 +105,12 @@ def _coerce(key: str, raw: str):
         if raw.lower() not in YES + NO:
             raise ValueError(f"{key} must be one of 1/true/yes/on or 0/false/no/off, got {raw!r}")
         return raw.lower() in YES
-    if kind in (int, float, OPTIONAL):
-        if kind == OPTIONAL and not raw:
-            return ""
+    if kind in (int, float):
         try:
-            return (int if kind is int else float)(raw)
+            return kind(raw)
         except ValueError:
             raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {raw!r}") from None
-    if isinstance(kind, tuple) and raw.lower() not in kind:
+    if raw.lower() not in kind:
         raise ValueError(f"{key} must be {', '.join(map(repr, kind[:-1]))} or {kind[-1]!r}, got {raw!r}")
     return raw.lower()
 
@@ -157,14 +149,14 @@ def resolve_config(args) -> dict:
 
 def _fill(make, cfg: dict, obj: str, **given):
     """make(**given), with each other parameter of make from the key that
-    feeds obj.<parameter> (the empty value meaning None). A ValueError from
-    make is re-raised naming the keys whose fields it mentions, or all the
-    keys that fed make if it mentions none, unless it names one already."""
+    feeds obj.<parameter>. A ValueError from make is re-raised naming the
+    keys whose fields it mentions, or all the keys that fed make if it
+    mentions none, unless it names one already."""
     params = inspect.signature(make).parameters
     fed = {f: key for key, (_, _, feeds) in KEYS.items() for o, f in (t.split(".") for t in feeds.split())
            if o == obj and f in params}
     try:
-        return make(**{f: None if cfg[key] == "" else cfg[key] for f, key in fed.items() if f not in given}, **given)
+        return make(**{f: cfg[key] for f, key in fed.items() if f not in given}, **given)
     except ValueError as exc:
         words = set(re.findall(r"\w+", str(exc)))
         keys = [key for f, key in fed.items() if f in words] or list(fed.values())
@@ -184,9 +176,8 @@ def build_spec(cfg: dict, variant: str) -> ProblemSpec:
 
 def build_backend(cfg: dict):
     """The resolvent that solver.backend names, the quadrature's settings
-    from the quad.* keys; another name is passed on for SolverConfig to reject."""
-    name = cfg["solver.backend"]
-    return _fill(BACKENDS[name], cfg, "quad") if name in BACKENDS else name
+    from the quad.* keys."""
+    return _fill(BACKENDS[cfg["solver.backend"]], cfg, "quad")
 
 
 def build_solver_config(cfg: dict, model) -> hjb.SolverConfig:

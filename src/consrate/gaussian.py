@@ -19,7 +19,8 @@ from .grids import GridFunction
 from .models import Constant, InvariantInterval, ProblemSpec, Vasicek
 from .parallel import check_memory, memory_budget
 
-# semigroup_apply: how far the y mesh reaches beyond the grid, in kernel widths
+# how far the y mesh of semigroup_apply and of resolvent.QuadratureOperator
+# reaches beyond the grid, in kernel widths (the operator's: stationary ones)
 _PAD_SIGMAS = 6.0
 # supersolution_N: time step and relative cutoff of the Vasicek integral, the
 # time steps of one chunk (the unit of the stop test), and the values of one

@@ -32,9 +32,10 @@ from .resolvent import (
 # accuracy of one resolvent step; the monotonicity guard aborts a run whose
 # iterate falls, or escapes its bracket, by more than ten times this
 _TOLERANCE = 1e-6
-# K_L solves and Problem-B stencils kept: compute_KL after solve_problem_b on
-# one case reuses its solve, and the case's Ntilde and iteration reuse K_L's
-# last stencil (8 kept solves raised a 204-case sweep's peak RSS by 0.4 MB)
+# K_L solves kept, each with its last stencil: compute_KL after
+# solve_problem_b on one case reuses its solve, and the case's Ntilde and
+# iteration run on that stencil (8 kept solves raised a 204-case sweep's peak
+# RSS by 0.4 MB)
 _KL_CACHE = 1
 
 
@@ -52,9 +53,7 @@ class SolverConfig:
     backend: ResolventBackend
     m_max: int = 16
     n_max: int = 10
-    eps1: float = 1e-3
     eps2: float = 1e-5
-    theta_bound: float | None = None
     tol_n: float = 1e-6
     tol_m: float = 1e-4
     pad: float = 0.05
@@ -138,15 +137,13 @@ def clamp_F(m: float, alpha: float, x):
 
 
 def lambda_schedule(spec: ProblemSpec, config: SolverConfig, m: int) -> float:
-    """lambda_m = max(theta - gamma + eps1, alpha m + eps2); the first branch
-    drops out when no semigroup growth bound is supplied (valid when gamma
-    exceeds the growth rate, as in the reference runs)."""
+    """lambda_m = alpha m + eps2. The paper's schedule also takes the max
+    with theta - gamma plus a margin, which a finite verdict makes negative
+    (gamma > gamma_1 >= theta); under --force, QuadratureOperator refuses a
+    level with lambda + gamma <= theta before it allocates anything."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    lam = spec.alpha * m + config.eps2
-    if config.theta_bound is not None:
-        lam = max(config.theta_bound - spec.gamma + config.eps1, lam)
-    return lam
+    return spec.alpha * m + config.eps2
 
 
 def _extended_nodes(spec: ProblemSpec, grid: GridFunction, pad: float):
@@ -305,34 +302,28 @@ def _package(spec, config, window, k, upper, trace, iterates) -> Solution:
 
 
 @functools.lru_cache(maxsize=_KL_CACHE)
-def _b_operator(spec: ProblemSpec, h: float, n: int) -> FDOperator:
-    """Problem B's finite-difference operator on the nodes h * arange(n), with
-    K(0) = 1 pinned and the Robin rule far out; cached, so that K_L's last
-    solve, Ntilde and the iteration share the one stencil on K_L's converged
-    node set (and its factored systems, when a case is solved again)."""
-    return FDOperator(spec, h * np.arange(n), (("dirichlet", 1.0), ("robin", robin_rate(spec))))
-
-
-@functools.lru_cache(maxsize=_KL_CACHE)
 def _kl_extended(spec: ProblemSpec, r_min: float, r_max: float, n_nodes: int, tol_n: float):
     """Hitting functional K_L on a truncation [0, R] doubled from
-    max(2 r_max, 0.3) to convergence; returns read-only (nodes, values),
-    cached. The discrete operator is shared with the problem-B iteration
-    so K_L stays an exact discrete subsolution."""
+    max(2 r_max, 0.3) to convergence; returns (op, values), cached, where op
+    is Problem B's finite-difference operator on the converged (read-only)
+    nodes h * arange(n), with K(0) = 1 pinned and the Robin rule far out.
+    Ntilde and the problem-B iteration run on this one stencil (and its
+    factored systems, when a case is solved again), so K_L stays an exact
+    discrete subsolution."""
     if abs(r_min) > 1e-12:
         raise ValueError("problem-B grids must start at r = 0")
     h = (r_max - r_min) / (n_nodes - 1)
     R = max(2.0 * r_max, 0.3)
     prev = None
     while True:
-        op = _b_operator(spec, h, max(int(round(R / h)), n_nodes - 1) + 1)
-        nodes = op.nodes
+        nodes = h * np.arange(max(int(round(R / h)), n_nodes - 1) + 1)
+        op = FDOperator(spec, nodes, (("dirichlet", 1.0), ("robin", robin_rate(spec))))
         c0 = spec.gamma - spec.alpha * nodes
         u = op.system(c0, (("dirichlet", 1.0), ("dirichlet", 1.0))).solve(np.zeros(nodes.size))
         vals = u[:n_nodes]
         if prev is not None and float(np.abs(vals - prev).max()) < tol_n:
             nodes.flags.writeable = u.flags.writeable = False
-            return nodes, u
+            return op, u
         prev = vals
         R *= 2.0
         if R > 1000.0 * max(r_max, 1.0):
@@ -368,8 +359,8 @@ def solve_problem_b(spec: ProblemSpec, config: SolverConfig, *, force: bool = Fa
     if not force:
         classify(spec).require()
     grid = config.grid
-    nodes, kl = _kl_extended(spec, grid.r_min, grid.r_max, grid.n_nodes, config.tol_n)
-    op = _b_operator(spec, grid.step, nodes.size)
+    op, kl = _kl_extended(spec, grid.r_min, grid.r_max, grid.n_nodes, config.tol_n)
+    nodes = op.nodes
     # Ntilde: the supersolution stopped at 0 (absorbing Dirichlet), Robin far out
     c0 = (spec.gamma - spec.alpha * nodes) / (1.0 - spec.alpha)
     ntil = op.system(c0, (("dirichlet", 0.0), op.bcs[1])).solve(np.ones(nodes.size))

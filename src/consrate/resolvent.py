@@ -21,6 +21,7 @@ import numpy as np
 from .blas import csr_matvecs, dgemm, dgttrf, dgttrs
 from .feasibility import require_finite_N, theta_growth
 from .gaussian import (
+    _PAD_SIGMAS,
     _fill_cells,
     envelope_rate,
     fk_kernel_weight,
@@ -39,14 +40,11 @@ class Quadrature:
     dt: float = 0.01
     t_max: float = 12.0
     dy: float = 0.002
-    y_halfwidth: float | None = None
     workers: int = 0  # operator build worker processes: at most this many, 0 for one per available core
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_max < self.dt or self.dy <= 0:
             raise ValueError("quadrature steps and horizon must be positive")
-        if self.y_halfwidth is not None and not self.y_halfwidth > 0:
-            raise ValueError(f"quad.y_halfwidth must be positive, got {self.y_halfwidth:g}")
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0 (0 means one per available core), got {self.workers}")
 
@@ -216,7 +214,7 @@ class QuadratureOperator:
                 "shrink dy (roughly dy <= sigma*sqrt(dt)) or enlarge dt"
             )
         stat_sd = math.sqrt(float(ou_moments(model, 0.0, backend.t_max).var_r))
-        hw = backend.y_halfwidth if backend.y_halfwidth is not None else 6.0 * stat_sd
+        hw = _PAD_SIGMAS * stat_sd
         long_mean = model.a / model.b
         y_lo = min(grid.r_min, long_mean) - hw
         y_hi = max(grid.r_max, long_mean) + hw

@@ -68,11 +68,6 @@ def test_clamp_rejects_negative():
 def test_lambda_schedule():
     cfg = SolverConfig(grid=GridFunction.zeros(0, 0.15, 11), backend=FiniteDifference(), eps2=1e-5)
     assert lambda_schedule(PAPER_A, cfg, 65) == pytest.approx(32.50001)
-    cfg2 = SolverConfig(
-        grid=cfg.grid, backend=cfg.backend, eps1=0.1, eps2=1e-5, theta_bound=2.0
-    )
-    spec = ProblemSpec(VAS, 0.5, 1.0, "A")
-    assert lambda_schedule(spec, cfg2, 1) == pytest.approx(1.1)
     cfg3 = SolverConfig(grid=cfg.grid, backend=cfg.backend, eps2=1e-12)
     assert lambda_schedule(PAPER_A, cfg3, 1) == pytest.approx(0.5)
 
@@ -384,8 +379,8 @@ def test_kl_doubling_loop_runs_once_per_problem_b_case():
     kl.values[:] = 0.0
     assert np.array_equal(compute_KL(PAPER_B, cfg).values, expect)
     assert np.all(sol.K.values >= expect - 1e-9)
-    nodes, u = hjb._kl_extended(PAPER_B, 0.0, 0.15, 76, cfg.tol_n)
-    assert not nodes.flags.writeable and not u.flags.writeable
+    op, u = hjb._kl_extended(PAPER_B, 0.0, 0.15, 76, cfg.tol_n)
+    assert not op.nodes.flags.writeable and not u.flags.writeable
 
 
 def test_problem_b_case_assembles_two_stencils(monkeypatch):
@@ -400,13 +395,22 @@ def test_problem_b_case_assembles_two_stencils(monkeypatch):
 
     monkeypatch.setattr(resolvent.FDOperator, "__init__", counting_init)
     hjb._kl_extended.cache_clear()
-    hjb._b_operator.cache_clear()
     cfg = SolverConfig(grid=GridFunction.zeros(0.0, 0.15, 101), backend=FiniteDifference(), m_max=16, n_max=40)
     spec = ProblemSpec(VAS, 0.5, 1.4, "B")
     sol = solve_problem_b(spec, cfg)
     kl = compute_KL(spec, cfg)
     assert built == [201, 401]
     assert sol.K.values.size == kl.values.size == 101
+
+
+def test_forced_problem_b_below_gamma_1_aborts_loudly():
+    # gamma = 0.02 is below gamma_1, so the iterate leaves the bracket
+    # K_L <= K <= K_L + Ntilde^{1-alpha} at once; without the bracket check
+    # the run would finish with an HJB residual near 1
+    cfg = SolverConfig(grid=GridFunction.zeros(0.0, 0.15, 76), backend=FiniteDifference())
+    with pytest.raises(MonotonicityError, match="escaped its bracketing profile") as err:
+        solve_problem_b(ProblemSpec(VAS, 0.5, 0.02, "B"), cfg, force=True)
+    assert err.value.trace.worst_bound_violation > 1e-5
 
 
 def test_extended_nodes_stay_in_the_domain_closure():

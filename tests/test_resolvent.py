@@ -257,16 +257,16 @@ def test_solve_linear_fk_infeasible():
         solve_linear_fk_ode(ProblemSpec(InvariantInterval(0.0, 0.3, 1.0, 10.0), 0.5, 0.1, "A"))
 
 
-def test_window_halving_doubling_stability():
-    # the truncation-halfwidth choice must not move central values
+def test_window_halving_doubling_stability(monkeypatch):
+    # the truncation-halfwidth choice must not move central values: the y mesh
+    # reaches 6 stationary widths (0.12 here); 3 and 12 halve and double it
     psi = grid_unit(61)
-    base = resolvent_quadrature(PAPER, psi, LAM1, quad_backend(dt=0.01, dy=0.002, t_max=12.0))
-    half = resolvent_quadrature(
-        PAPER, psi, LAM1, quad_backend(dt=0.01, dy=0.002, t_max=12.0, y_halfwidth=0.06)
-    )
-    double = resolvent_quadrature(
-        PAPER, psi, LAM1, quad_backend(dt=0.01, dy=0.002, t_max=12.0, y_halfwidth=0.24)
-    )
+    backend = quad_backend(dt=0.01, dy=0.002, t_max=12.0)
+    base = resolvent_quadrature(PAPER, psi, LAM1, backend)
+    monkeypatch.setattr(resolvent, "_PAD_SIGMAS", 3.0)
+    half = resolvent_quadrature(PAPER, psi, LAM1, backend)
+    monkeypatch.setattr(resolvent, "_PAD_SIGMAS", 12.0)
+    double = resolvent_quadrature(PAPER, psi, LAM1, backend)
     c = central(psi.nodes)
     for other in (half, double):
         assert np.max(np.abs(other.values[c] - base.values[c]) / base.values[c]) < 1e-3
@@ -491,12 +491,6 @@ def test_extension_rejects_rows_of_another_y_mesh():
 def test_memory_budget_reads_this_machine():
     budget = parallel.memory_budget()
     assert budget is None or budget > 0
-
-
-def test_quadrature_rejects_nonpositive_y_halfwidth():
-    for hw in (0.0, -0.1):
-        with pytest.raises(ValueError, match="y_halfwidth must be positive"):
-            quad_backend(y_halfwidth=hw)
 
 
 def test_quadrature_rejects_unbuilt_lambda():

@@ -318,6 +318,22 @@ def desk_policy():
     return solve_problem_a(PAPER_A, cfg).policy_c
 
 
+def test_desk_j_blocks_reuse_their_pages(desk_policy):
+    # each exact row chunk runs in one chunk's r and h that every chunk
+    # reuses: after the first block's warm-up a block takes a few hundred
+    # minor page faults at most, where r and h allocated per chunk made these
+    # blocks take about 7.8k each
+    resource = pytest.importorskip("resource")
+    cfg = PathConfig(dt=0.0025, t_max=40.0, n_paths=10_000, seed=1, workers=1)
+    times = cfg.dt * np.arange(7746)
+    faults = []
+    for start in range(0, 1025, 256):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        simulate._j_block(PAPER_A, desk_policy, 0.05, cfg, times, start)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert max(faults[1:]) < 2000, faults
+
+
 def test_estimate_j_horizon_cut_keeps_j(desk_policy):
     # the bound stops the desk paths near t = 12.4; the integral past it is
     # below J's rounding unit, so J matches the full horizon t_max = 40
