@@ -67,13 +67,7 @@ from .portfolio import (
     eta_from_beta,
     value_c,
 )
-from .resolvent import (
-    FiniteDifference,
-    Quadrature,
-    resolvent_fd,
-    resolvent_quadrature,
-    solve_linear_fk_ode,
-)
+from .resolvent import FiniteDifference, Quadrature, solve_linear_fk_ode
 from .simulate import (
     JEstimate,
     KLEstimate,

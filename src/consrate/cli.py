@@ -147,22 +147,31 @@ def resolve_config(args) -> dict:
     return cfg
 
 
-def _fill(make, cfg: dict, obj: str, **given):
-    """make(**given), with each other parameter of make from the key that
-    feeds obj.<parameter>. A ValueError from make is re-raised naming the
-    keys whose fields it mentions, or all the keys that fed make if it
-    mentions none, unless it names one already."""
-    params = inspect.signature(make).parameters
-    fed = {f: key for key, (_, _, feeds) in KEYS.items() for o, f in (t.split(".") for t in feeds.split())
-           if o == obj and f in params}
+def _fed(objs: str, params=None) -> dict:
+    """{field: key} for each key that feeds a field (in params, if given) of one of objs."""
+    return {f: key for key, (_, _, feeds) in KEYS.items() for o, f in (t.split(".") for t in feeds.split())
+            if o in objs.split() and (params is None or f in params)}
+
+
+def _naming(fed: dict, run):
+    """run(). A ValueError from it is re-raised naming the keys of fed whose
+    fields it mentions, or all of them if it mentions none, unless it names
+    one already."""
     try:
-        return make(**{f: cfg[key] for f, key in fed.items() if f not in given}, **given)
+        return run()
     except ValueError as exc:
         words = set(re.findall(r"\w+", str(exc)))
         keys = [key for f, key in fed.items() if f in words] or list(fed.values())
         if any(key in str(exc) for key in keys):
             raise
-        raise ValueError(f"{', '.join(keys)}: {exc}") from None
+        raise type(exc)(f"{', '.join(keys)}: {exc}") from None
+
+
+def _fill(make, cfg: dict, obj: str, **given):
+    """make(**given), with each other parameter of make from the key that
+    feeds obj.<parameter>, through _naming."""
+    fed = _fed(obj, inspect.signature(make).parameters)
+    return _naming(fed, lambda: make(**{f: cfg[key] for f, key in fed.items() if f not in given}, **given))
 
 
 def build_model(cfg: dict):
@@ -174,14 +183,10 @@ def build_spec(cfg: dict, variant: str) -> ProblemSpec:
     return _fill(ProblemSpec, cfg, "spec", model=build_model(cfg), variant=variant)
 
 
-def build_backend(cfg: dict):
-    """The resolvent that solver.backend names, the quadrature's settings
-    from the quad.* keys."""
-    return _fill(BACKENDS[cfg["solver.backend"]], cfg, "quad")
-
-
 def build_solver_config(cfg: dict, model) -> hjb.SolverConfig:
-    backend = build_backend(cfg)
+    """The solver settings, with the resolvent that solver.backend names and
+    the quadrature's settings from the quad.* keys."""
+    backend = _fill(BACKENDS[cfg["solver.backend"]], cfg, "quad")
     if not isinstance(model, Vasicek) and isinstance(backend, Quadrature):
         backend = FiniteDifference()  # the kernel quadrature is Vasicek-only
     return _fill(hjb.SolverConfig, cfg, "solver", grid=_fill(GridFunction.zeros, cfg, "grid"), backend=backend)
@@ -295,11 +300,12 @@ def cmd_solve(args, cfg: dict, variant: str) -> int:
         grid = solver_cfg.grid
         beta = portfolio.beta_hat(spec, 0.5 * (grid.r_min + grid.r_max))
         pol = _fill(portfolio.eta_from_beta, cfg, "portfolio", beta=beta, b=spec.model.b)
-    out = _outdir(args)
     report = feas.classify(spec)
     if report.verdict is not feas.Feasibility.FINITE and not args.force:
         print(f"feasibility gate: {report.verdict.value} ({report.reason}); use --force to override")
         return 2 if report.verdict is feas.Feasibility.INFINITE else 3
+    _naming(_fed("spec grid solver"), lambda: hjb.check_solvable(spec, solver_cfg))
+    out = _outdir(args)
     solve = {"A": hjb.solve_problem_a, "B": hjb.solve_problem_b, "C": hjb.solve_problem_c}[variant]
     try:
         sol = solve(spec, solver_cfg, force=args.force)
@@ -330,33 +336,27 @@ def _peak_rss_mb(who) -> str:
     return f"{resource.getrusage(who).ru_maxrss / 1024:.1f}"
 
 
-def _load_solution(args):
+def _load_solution(args, r0=None):
     """The output directory, and K and c_hat of its solution.csv as grid
-    functions; None for them, with a note, if the file is missing."""
+    functions; None for them, with a note, if the file is missing. Refuses
+    (ValueError) a start rate r0 outside the solved grid, where K and c_hat
+    would be read at the grid's edge."""
     out = _outdir(args)
     if not (out / "solution.csv").exists():
         print(f"no solution.csv in {out}; run solve first")
         return out, None
     data = read_csv(out / "solution.csv")
     r = data["r"]
+    if r0 is not None and not r[0] <= r0 <= r[-1]:
+        raise ValueError(f"sim.r0={fmt(r0)} lies outside the solved grid [{fmt(r[0])}, {fmt(r[-1])}]")
     return out, {col: GridFunction(float(r[0]), float(r[-1]), data[col]) for col in ("K", "c_hat")}
-
-
-def _load_start_solution(args, cfg: dict):
-    """_load_solution, refusing (ValueError) a sim.r0 outside the solved
-    grid, where K and c_hat would be read at the grid's edge."""
-    out, sol = _load_solution(args)
-    grid = sol and sol["K"]
-    if grid is not None and not grid.r_min <= cfg["sim.r0"] <= grid.r_max:
-        raise ValueError(f"sim.r0={fmt(cfg['sim.r0'])} lies outside the solved grid [{fmt(grid.r_min)}, {fmt(grid.r_max)}]")
-    return out, sol
 
 
 def cmd_simulate(args, cfg: dict) -> int:
     model = build_model(cfg)
     pcfg = _fill(simulate.PathConfig, cfg, "paths")
     _fill(_check_start, cfg, "sim", model=model)
-    out, sol = _load_start_solution(args, cfg)
+    out, sol = _load_solution(args, cfg["sim.r0"])
     if sol is None:
         return 5
     path = simulate.sample_path(model, cfg["sim.r0"], pcfg)
@@ -391,7 +391,7 @@ def cmd_estimate(args, cfg: dict) -> int:
     spec = build_spec(cfg, "A")
     pcfg = _fill(simulate.PathConfig, cfg, "paths")
     _fill(_check_start, cfg, "sim", model=spec.model)
-    out, sol = _load_start_solution(args, cfg)
+    out, sol = _load_solution(args, cfg["sim.r0"])
     if sol is None:
         return 5
     t0 = time.perf_counter()

@@ -45,11 +45,6 @@ class GridFunction:
     def zeros(cls, r_min: float, r_max: float, n_nodes: int) -> "GridFunction":
         return cls(r_min, r_max, np.zeros(n_nodes))
 
-    @classmethod
-    def from_callable(cls, r_min: float, r_max: float, n_nodes: int, fn) -> "GridFunction":
-        x = np.linspace(r_min, r_max, n_nodes)
-        return cls(r_min, r_max, np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape).copy())
-
     def __call__(self, x):
         return np.interp(x, self.nodes, self.values)
 

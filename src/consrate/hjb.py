@@ -16,26 +16,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HorizonError, InfeasibleProblem, MonotonicityError
-from .feasibility import classify
+from .feasibility import classify, require_finite_N
 from .gaussian import supersolution_N
 from .grids import GridFunction
 from .models import Constant, ProblemSpec, Vasicek, domain, generator_apply, state_rate
-from .resolvent import (
-    FDOperator,
-    FiniteDifference,
-    Quadrature,
-    QuadratureOperator,
-    ResolventBackend,
-    robin_rate,
-)
+from .resolvent import FDOperator, FiniteDifference, Quadrature, QuadratureOperator, _auto_bcs, robin_rate
 
 # accuracy of one resolvent step; the monotonicity guard aborts a run whose
 # iterate falls, or escapes its bracket, by more than ten times this
 _TOLERANCE = 1e-6
-# K_L solves kept, each with its last stencil: compute_KL after
-# solve_problem_b on one case reuses its solve, and the case's Ntilde and
-# iteration run on that stencil (8 kept solves raised a 204-case sweep's peak
-# RSS by 0.4 MB)
+# K_L solves kept, each with its stencil and the factored system of its last
+# lambda: compute_KL after solve_problem_b on one case reuses its solve, and
+# the case's Ntilde and iteration run on that stencil (8 kept solves raised a
+# 204-case sweep's peak RSS by 0.4 MB)
 _KL_CACHE = 1
 
 
@@ -50,7 +43,7 @@ class SolverConfig:
     """
 
     grid: GridFunction
-    backend: ResolventBackend
+    backend: Quadrature | FiniteDifference
     m_max: int = 16
     n_max: int = 10
     eps2: float = 1e-5
@@ -108,7 +101,6 @@ class Solution:
     N_pow: GridFunction | None
     policy_c: GridFunction
     trace: IterationTrace
-    spec: ProblemSpec
     iterates: list[np.ndarray]
     operator: dict = field(default_factory=dict)
 
@@ -168,6 +160,23 @@ def _extended_nodes(spec: ProblemSpec, grid: GridFunction, pad: float):
     if dom.lo <= grid.r_min and grid.r_max <= dom.hi:  # rounding must not carry a node out of the domain
         np.clip(nodes, dom.lo, dom.hi, out=nodes)
     return nodes, k_lo, k_lo + grid.n_nodes - 1
+
+
+def check_solvable(spec: ProblemSpec, config: SolverConfig) -> None:
+    """The checks of model and grid that the solver of spec's variant makes
+    before any work, as ValueError (InfeasibleProblem for C's N, which
+    supersolution_N checks first): Problem B needs the Vasicek model and a
+    grid from r = 0, Problem C a finite N, and the finite-difference Problem A
+    a boundary rule on its padded nodes."""
+    if spec.variant == "B":
+        if not isinstance(spec.model, Vasicek):
+            raise ValueError("problem B is implemented for the Vasicek model")
+        if abs(config.grid.r_min) > 1e-12:
+            raise ValueError("problem-B grids must start at r_min = 0")
+    elif spec.variant == "C":
+        require_finite_N(spec)
+    elif isinstance(config.backend, FiniteDifference):
+        _auto_bcs(spec, _extended_nodes(spec, config.grid, config.pad)[0])
 
 
 def _upper_profile(spec: ProblemSpec, nodes: np.ndarray, force: bool):
@@ -252,6 +261,7 @@ def solve_problem_a(spec: ProblemSpec, config: SolverConfig, *, force: bool = Fa
         raise ValueError("solve_problem_a requires a variant-A spec")
     if not force:
         classify(spec).require()
+    check_solvable(spec, config)
     nodes, i0, i1 = _extended_nodes(spec, config.grid, config.pad)
     window = slice(i0, i1 + 1)
     # only the window's N is read; its time cutoff, tested on fewer nodes,
@@ -294,7 +304,7 @@ def _package(spec, config, window, k, upper, trace, iterates) -> Solution:
         raise MonotonicityError("converged K is not strictly positive", trace=trace)
     n_pow = GridFunction(grid.r_min, grid.r_max, upper) if upper is not None else None
     policy = optimal_consumption(k_rep, spec.alpha)
-    return Solution(K=k_rep, N_pow=n_pow, policy_c=policy, trace=trace, spec=spec, iterates=iterates)
+    return Solution(K=k_rep, N_pow=n_pow, policy_c=policy, trace=trace, iterates=iterates)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +317,9 @@ def _kl_extended(spec: ProblemSpec, r_min: float, r_max: float, n_nodes: int, to
     max(2 r_max, 0.3) to convergence; returns (op, values), cached, where op
     is Problem B's finite-difference operator on the converged (read-only)
     nodes h * arange(n), with K(0) = 1 pinned and the Robin rule far out.
-    Ntilde and the problem-B iteration run on this one stencil (and its
-    factored systems, when a case is solved again), so K_L stays an exact
-    discrete subsolution."""
-    if abs(r_min) > 1e-12:
-        raise ValueError("problem-B grids must start at r = 0")
+    Ntilde and the problem-B iteration run on this one stencil, so K_L stays
+    an exact discrete subsolution; the cached operator keeps the factored
+    system of its last lambda only."""
     h = (r_max - r_min) / (n_nodes - 1)
     R = max(2.0 * r_max, 0.3)
     prev = None
@@ -339,8 +347,7 @@ def compute_KL(spec: ProblemSpec, config: SolverConfig) -> GridFunction:
     homogeneous equation with K_L(0) = K_L(R) = 1 and R doubled to convergence."""
     if spec.variant != "B":
         raise ValueError("compute_KL belongs to problem B")
-    if not isinstance(spec.model, Vasicek):
-        raise ValueError("compute_KL is implemented for the Vasicek model")
+    check_solvable(spec, config)
     grid = config.grid
     _, u = _kl_extended(spec, grid.r_min, grid.r_max, grid.n_nodes, config.tol_n)
     return GridFunction(grid.r_min, grid.r_max, u[: grid.n_nodes].copy())
@@ -354,8 +361,7 @@ def solve_problem_b(spec: ProblemSpec, config: SolverConfig, *, force: bool = Fa
     asserts the bracketing K_L <= K <= K_L + Ntilde^{1-alpha}."""
     if spec.variant != "B":
         raise ValueError("solve_problem_b requires a variant-B spec")
-    if not isinstance(spec.model, Vasicek):
-        raise ValueError("problem B is implemented for the Vasicek model")
+    check_solvable(spec, config)
     if not force:
         classify(spec).require()
     grid = config.grid
@@ -413,7 +419,7 @@ def hjb_residual(spec: ProblemSpec, K: GridFunction) -> tuple[GridFunction, Grid
         raise ValueError("K must be strictly positive on interior nodes")
     nodes = K.nodes[1:-1]
     d1, d2 = grid_derivatives(K)
-    q = generator_apply(spec.model, mid, d1, d2, nodes)
+    q = generator_apply(spec.model, d1, d2, nodes)
     raw = q + (spec.alpha * state_rate(spec.model, nodes) - spec.gamma) * mid + (1.0 - spec.alpha) * np.power(
         mid, spec.alpha / (spec.alpha - 1.0)
     )

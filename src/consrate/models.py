@@ -92,12 +92,6 @@ class Interval:
     def degenerate(self) -> bool:
         return self.lo == self.hi
 
-    def contains(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if self.degenerate:
-            return r == self.lo
-        return (r > self.lo) & (r < self.hi)
-
     def contains_closure(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if self.degenerate:
@@ -172,15 +166,13 @@ def state_rate(model: ShortRateModel, r):
     return _match(r, out)
 
 
-def generator_apply(model: ShortRateModel, f, fp, fpp, r):
+def generator_apply(model: ShortRateModel, fp, fpp, r):
     """Formal generator Q f(r) = 0.5 sigma^2(r) f'' + mu(r) f'.
 
     Derivatives are supplied by the caller (for instance central differences
     on a grid function), so the generator can be tested independently of any
-    discretization. The function value f itself does not enter Q; it is
-    accepted so call sites can pass the full (f, f', f'') triple they hold.
+    discretization.
     """
-    del f
     sig = diffusion(model, r)
     mu = drift(model, r)
     out = 0.5 * np.asarray(sig) ** 2 * np.asarray(fpp, dtype=float) + np.asarray(mu) * np.asarray(fp, dtype=float)

@@ -14,7 +14,6 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -52,9 +51,6 @@ class Quadrature:
 @dataclass(frozen=True)
 class FiniteDifference:
     """Central-difference boundary-value solve of the resolvent ODE."""
-
-
-ResolventBackend = Union[Quadrature, FiniteDifference]
 
 
 def robin_rate(spec: ProblemSpec) -> float:
@@ -321,14 +317,6 @@ class QuadratureOperator:
         return mat @ psi_values + d * psi_values
 
 
-def resolvent_quadrature(
-    spec: ProblemSpec, psi: GridFunction, lam: float, backend: Quadrature
-) -> GridFunction:
-    """Quadrature evaluation of u = (lambda + gamma - A)^{-1} psi (Vasicek)."""
-    op = QuadratureOperator(spec, psi, backend, (lam,))
-    return psi.with_values(op.apply(lam, psi.values))
-
-
 # ---------------------------------------------------------------------------
 # finite differences
 
@@ -387,11 +375,11 @@ def _auto_bcs(spec: ProblemSpec, nodes: np.ndarray) -> tuple[tuple, tuple]:
         return ("robin", left_rate), ("robin", rate)
     if isinstance(model, InvariantInterval):
         if abs(nodes[0] - model.a) > 1e-9 or abs(nodes[-1] - model.b) > 1e-9:
-            raise ValueError("interval-model FD grids must span [a, b] where the volatility degenerates")
+            raise ValueError("interval FD nodes must run from r_min = a to r_max = b, where sigma vanishes")
         return ("degenerate",), ("degenerate",)
     if isinstance(model, Constant):
         return ("diagonal",), ("diagonal",)
-    raise ValueError(f"no truncation boundary rule for {type(model).__name__}")
+    raise ValueError(f"no truncation boundary rule for the {type(model).__name__} model")
 
 
 class FDOperator:
@@ -402,12 +390,12 @@ class FDOperator:
     they add to c0 on the diagonal, and the coefficients at the end nodes. The
     interior sign check runs here too: it keeps the largest off-diagonal entry
     above _SIGN_TOL, the smallest tolerance a system can have, for each system
-    to compare with its own. Each system folds its own boundary rows in, so
-    every system on these nodes shares the one assembly: apply's use ``bcs``
-    (fd_system's (left, right) rule pair, by default the model's truncation
-    rules) and system(c0, bcs) takes any other. Each lambda's system is formed
-    and checked on the first apply at that lambda, and factored by that
-    apply's solve, so every further apply is one dgttrs.
+    to compare with its own. Each system folds its own boundary rows into
+    copies of the off-diagonals, so every system on these nodes shares the one
+    assembly: apply's use ``bcs`` (fd_system's (left, right) rule pair, by
+    default the model's truncation rules) and system(c0, bcs) takes any other.
+    The operator keeps only the system of the last lambda it applied, factored
+    by its first solve; the solver's lambdas rise, so each is factored once.
     """
 
     def __init__(self, spec: ProblemSpec, nodes: np.ndarray, bcs: tuple[tuple, tuple] | None = None):
@@ -437,70 +425,50 @@ class FDOperator:
         self._sub, self._offset, self._sup = sub, offset, sup
         self._ends = (mu[0], c2[0]), (mu[-1], c2[-1])
         self._worst_offdiag = max(float(np.max(a, initial=0.0, where=a > _SIGN_TOL)) for a in (sub[1:-1], sup[1:-1]))
-        self._rows = self._boundary_rows(self.bcs)
-        # apply's systems share these off-diagonals, with bcs folded in
-        sup[0], sub[-1] = self._rows[0][0], self._rows[1][0]
         self._alpha_r = spec.alpha * state_rate(spec.model, nodes)
-        self._systems: dict[float, TridiagSystem] = {}
-
-    def _boundary_rows(self, bcs: tuple[tuple, tuple]) -> tuple[tuple, tuple]:
-        """Each end row of the (left, right) rules as (off-diagonal entry,
-        diagonal offset, Dirichlet value or None)."""
-        h = self._h
-        rows = []
-        for side, bc, (mu, c2) in zip((-1, +1), bcs, self._ends):
-            kind = bc[0]
-            if kind == "dirichlet":
-                rows.append((0.0, 0.0, bc[1]))
-            elif kind == "robin":
-                rate = bc[1]
-                rows.append((-2.0 * c2 / h**2, 2.0 * c2 / h**2 - side * 2.0 * c2 * rate / h - mu * rate, None))
-            elif kind == "degenerate":
-                # sigma vanishes here; the equation is first order with inward drift
-                rows.append((-mu / h, mu / h, None) if side < 0 else (mu / h, -mu / h, None))
-            elif kind == "diagonal":
-                rows.append((0.0, 0.0, None))
-            else:
-                raise ValueError(f"unknown boundary rule {bc!r}")
-        return tuple(rows)
+        self._lam = self._system = None
 
     def system(self, c0: np.ndarray, bcs: tuple[tuple, tuple] | None = None) -> TridiagSystem:
         """The system with diagonal c0 + offset and the boundary rows of
         ``bcs`` (by default the operator's; Dirichlet rows 1); refuses
         non-M-matrix assemblies and a diagonal that is not positive."""
-        sub, sup = self._sub, self._sup
-        if bcs is None:
-            (left_off, left_add, left), (right_off, right_add, right) = self._rows
-        else:
-            (left_off, left_add, left), (right_off, right_add, right) = self._boundary_rows(bcs)
-            sub, sup = sub.copy(), sup.copy()
-            sup[0], sub[-1] = left_off, right_off
+        h = self._h
+        sub, sup = self._sub.copy(), self._sup.copy()
         diag = np.asarray(c0, dtype=float) + self._offset
-        diag[0] = 1.0 if left is not None else diag[0] + left_add
-        diag[-1] = 1.0 if right is not None else diag[-1] + right_add
+        fixed = []
+        for side, i, offdiag, bc, (mu, c2) in zip((-1, +1), (0, -1), (sup, sub), bcs or self.bcs, self._ends):
+            # the end row's off-diagonal entry, diagonal offset and Dirichlet value
+            kind, off, add, value = bc[0], 0.0, 0.0, None
+            if kind == "dirichlet":
+                value = bc[1]
+            elif kind == "robin":
+                rate = bc[1]
+                off, add = -2.0 * c2 / h**2, 2.0 * c2 / h**2 - side * 2.0 * c2 * rate / h - mu * rate
+            elif kind == "degenerate":
+                # sigma vanishes here; the equation is first order with inward drift
+                off, add = (-mu / h, mu / h) if side < 0 else (mu / h, -mu / h)
+            elif kind != "diagonal":
+                raise ValueError(f"unknown boundary rule {bc!r}")
+            offdiag[i] = off
+            diag[i] = 1.0 if value is not None else diag[i] + add
+            fixed.append(value)
         tol = _SIGN_TOL * max(1.0, float(np.abs(diag).max()))
-        if self._worst_offdiag > tol or left_off > tol or right_off > tol:
+        if self._worst_offdiag > tol or sup[0] > tol or sub[-1] > tol:
             raise ValueError("finite-difference assembly is not an M-matrix (drift-dominated stencil); refine the grid")
         if not (diag > 0).all():
             raise ValueError("finite-difference diagonal is not positive; increase lambda/gamma or shrink the window")
-        return TridiagSystem(sub, diag, sup, left, right)
+        return TridiagSystem(sub, diag, sup, *fixed)
 
     def apply(self, lam: float, psi_values: np.ndarray) -> np.ndarray:
-        system = self._systems.get(lam)
-        if system is None:
+        if lam != self._lam:
             c0 = lam + self.spec.gamma - self._alpha_r
             if (c0 <= 0).any():
                 raise ValueError(
                     "lambda + gamma - alpha r must stay positive on the window; "
                     "increase lambda or shrink the window"
                 )
-            system = self._systems[lam] = self.system(c0)
-        return system.solve(psi_values)
-
-
-def resolvent_fd(spec: ProblemSpec, psi: GridFunction, lam: float) -> GridFunction:
-    """Finite-difference solve of (lambda + gamma - A) u = psi on the grid."""
-    return psi.with_values(FDOperator(spec, psi.nodes).apply(lam, psi.values))
+            self._system, self._lam = self.system(c0), lam
+        return self._system.solve(psi_values)
 
 
 def solve_linear_fk_ode(
@@ -513,7 +481,7 @@ def solve_linear_fk_ode(
 
     Serves as the supersolution N for the interval model (no closed-form
     transition density exists there) and as a cross-check of the Vasicek
-    quadrature N. Boundary rules match resolvent_fd. Raises
+    quadrature N. Boundary rules match FDOperator's. Raises
     InfeasibleProblem unless feasibility.n_condition holds.
     """
     require_finite_N(spec)

@@ -40,9 +40,7 @@ from consrate import (
     gamma_thresholds,
     hjb_residual,
     ou_moments,
-    resolvent_fd,
     resolvent_mc,
-    resolvent_quadrature,
     semigroup_apply,
     solve_problem_a,
     solve_problem_b,
@@ -51,6 +49,7 @@ from consrate import (
 )
 from consrate.cli import read_csv
 from consrate.hjb import central_window
+from consrate.resolvent import FDOperator, QuadratureOperator
 from tests.oracles import joint_moment_sample
 
 MODEL = Vasicek(0.03, 0.5, 0.02)
@@ -208,7 +207,7 @@ def test_criterion_7_portfolio_identities():
 
 
 def test_criterion_8_semigroup_growth_bound():
-    phi = GridFunction.from_callable(-6.0, 6.0, 2401, lambda r: np.exp(-(r**2)))
+    phi = GridFunction(-6.0, 6.0, np.exp(-(np.linspace(-6.0, 6.0, 2401) ** 2)))
     base = envelope_norm(SPEC_A, phi)
     theta = theta_growth(SPEC_A)
     checks = []
@@ -224,8 +223,8 @@ def test_criterion_8_semigroup_growth_bound():
 def test_criterion_9_backend_agreement():
     lam = 0.5 + 1e-5  # lambda_1 of the schedule
     psi = DESK_GRID.with_values(np.ones(DESK_GRID.n_nodes))
-    uq = resolvent_quadrature(SPEC_A, psi, lam, DESK_BACKEND)
-    ufd = resolvent_fd(SPEC_A, psi, lam)
+    uq = psi.with_values(QuadratureOperator(SPEC_A, psi, DESK_BACKEND, (lam,)).apply(lam, psi.values))
+    ufd = psi.with_values(FDOperator(SPEC_A, psi.nodes).apply(lam, psi.values))
     umc, se = resolvent_mc(SPEC_A, psi, lam, PathConfig(n_paths=2000, dt=0.01, t_max=10.0, seed=17))
     nodes = psi.nodes
     c = (nodes >= 0.0375 - 1e-12) & (nodes <= 0.1125 + 1e-12)

@@ -685,3 +685,39 @@ def test_simulate_refuses_a_start_rate_outside_the_solved_grid(solved, monkeypat
     assert code == 2, printed
     assert "error: sim.r0=5 lies outside the solved grid [0, 0.15]" in printed
     assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()} == before
+
+
+# models and grids the solver cannot take, each refused by the solver's own
+# check after the feasibility gate and before --output is made
+@pytest.mark.parametrize(
+    "settings, command, key",
+    [
+        (["--force", "--set", "model.kind=gbm", "--set", "model.mu=0.01"], "solve", "model.kind"),
+        (["--force", "--set", "model.kind=bm"], "solve-b", "model.kind"),
+        (["--force", "--set", "model.kind=gbm", "--set", "model.mu=0.01"], "solve-c", "model.kind"),
+        (["--set", "grid.r_min=0.01"], "solve-b", "grid.r_min"),
+    ],
+)
+def test_a_model_or_grid_the_solver_refuses_names_its_key_before_writing(tmp_path, settings, command, key):
+    r = run_cli("--output", "o", *settings, command, cwd=tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    refusal = [line for line in r.stdout.splitlines() if line.startswith(("error: ", "infeasible: "))]
+    assert len(refusal) == 1 and f": {key}: " in refusal[0], r.stdout
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_file_skips_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "a.cfg"
+    path.write_text("\n# the desk grid, finer\n   \ngrid.n = 39  # nodes\n")
+    assert cli.parse_config_file(str(path)) == {"grid.n": "39"}
+
+
+def test_a_line_or_set_without_equals_exits_2(tmp_path, capsys):
+    path = tmp_path / "a.cfg"
+    path.write_text("# comment\n\ngrid.n 39\n")
+    out = tmp_path / "o"
+    assert cli.main(["--output", str(out), "--config", str(path), "solve"]) == 2
+    assert capsys.readouterr().out == f"error: {path}:3: expected key=value\n"
+    assert cli.main(["--output", str(out), "--set", "grid.n", "solve"]) == 2
+    assert capsys.readouterr().out == "error: --set expects key=value, got 'grid.n'\n"
+    assert not out.exists()

@@ -170,7 +170,7 @@ SCALAR_T_PINNED = {
 
 
 def test_semigroup_pinned():
-    phi = GridFunction.from_callable(-0.2, 0.35, 111, lambda r: np.exp(-(((r - 0.06) / 0.05) ** 2)))
+    phi = GridFunction(-0.2, 0.35, np.exp(-(((np.linspace(-0.2, 0.35, 111) - 0.06) / 0.05) ** 2)))
     got = {(t, dy): kernel_pin(semigroup_apply(PAPER, phi, t, dy=dy).values) for t, dy in SEMIGROUP_PINNED}
     assert got == SEMIGROUP_PINNED
 
@@ -280,20 +280,20 @@ def test_dgemm_deviation_bitwise_equals_the_subtraction(rows, n_y, scale):
 
 def test_semigroup_alpha_small_preserves_one():
     spec = ProblemSpec(VAS, 1e-12, 1.0, "A")
-    phi = GridFunction.from_callable(-0.2, 0.35, 301, lambda r: np.ones_like(r))
+    phi = GridFunction(-0.2, 0.35, np.ones(301))
     out = semigroup_apply(spec, phi, 0.5)
     assert np.allclose(out.values, 1.0, atol=1e-7)
 
 
 def test_semigroup_mgf_identity():
-    phi = GridFunction.from_callable(-0.2, 0.35, 301, lambda r: np.ones_like(r))
+    phi = GridFunction(-0.2, 0.35, np.ones(301))
     out = semigroup_apply(PAPER, phi, 0.7)
     expect = exp_h_moment(PAPER, phi.nodes, 0.7)
     assert np.allclose(out.values, expect, rtol=2e-6)
 
 
 def test_semigroup_growth_bound():
-    phi = GridFunction.from_callable(-6.0, 6.0, 1201, lambda r: np.exp(-(r**2)))
+    phi = GridFunction(-6.0, 6.0, np.exp(-(np.linspace(-6.0, 6.0, 1201) ** 2)))
     base = envelope_norm(PAPER, phi)
     t = 1.0
     out = semigroup_apply(PAPER, phi, t, dy=0.004)
@@ -301,7 +301,7 @@ def test_semigroup_growth_bound():
 
 
 def test_semigroup_composition():
-    phi = GridFunction.from_callable(-0.3, 0.45, 751, lambda r: np.exp(-(((r - 0.06) / 0.05) ** 2)))
+    phi = GridFunction(-0.3, 0.45, np.exp(-(((np.linspace(-0.3, 0.45, 751) - 0.06) / 0.05) ** 2)))
     two_step = semigroup_apply(PAPER, semigroup_apply(PAPER, phi, 0.5), 0.5)
     one_step = semigroup_apply(PAPER, phi, 1.0)
     mid = slice(250, 500)

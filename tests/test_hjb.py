@@ -1,3 +1,4 @@
+import gc
 import hashlib
 
 import numpy as np
@@ -381,6 +382,16 @@ def test_kl_doubling_loop_runs_once_per_problem_b_case():
     assert np.all(sol.K.values >= expect - 1e-9)
     op, u = hjb._kl_extended(PAPER_B, 0.0, 0.15, 76, cfg.tol_n)
     assert not op.nodes.flags.writeable and not u.flags.writeable
+
+
+def test_problem_b_keeps_one_factored_system_alive():
+    # the cached K_L operator keeps the system of its last lambda only, so a
+    # case's factored systems are freed before the next case's K_L loop runs
+    cfg = SolverConfig(grid=GridFunction.zeros(0.0, 0.15, 601), backend=FiniteDifference(), m_max=16, n_max=40)
+    solve_problem_b(PAPER_B, cfg)
+    compute_KL(PAPER_B, cfg)
+    gc.collect()
+    assert sum(isinstance(obj, resolvent.TridiagSystem) for obj in gc.get_objects()) <= 1
 
 
 def test_problem_b_case_assembles_two_stencils(monkeypatch):

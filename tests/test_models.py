@@ -51,7 +51,7 @@ def test_domains():
     gbm = domain(GeometricBM(0.01, 0.2))
     assert gbm.lo == 0.0 and gbm.hi == math.inf
     const = domain(Constant(0.05))
-    assert const.degenerate and const.contains(0.05)
+    assert const.degenerate and const.contains_closure(0.05)
 
 
 def test_domain_violations_rejected():
@@ -71,9 +71,9 @@ def test_model_invariants_validated():
 
 
 def test_generator_examples():
-    assert generator_apply(Constant(0.05), 1.0, 3.0, -7.0, 0.2) == 0.0
-    assert generator_apply(VAS, 0.0, 0.0, 2.0, 0.0) == pytest.approx(0.5 * 0.02**2 * 2.0)
-    assert generator_apply(VAS, 0.05, 1.0, 0.0, 0.05) == pytest.approx(drift(VAS, 0.05))
+    assert generator_apply(Constant(0.05), 3.0, -7.0, 0.2) == 0.0
+    assert generator_apply(VAS, 0.0, 2.0, 0.0) == pytest.approx(0.5 * 0.02**2 * 2.0)
+    assert generator_apply(VAS, 1.0, 0.0, 0.05) == pytest.approx(drift(VAS, 0.05))
 
 
 def test_generator_linearity():
@@ -83,8 +83,8 @@ def test_generator_linearity():
         f1, fp1, fpp1 = rng.standard_normal((3, r.size))
         f2, fp2, fpp2 = rng.standard_normal((3, r.size))
         a, b = rng.standard_normal(2)
-        lhs = generator_apply(VAS, a * f1 + b * f2, a * fp1 + b * fp2, a * fpp1 + b * fpp2, r)
-        rhs = a * generator_apply(VAS, f1, fp1, fpp1, r) + b * generator_apply(VAS, f2, fp2, fpp2, r)
+        lhs = generator_apply(VAS, a * fp1 + b * fp2, a * fpp1 + b * fpp2, r)
+        rhs = a * generator_apply(VAS, fp1, fpp1, r) + b * generator_apply(VAS, fp2, fpp2, r)
         assert np.allclose(lhs, rhs, rtol=0, atol=1e-13)
 
 

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import math
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,9 +20,7 @@ from consrate import (
     Quadrature,
     Vasicek,
     generator_apply,
-    resolvent_fd,
     resolvent_mc,
-    resolvent_quadrature,
     solve_linear_fk_ode,
     supersolution_N,
 )
@@ -28,7 +28,7 @@ from consrate.errors import InsufficientMemory
 from consrate.gaussian import exp_h_moment, fk_kernel_weight
 from consrate.models import state_rate
 from consrate import gaussian, parallel, resolvent
-from consrate.resolvent import QuadratureOperator
+from consrate.resolvent import FDOperator, QuadratureOperator
 from tests.conftest import child_env
 
 VAS = Vasicek(0.03, 0.5, 0.02)
@@ -64,13 +64,13 @@ def central(nodes):
 
 def test_quadrature_zero_psi():
     psi = GridFunction.zeros(0.0, 0.15, 31)
-    u = resolvent_quadrature(PAPER, psi, LAM1, quad_backend())
+    u = psi.with_values(QuadratureOperator(PAPER, psi, quad_backend(), (LAM1,)).apply(LAM1, psi.values))
     assert np.allclose(u.values, 0.0)
 
 
 def test_quadrature_matches_closed_form_centrally():
     psi = grid_unit()
-    u = resolvent_quadrature(PAPER, psi, LAM1, quad_backend())
+    u = psi.with_values(QuadratureOperator(PAPER, psi, quad_backend(), (LAM1,)).apply(LAM1, psi.values))
     truth = closed_form_unit_resolvent(PAPER, psi.nodes, LAM1)
     c = central(psi.nodes)
     assert np.max(np.abs(u.values[c] - truth[c]) / truth[c]) <= 2e-4
@@ -79,44 +79,45 @@ def test_quadrature_matches_closed_form_centrally():
 def test_quadrature_rejects_divergent_lambda():
     wild = ProblemSpec(Vasicek(0.03, 0.5, 5.0), 0.5, 0.1, "A")
     with pytest.raises(ValueError, match="growth rate"):
-        resolvent_quadrature(wild, grid_unit(), 0.5, quad_backend())
+        QuadratureOperator(wild, grid_unit(), quad_backend(), (0.5,))
 
 
 def test_quadrature_rejects_non_vasicek():
     spec = ProblemSpec(Constant(0.05), 0.5, 0.1, "A")
     with pytest.raises(ValueError):
-        resolvent_quadrature(spec, grid_unit(), 1.0, quad_backend())
+        QuadratureOperator(spec, grid_unit(), quad_backend(), (1.0,))
 
 
 def test_quadrature_rejects_coarse_dy():
     with pytest.raises(ValueError, match="kernel width"):
-        resolvent_quadrature(PAPER, grid_unit(), LAM1, quad_backend(dy=0.02))
+        QuadratureOperator(PAPER, grid_unit(), quad_backend(dy=0.02), (LAM1,))
 
 
 def test_fd_constant_model_exact():
     spec = ProblemSpec(Constant(0.05), 0.5, 0.1, "A")
     psi = grid_unit(31)
     lam = 1.0
-    u = resolvent_fd(spec, psi, lam)
+    u = psi.with_values(FDOperator(spec, psi.nodes).apply(lam, psi.values))
     assert np.allclose(u.values, 1.0 / (lam + 0.1 - 0.5 * 0.05), rtol=1e-14)
 
 
 def test_fd_zero_psi():
     psi = GridFunction.zeros(0.0, 0.15, 31)
-    u = resolvent_fd(PAPER, psi, 1.0)
+    u = psi.with_values(FDOperator(PAPER, psi.nodes).apply(1.0, psi.values))
     assert np.allclose(u.values, 0.0)
 
 
 def test_fd_refuses_nonpositive_zero_order():
     psi = grid_unit(31, 0.0, 8.0)  # alpha r reaches 4 > lam + gamma
     with pytest.raises(ValueError, match="positive"):
-        resolvent_fd(PAPER, psi, 0.5)
+        FDOperator(PAPER, psi.nodes).apply(0.5, psi.values)
 
 
 def test_fd_agrees_with_quadrature_centrally():
     psi = grid_unit(76)
-    uq = resolvent_quadrature(PAPER, psi, LAM1, quad_backend(dt=0.01, dy=0.002, t_max=12.0))
-    ufd = resolvent_fd(PAPER, psi, LAM1)
+    op = QuadratureOperator(PAPER, psi, quad_backend(dt=0.01, dy=0.002, t_max=12.0), (LAM1,))
+    uq = psi.with_values(op.apply(LAM1, psi.values))
+    ufd = psi.with_values(FDOperator(PAPER, psi.nodes).apply(LAM1, psi.values))
     c = central(psi.nodes)
     rel = np.abs(uq.values[c] - ufd.values[c]) / np.abs(ufd.values[c])
     assert np.max(rel) <= 1e-3
@@ -131,8 +132,8 @@ def test_backends_linear():
     ones = g.with_values(np.ones(41))
     mc = PathConfig(n_paths=150, dt=0.02, t_max=4.0, seed=5)
     for solve in (
-        lambda p: resolvent_quadrature(PAPER, p, 1.0, quad_backend()).values,
-        lambda p: resolvent_fd(PAPER, p, 1.0).values,
+        lambda p: QuadratureOperator(PAPER, p, quad_backend(), (1.0,)).apply(1.0, p.values),
+        lambda p: FDOperator(PAPER, p.nodes).apply(1.0, p.values),
         lambda p: resolvent_mc(PAPER, p, 1.0, mc)[0].values,
     ):
         lhs = solve(combo)
@@ -144,8 +145,8 @@ def test_backends_positive():
     rng = np.random.default_rng(11)
     g = GridFunction.zeros(0.0, 0.15, 41)
     psi = g.with_values(rng.uniform(0.0, 3.0, 41))
-    uq = resolvent_quadrature(PAPER, psi, 1.0, quad_backend())
-    ufd = resolvent_fd(PAPER, psi, 1.0)
+    uq = psi.with_values(QuadratureOperator(PAPER, psi, quad_backend(), (1.0,)).apply(1.0, psi.values))
+    ufd = psi.with_values(FDOperator(PAPER, psi.nodes).apply(1.0, psi.values))
     umc, _ = resolvent_mc(PAPER, psi, 1.0, PathConfig(n_paths=150, dt=0.02, t_max=4.0, seed=9))
     for u in (uq, ufd, umc):
         assert np.all(u.values >= 0)
@@ -156,7 +157,7 @@ def _identity_defect(spec, u, psi, lam, window):
     d1 = (u.values[2:] - u.values[:-2]) / (2 * h)
     d2 = (u.values[2:] - 2 * u.values[1:-1] + u.values[:-2]) / h**2
     nodes = u.nodes[1:-1]
-    q = generator_apply(spec.model, u.values[1:-1], d1, d2, nodes)
+    q = generator_apply(spec.model, d1, d2, nodes)
     a_u = q + spec.alpha * state_rate(spec.model, nodes) * u.values[1:-1]
     lhs = (lam + spec.gamma) * u.values[1:-1] - a_u
     defect = np.abs(lhs - psi.values[1:-1]) / (1.0 + np.abs(psi.values[1:-1]))
@@ -169,9 +170,10 @@ def test_resolvent_identity_all_backends():
     psi = g.with_values(1.0 + 0.5 * np.sin(20.0 * g.nodes))
     lam = 1.0
     inner = (g.nodes[1:-1] >= 0.0) & (g.nodes[1:-1] <= 0.15)
-    uq = resolvent_quadrature(PAPER, psi, lam, quad_backend(dt=0.01, dy=0.002, t_max=12.0))
+    op = QuadratureOperator(PAPER, psi, quad_backend(dt=0.01, dy=0.002, t_max=12.0), (lam,))
+    uq = psi.with_values(op.apply(lam, psi.values))
     assert np.max(_identity_defect(PAPER, uq, psi, lam, inner)) <= 1e-3
-    ufd = resolvent_fd(PAPER, psi, lam)
+    ufd = psi.with_values(FDOperator(PAPER, psi.nodes).apply(lam, psi.values))
     assert np.max(_identity_defect(PAPER, ufd, psi, lam, inner)) <= 1e-6
     umc, _ = resolvent_mc(PAPER, psi, lam, PathConfig(n_paths=2500, dt=0.01, t_max=6.0, seed=21))
     assert np.max(_identity_defect(PAPER, umc, psi, lam, inner)) <= 1e-3
@@ -262,14 +264,27 @@ def test_window_halving_doubling_stability(monkeypatch):
     # reaches 6 stationary widths (0.12 here); 3 and 12 halve and double it
     psi = grid_unit(61)
     backend = quad_backend(dt=0.01, dy=0.002, t_max=12.0)
-    base = resolvent_quadrature(PAPER, psi, LAM1, backend)
+    base = psi.with_values(QuadratureOperator(PAPER, psi, backend, (LAM1,)).apply(LAM1, psi.values))
     monkeypatch.setattr(resolvent, "_PAD_SIGMAS", 3.0)
-    half = resolvent_quadrature(PAPER, psi, LAM1, backend)
+    half = psi.with_values(QuadratureOperator(PAPER, psi, backend, (LAM1,)).apply(LAM1, psi.values))
     monkeypatch.setattr(resolvent, "_PAD_SIGMAS", 12.0)
-    double = resolvent_quadrature(PAPER, psi, LAM1, backend)
+    double = psi.with_values(QuadratureOperator(PAPER, psi, backend, (LAM1,)).apply(LAM1, psi.values))
     c = central(psi.nodes)
     for other in (half, double):
         assert np.max(np.abs(other.values[c] - base.values[c]) / base.values[c]) < 1e-3
+
+
+@pytest.mark.parametrize("z", [5e-5, 9.9e-5])
+def test_cell_weights_series_branch_matches_the_long_series(z):
+    # below z = s h = 1e-4 the hat weights are their series through z^2; the
+    # reference sums it to z^19 in exact rational arithmetic:
+    # A = h sum (-z)^k / (k! (k+1) (k+2)), B = h sum (-z)^k / (k! (k+2))
+    s, h = 2.0, z / 2.0
+    zf, hf = Fraction(s) * Fraction(h), Fraction(h)
+    a = hf * sum((-zf) ** k / (math.factorial(k) * (k + 1) * (k + 2)) for k in range(20))
+    b = hf * sum((-zf) ** k / (math.factorial(k) * (k + 2)) for k in range(20))
+    for got, ref in zip(resolvent._cell_weights(s, h), (float(a), float(b))):
+        assert abs(got - ref) <= 1e-12 * ref
 
 
 def reference_resolvent_matrix(op, grid, lam):

@@ -139,6 +139,13 @@ def test_wealth_positive_under_bounded_policies():
     assert np.min(traj.V) > 0
 
 
+def test_a_path_that_starts_at_or_below_zero_hits_at_once():
+    cfg = PathConfig(dt=0.01, t_max=1.0, n_paths=1, seed=13)
+    for r0 in (0.0, -0.02):
+        traj = wealth_trajectory(sample_path(VAS, r0, cfg), flat_policy(0.5), 1.0)
+        assert traj.tau_hit == 0.0
+
+
 def test_wealth_rejects_negative_policy():
     cfg = PathConfig(dt=0.01, t_max=1.0, n_paths=1, seed=13)
     path = sample_path(VAS, 0.05, cfg)
